@@ -255,9 +255,8 @@ def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMat
     top = int(min(n_max, avail)) if avail != math.inf else n_max
     rows = []
     worst = 0.0
-    for n in range(top + 1):
+    for n, rhs in enumerate(shift.moment_values(u, top)):
         lhs = mu_u.moment(n)
-        rhs = shift.power_norm_sq(u, n)
         rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, rel)
         rows.append((n, lhs, rhs, rel))

@@ -35,7 +35,7 @@ from .moments import (
     scaled_inverse_integral,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
-from .shift import WeightedShift
+from .shift import WeightedShift, _mod_sq
 from .tree import (
     BILATERAL_WINDOW,
     T_ETA_KAPPA,
@@ -43,10 +43,6 @@ from .tree import (
     make_family,
     vertex_to_key,
 )
-
-
-def _mod_sq(z: complex) -> float:
-    return z.real * z.real + z.imag * z.imag
 
 
 @dataclass(frozen=True)
@@ -916,9 +912,8 @@ def extract_branch_data(
         values = as_values(sequences[v])
         avail = tree.available_depth(v)
         top = int(min(len(values) - 1, avail if avail != math.inf else len(values) - 1))
-        for n in range(top + 1):
+        for n, rhs in enumerate(shift.moment_values(v, top)):
             lhs = values[n]
-            rhs = shift.power_norm_sq(v, n)
             if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
                 raise ValueError(
                     f"sequence at {v!r} disagrees with the shift at order {n}: "

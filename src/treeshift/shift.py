@@ -122,34 +122,50 @@ class WeightedShift:
 
     # -- powers on basis vectors -------------------------------------------
 
-    def power_coefficients(self, u, n: int) -> dict:
-        """Coefficient map of the n-th power applied to the basis vector at u,
-        keyed by the n-th generation below u."""
+    def _levels(self, u, n: int):
+        """Coefficient maps of the k-th powers on the basis vector at u, for
+        k = 0..n, from one walk down the tree.  The vertex, the order and
+        the horizon are checked once, before the walk."""
+        if not 0 <= n <= self.tree.available_depth(u):
+            # delegate the precise error (negative order or horizon)
+            self.tree.children_n(u, n)
         level = {u: complex(1.0)}
-        for k in range(n):
-            if k + 1 > self.tree.available_depth(u):
-                # delegate the precise horizon error
-                self.tree.children_n(u, n)
+        yield level
+        for _ in range(n):
             nxt = {}
             for v, coeff in level.items():
                 for c in self.tree.children(v):
                     nxt[c] = coeff * self.weights[c]
             level = nxt
+            yield level
+
+    def power_coefficients(self, u, n: int) -> dict:
+        """Coefficient map of the n-th power applied to the basis vector at u,
+        keyed by the n-th generation below u."""
+        *_, level = self._levels(u, n)
         return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
 
     def power_norm_sq(self, u, n: int) -> float:
-        """Squared norm of the n-th power on the basis vector at u."""
-        key = (u, n)
-        cached = self._norm_cache.get(key)
+        """Squared norm of the n-th power on the basis vector at u.
+
+        Computed by :meth:`moment_values`, together with every lower order,
+        once per shift and then cached."""
+        cached = self._norm_cache.get((u, n))
         if cached is None:
-            coeffs = self.power_coefficients(u, n)
-            cached = math.fsum(_mod_sq(c) for c in coeffs.values())
-            self._norm_cache[key] = cached
+            cached = self.moment_values(u, n)[n]
         return cached
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
-        """The sequence of squared power norms at u, orders 0..n_max."""
-        return tuple(self.power_norm_sq(u, n) for n in range(n_max + 1))
+        """The sequence of squared power norms at u, orders 0..n_max.
+
+        One walk down the tree computes every order up to n_max; each value
+        is then cached on the shift, so later calls for the same vertex and
+        a lower or equal order do no arithmetic."""
+        cache = self._norm_cache
+        if (u, n_max) not in cache:
+            for k, level in enumerate(self._levels(u, n_max)):
+                cache[(u, k)] = math.fsum(_mod_sq(c) for c in level.values())
+        return tuple(cache[(u, k)] for k in range(n_max + 1))
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th

@@ -118,6 +118,7 @@ class DirectedTree:
             sorted((v for v in self.vertices if v not in self.parent), key=vertex_sort_key)
         )
         object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_frontier_distance", None)
 
     # -- basic structure ------------------------------------------------
@@ -170,10 +171,9 @@ class DirectedTree:
     def _distances_to_frontier(self) -> dict:
         cached = self._frontier_distance
         if cached is None:
+            depth = self._depth_from_roots()
             cached = {v: math.inf for v in self.vertices}
-            order = sorted(
-                self.vertices, key=lambda v: -self._depth_from_roots().get(v, 0)
-            )
+            order = sorted(self.vertices, key=lambda v: -depth.get(v, 0))
             for v in order:
                 if v in self.frontier:
                     cached[v] = 0
@@ -183,19 +183,27 @@ class DirectedTree:
         return cached
 
     def _depth_from_roots(self) -> dict:
-        depth = {}
-        stack = [(r, 0) for r in self._roots]
-        while stack:
-            v, d = stack.pop()
-            if v in depth:
-                continue
-            depth[v] = d
-            for c in self._children[v]:
-                stack.append((c, d + 1))
+        """Distance from the roots of every vertex reachable from one,
+        computed once per tree and then cached; callers must not mutate it."""
+        depth = self._depth
+        if depth is None:
+            depth = {}
+            stack = [(r, 0) for r in self._roots]
+            while stack:
+                v, d = stack.pop()
+                if v in depth:
+                    continue
+                depth[v] = d
+                for c in self._children[v]:
+                    stack.append((c, d + 1))
+            object.__setattr__(self, "_depth", depth)
         return depth
 
     def available_depth(self, u) -> float:
-        """Number of complete levels below u (inf when no frontier interferes)."""
+        """Number of complete levels below u (inf when no frontier interferes).
+
+        The distances of all vertices are computed in one pass, the first
+        time any vertex is asked for, and then cached on the tree."""
         self._require(u)
         return self._distances_to_frontier()[u]
 

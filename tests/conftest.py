@@ -19,6 +19,8 @@ from treeshift import (
     AtomicMeasure,
     MeasureSystem,
     WeightedShift,
+    explicit_tree,
+    make_family,
     parent_from_children,
     truncated_tree,
 )
@@ -44,6 +46,21 @@ def random_truncated_tree(rng, max_vertices=40, max_depth=5):
             parent[v] = u
             frontier_queue.append((v, depth + 1))
     return truncated_tree(vertices, parent)
+
+
+def family_windows():
+    """One or more windows of each tree family: an explicit tree with true
+    leaves (no frontier), the half-line, two-sided windows and branching
+    trees with root, finite and infinite trunks."""
+    return [
+        explicit_tree(range(8), {1: 0, 2: 0, 3: 1, 4: 1, 5: 3, 6: 2, 7: 6}),
+        make_family("unilateral", 6),
+        make_family("bilateral-window", 5),
+        make_family("bilateral-window", 2, back=6),
+        make_family("t-eta-kappa", 4, eta=2, kappa=0),
+        make_family("t-eta-kappa", 3, eta=3, kappa=2),
+        make_family("t-eta-kappa", 4, eta=2, kappa="inf"),
+    ]
 
 
 def random_probability_measure(rng, max_atoms=3, lo=0.15, hi=10.0):

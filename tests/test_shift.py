@@ -1,10 +1,20 @@
 import math
+import random
 
 import pytest
 
-from treeshift import WeightedShift, explicit_tree, make_family, weights_from_json
+from treeshift import (
+    HorizonError,
+    UnknownVertexError,
+    WeightedShift,
+    explicit_tree,
+    make_family,
+    weights_from_json,
+)
+from treeshift.shift import _mod_sq
+from treeshift.tree import vertex_sort_key
 
-from conftest import random_complex_weights, random_truncated_tree
+from conftest import family_windows, random_complex_weights, random_truncated_tree
 
 
 def unilateral_shift(weights):
@@ -52,6 +62,85 @@ def test_power_coefficients_examples():
     assert s.power_coefficients(0, 1) == {(1, 1): a, (2, 1): b}
     second = s.power_coefficients(0, 2)
     assert second == {(1, 2): a * 2.0, (2, 2): b * 3.0}
+
+
+def reference_coefficients(shift, u, n):
+    """Reference expansion of the n-th power at u: a fresh level-by-level
+    product for this (u, n) alone, checking the horizon before each level."""
+    level = {u: complex(1.0)}
+    for k in range(n):
+        if k + 1 > shift.tree.available_depth(u):
+            shift.tree.children_n(u, n)
+        nxt = {}
+        for v, coeff in level.items():
+            for c in shift.tree.children(v):
+                nxt[c] = coeff * shift.weights[c]
+        level = nxt
+    return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
+
+
+def reference_norm_sq(shift, u, n):
+    return math.fsum(_mod_sq(c) for c in reference_coefficients(shift, u, n).values())
+
+
+def _trees_for_reference(rng):
+    return family_windows() + [random_truncated_tree(rng, max_vertices=30) for _ in range(15)]
+
+
+def test_power_norms_equal_reference_in_any_call_order(rng):
+    # exact equality: the shared walk must do the reference's arithmetic,
+    # and the cache must not depend on which (u, n) was asked first
+    shuffler = random.Random(7)
+    for tree in _trees_for_reference(rng):
+        weights = random_complex_weights(rng, tree).weights
+        reference = WeightedShift(tree, weights)
+        pairs = [
+            (u, n)
+            for u in tree.sorted_vertices
+            for n in range(int(min(5, tree.available_depth(u))) + 1)
+        ]
+        expect = {(u, n): reference_norm_sq(reference, u, n) for u, n in pairs}
+        shuffled = list(pairs)
+        shuffler.shuffle(shuffled)
+        for order in (pairs, pairs[::-1], shuffled):
+            norms = WeightedShift(tree, weights)
+            values = WeightedShift(tree, weights)
+            for u, n in order:
+                assert norms.power_norm_sq(u, n) == expect[(u, n)]
+                assert values.moment_values(u, n) == tuple(
+                    expect[(u, k)] for k in range(n + 1)
+                )
+                assert values.power_norm_sq(u, n) == expect[(u, n)]
+        for u, n in pairs:
+            assert reference.power_coefficients(u, n) == reference_coefficients(
+                reference, u, n
+            )
+
+
+def test_power_norm_horizon_error_unchanged(rng):
+    for tree in _trees_for_reference(rng):
+        s = random_complex_weights(rng, tree)
+        for u in tree.sorted_vertices:
+            avail = tree.available_depth(u)
+            if avail == math.inf:
+                continue
+            n = int(avail) + 1
+            with pytest.raises(HorizonError) as expected:
+                reference_coefficients(s, u, n)
+            for query in (s.power_norm_sq, s.moment_values, s.power_coefficients):
+                with pytest.raises(HorizonError) as got:
+                    query(u, n)
+                assert str(got.value) == str(expected.value)
+
+
+def test_power_queries_reject_unknown_vertex_and_negative_order():
+    s = unilateral_shift([1.0, 2.0, 0.5, 1.5])
+    for query in (s.power_norm_sq, s.moment_values, s.power_coefficients):
+        for n in range(3):
+            with pytest.raises(UnknownVertexError):
+                query(99, n)
+        with pytest.raises(ValueError, match="nonnegative"):
+            query(0, -1)
 
 
 def test_power_norm_examples():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from treeshift import (
@@ -12,7 +14,7 @@ from treeshift import (
 )
 from treeshift.tree import vertex_from_key, vertex_to_key
 
-from conftest import random_truncated_tree
+from conftest import family_windows, random_truncated_tree
 
 
 def test_validate_path_tree():
@@ -86,6 +88,26 @@ def test_make_family_counts():
     inf = make_family("t-eta-kappa", 3, eta=2, kappa="inf")
     assert inf.rootless_family
     assert inf.root == -3  # window root of the rootless family
+
+
+def brute_available_depth(tree, u):
+    """Distance from u down to its nearest frontier descendant (inf if none),
+    by walking each frontier descendant's parent chain back up to u."""
+    best = math.inf
+    for w in tree.descendants(u) & tree.frontier:
+        steps = 0
+        while w != u:
+            w = tree.parent[w]
+            steps += 1
+        best = min(best, steps)
+    return best
+
+
+def test_available_depth_matches_brute_force(rng):
+    trees = family_windows() + [random_truncated_tree(rng) for _ in range(20)]
+    for t in trees:
+        for u in t.sorted_vertices:
+            assert t.available_depth(u) == brute_available_depth(t, u)
 
 
 def test_generation_composition_identity(rng):
