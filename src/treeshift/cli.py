@@ -9,13 +9,16 @@ reports: byte-identical for identical inputs, no timestamps.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import ValidationError, best_match
+from jsonschema.validators import validator_for
 
 from . import consistency, models, moments, truncation
 from .report import (
@@ -63,9 +66,55 @@ class RunConfig:
         }
 
 
-def _schema(name: str) -> dict:
+@functools.cache
+def _validator(name: str):
+    """Validator for a shipped schema; the schemas themselves are checked
+    against their meta-schema by the test suite, not on every document."""
     path = resources.files("treeshift.schemas").joinpath(f"{name}.v1.schema.json")
-    return json.loads(path.read_text())
+    schema = json.loads(path.read_text())
+    return validator_for(schema)(schema)
+
+
+def _non_finite_path(value, path=()):
+    """Location of the first NaN or infinity in a decoded JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _decode_json(text: str, source: str):
+    """Decode JSON text, rejecting NaN and infinities (``NaN``, ``Infinity``
+    and overflowing literals such as ``1e400``) with their location."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"malformed JSON in {source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    bad = _non_finite_path(doc)
+    if bad is not None:
+        location = ValidationError("", path=bad).json_path
+        raise InputError(f"non-finite number in {source} at {location}")
+    return doc
+
+
+def _check_schema(doc, schema_name: str, source: str) -> dict:
+    error = best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise InputError(
+            f"schema violation in {source} at {error.json_path}: {error.message}"
+        )
+    return doc
 
 
 def load_document(path: str, schema_name: str) -> dict:
@@ -78,19 +127,7 @@ def load_document(path: str, schema_name: str) -> dict:
 
 
 def parse_document(text: str, schema_name: str, source: str = "<inline>") -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"malformed JSON in {source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        jsonschema.validate(doc, _schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise InputError(
-            f"schema violation in {source} at {exc.json_path}: {exc.message}"
-        ) from exc
-    return doc
+    return _check_schema(_decode_json(text, source), schema_name, source)
 
 
 def _load_shift(args):
@@ -186,7 +223,7 @@ def _cmd_moments(args, config: RunConfig) -> int:
 
 def _cmd_check_stieltjes(args, config: RunConfig) -> int:
     if args.t is not None:
-        doc = parse_document(json.dumps({"t": json.loads(args.t)}), "moments")
+        doc = _check_schema({"t": _decode_json(args.t, "--t")}, "moments", "--t")
     elif args.input is not None:
         doc = load_document(args.input, "moments")
     else:
@@ -412,7 +449,7 @@ def _add_common(parser):
         "--tol",
         type=float,
         default=None,
-        help="numeric tolerance (default 1e-9; env TREESHIFT_TOL overrides)",
+        help="numeric tolerance (default: env TREESHIFT_TOL if set, else 1e-9)",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument(
@@ -500,9 +537,12 @@ def _config_from_args(args) -> RunConfig:
     tol = args.tol
     if tol is None:
         env = os.environ.get("TREESHIFT_TOL")
-        tol = float(env) if env else DEFAULT_TOL
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+        try:
+            tol = float(env) if env else DEFAULT_TOL
+        except ValueError as exc:
+            raise InputError(f"bad TREESHIFT_TOL: {exc}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     if horizon < 1:
         raise InputError("horizon must be at least 1")

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 MERGE_TOL = 1e-12
 
@@ -97,9 +96,6 @@ class AtomicMeasure:
     @property
     def total_mass(self) -> float:
         return math.fsum(w for _, w in self.atoms)
-
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
 
     @property
     def mass_at_zero(self) -> float:
@@ -555,9 +551,9 @@ def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> 
         nodes = np.array([alphas[0]])
         first_components_sq = np.array([1.0])
     else:
-        nodes, vecs = eigh_tridiagonal(
-            np.array(alphas), np.sqrt(np.array(betas))
-        )
+        off = np.sqrt(np.array(betas))
+        jacobi = np.diag(np.array(alphas)) + np.diag(off, 1) + np.diag(off, -1)
+        nodes, vecs = np.linalg.eigh(jacobi)
         first_components_sq = vecs[0, :] ** 2
     masses = values[0] * first_components_sq
     nodes, masses = _newton_polish(nodes, masses, values[: 2 * rank])

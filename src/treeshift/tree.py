@@ -163,9 +163,6 @@ class DirectedTree:
                 return None
         return u
 
-    def is_leaf(self, u) -> bool:
-        return not self.children(u)
-
     # -- horizon bookkeeping ---------------------------------------------
 
     def _distances_to_frontier(self) -> dict:

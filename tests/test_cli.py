@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
-from treeshift.cli import main
+from treeshift.cli import InputError, load_document, main, parse_document
 
 
 def run_cli(args, capsys):
@@ -268,3 +271,101 @@ def test_text_format(unilateral_inputs, capsys):
     )
     assert code == 0
     assert "norms_sq" in out and "{" not in out.splitlines()[0]
+
+
+# -- input boundary -----------------------------------------------------------
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "treeshift" / "schemas"
+
+
+def test_shipped_schemas_pass_their_meta_schema():
+    paths = sorted(SCHEMA_DIR.glob("*.v1.schema.json"))
+    assert len(paths) == 7
+    for path in paths:
+        schema = json.loads(path.read_text())
+        validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "schema_name, doc",
+    [
+        ("measure", {"atoms": [{"x": -1.0, "w": 1.0}]}),
+        ("weights", {"weights": [1.0, "x"]}),
+        ("weights", {"weights": [{"v": [0, 1, 2]}]}),
+        ("moments", {"t": [1.0]}),
+        ("moments", {"t": [1.0, 2.0], "extra": 1}),
+        ("system", {"measures": {"0": {"atoms": [{"x": 1.0}]}}}),
+        ("tree", []),
+    ],
+)
+def test_schema_messages_match_jsonschema_validate(schema_name, doc):
+    schema = json.loads((SCHEMA_DIR / f"{schema_name}.v1.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, schema)
+    exc = expected.value
+    with pytest.raises(InputError) as got:
+        parse_document(json.dumps(doc), schema_name, source="doc.json")
+    assert str(got.value) == (
+        f"schema violation in doc.json at {exc.json_path}: {exc.message}"
+    )
+
+
+def test_cli_import_does_not_load_scipy():
+    out = subprocess.run(
+        [sys.executable, "-c", "import treeshift.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_non_finite_inline_moments_are_input_errors(capsys):
+    code = main(["check-stieltjes", "--t", "[1, NaN, 1, 1, 1]"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "non-finite number in --t at $[1]" in captured.err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_weights_are_input_errors(tmp_path, capsys, literal):
+    path = tmp_path / "weights.json"
+    path.write_text('{"weights": [1.0, %s, 1.0]}' % literal)
+    code = main(["certify", "--family", "unilateral", "--weights", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"non-finite number in {path} at $.weights[1]" in captured.err
+
+
+def test_non_finite_number_is_located_in_nested_documents(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text('{"measures": {"0": {"atoms": [{"x": 1.0, "w": NaN}]}}}')
+    with pytest.raises(InputError, match=r"at \$\.measures\['0'\]\.atoms\[0\]\.w$"):
+        load_document(str(path), "system")
+
+
+def test_malformed_inline_moments_name_their_source(capsys):
+    code = main(["check-stieltjes", "--t", "[1, 1,"])
+    assert code == 3
+    assert "malformed JSON in --t: line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("by_env", [False, True])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_input_error(capsys, monkeypatch, by_env, value):
+    args = ["check-stieltjes", "--t", "[1,1,0,0]"]
+    if by_env:
+        monkeypatch.setenv("TREESHIFT_TOL", value)
+    else:
+        args += ["--tol", value]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "tolerance must be positive and finite" in captured.err
+
+
+def test_tolerance_flag_wins_over_env(capsys, monkeypatch):
+    monkeypatch.setenv("TREESHIFT_TOL", "nan")
+    code, out = run_cli(["check-stieltjes", "--t", "[1,1,1,1]", "--tol", "1e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 1e-6
