@@ -53,6 +53,7 @@ from .moments import (
     moments_of,
     quadrature_from_moments,
     scaled_inverse_integral,
+    superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
 from .shift import NormBoundReport, StructuralReport, WeightedShift, weights_from_json

@@ -241,6 +241,8 @@ def _cmd_check_stieltjes(args, config: RunConfig) -> int:
 
 
 def _cmd_backward_extend(args, config: RunConfig) -> int:
+    if not math.isfinite(args.theta):
+        raise InputError(f"--theta must be finite, got {args.theta}")
     mu = moments.measure_from_json(load_document(args.measure, "measure"))
     try:
         nu = moments.backward_extend(mu, args.theta)

@@ -21,6 +21,7 @@ from .moments import (
     measure_from_json,
     quadrature_from_moments,
     scaled_inverse_integral,
+    superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
 from .tree import vertex_from_key, vertex_sort_key, vertex_to_key
@@ -44,6 +45,9 @@ class MeasureSystem:
     def __post_init__(self):
         object.__setattr__(self, "mu", dict(self.mu))
         object.__setattr__(self, "eps", {v: float(e) for v, e in self.eps.items()})
+        for v, e in self.eps.items():
+            if not math.isfinite(e):
+                raise ValueError(f"point mass {e} at zero of {v!r} is not finite")
         if any(e < 0 for e in self.eps.values()):
             raise ValueError("point masses at zero must be nonnegative")
 
@@ -152,7 +156,7 @@ class ConsistencyReport:
 def _consistency_rhs(system, shift, u, n):
     """Right-hand side of the depth-n identity at u, or an inconsistency
     reason when a child carries mass at zero under a nonzero weight."""
-    rhs = AtomicMeasure.zero()
+    terms = []
     inv_sum_terms = []
     for v in sorted(shift.tree.children_n(u, n), key=vertex_sort_key):
         if n == 1:
@@ -168,13 +172,10 @@ def _consistency_rhs(system, shift, u, n):
                 f"child {v!r} carries mass {mu_v.mass_at_zero} at zero "
                 "under a nonzero path weight"
             )
-        rhs = rhs.plus(mu_v.times_power(-n).scaled(coeff))
+        terms.append((coeff, mu_v))
         inv_sum_terms.append(scaled_inverse_integral(coeff, mu_v, n))
-    inv_sum = math.fsum(inv_sum_terms)
-    eps = system.eps_at(u)
-    if eps > 0.0:
-        rhs = rhs.plus(AtomicMeasure.delta(0.0, eps))
-    return rhs, inv_sum, ""
+    rhs = superpose(terms, -n, system.eps_at(u))
+    return rhs, math.fsum(inv_sum_terms), ""
 
 
 def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyReport:
@@ -198,13 +199,13 @@ def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyR
             reason=reason,
         )
     eps_computed = 1.0 - inv_sum
-    scale = max(1.0, mu_u.total_mass)
+    mass = mu_u.total_mass
     disc, disc_at = measure_discrepancy(mu_u, rhs)
     problems = []
-    if disc > tol * scale:
+    if disc > tol * max(1.0, mass):
         problems.append("atom mismatch between stored and reconstructed measure")
-    if abs(mu_u.total_mass - 1.0) > tol:
-        problems.append(f"measure at {u!r} has total mass {mu_u.total_mass}")
+    if abs(mass - 1.0) > tol:
+        problems.append(f"measure at {u!r} has total mass {mass}")
     if abs(eps_stored - eps_computed) > tol:
         problems.append(
             f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
@@ -255,8 +256,9 @@ def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMat
     top = int(min(n_max, avail)) if avail != math.inf else n_max
     rows = []
     worst = 0.0
+    lhs_values = mu_u.moments(top)
     for n, rhs in enumerate(shift.moment_values(u, top)):
-        lhs = mu_u.moment(n)
+        lhs = lhs_values[n]
         rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, rel)
         rows.append((n, lhs, rhs, rel))
@@ -287,20 +289,17 @@ def parent_from_children(
         raise ConsistencySumError(
             f"weighted inverse-moment sum at {u!r} is {total} > 1"
         )
-    mu_u = AtomicMeasure.zero()
-    for v in sorted(children, key=vertex_sort_key):
-        c = shift.modulus_sq(v)
-        if c == 0.0:
-            continue
-        mu_u = mu_u.plus(child_measures[v].times_power(-1).scaled(c))
     eps = max(0.0, 1.0 - total)
     # rounding dust below the verification resolution would plant a spurious
     # atom at zero, which downstream identities treat as a hard obstruction
     if eps <= 1e-12:
         eps = 0.0
-    else:
-        mu_u = mu_u.plus(AtomicMeasure.delta(0.0, eps))
-    return mu_u, eps
+    terms = [
+        (c, child_measures[v])
+        for v in sorted(children, key=vertex_sort_key)
+        if (c := shift.modulus_sq(v)) != 0.0
+    ]
+    return superpose(terms, -1, eps), eps
 
 
 def child_from_parent_single(shift, u0, mu_parent: AtomicMeasure) -> AtomicMeasure:
@@ -313,7 +312,7 @@ def child_from_parent_single(shift, u0, mu_parent: AtomicMeasure) -> AtomicMeasu
     c = shift.modulus_sq(u1)
     if c == 0.0:
         raise ValueError(f"the weight into {u1!r} vanishes")
-    return mu_parent.times_power(1).scaled(1.0 / c)
+    return superpose(((1.0 / c, mu_parent),), 1)
 
 
 def build_system_from_sequences(

@@ -33,6 +33,7 @@ from .moments import (
     measure_from_json,
     quadrature_from_moments,
     scaled_inverse_integral,
+    superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
 from .shift import WeightedShift, _mod_sq
@@ -89,6 +90,18 @@ def product_moments(weights: Sequence[complex]) -> tuple:
     return tuple(values)
 
 
+def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
+    """Map the k-th of ``vertices`` to the base measure reweighted by s^k and
+    normalized: the proof system along a path."""
+    mu = {}
+    current = base
+    for k, v in enumerate(vertices):
+        if k:
+            current = current.times_power(1)
+        mu[v] = current.scaled(1.0 / current.total_mass)
+    return mu
+
+
 def _power_system_on_path(tree, first_vertex: int, weights, base: AtomicMeasure):
     """Proof system on an integer path: the measure at step n is the base
     measure reweighted by s^n and normalized; any base mass at zero becomes
@@ -96,15 +109,10 @@ def _power_system_on_path(tree, first_vertex: int, weights, base: AtomicMeasure)
     shift = WeightedShift(
         tree, {first_vertex + k + 1: w for k, w in enumerate(weights)}
     )
-    mu = {}
-    eps = {}
-    current = base
-    for n in range(len(weights) + 1):
-        mu[first_vertex + n] = current.scaled(1.0 / current.total_mass)
-        eps[first_vertex + n] = (
-            base.mass_at_zero / base.total_mass if n == 0 else 0.0
-        )
-        current = current.times_power(1)
+    path = range(first_vertex, first_vertex + len(weights) + 1)
+    mu = _normalized_powers(base, path)
+    eps = {v: 0.0 for v in mu}
+    eps[first_vertex] = base.mass_at_zero / base.total_mass
     return MeasureSystem(mu=mu, eps=eps), shift
 
 
@@ -544,15 +552,10 @@ def construct_root_measure(data: BranchData, tol: float = 1e-9):
     total = prod * _inverse_sum(data, kappa + 1)
     if math.isinf(total):
         return None, "branch measure carries mass at zero"
-    nu = AtomicMeasure.zero()
-    for i in range(data.eta):
-        c = data.entry_mod_sq(i)
-        if c == 0.0:
-            continue
-        nu = nu.plus(data.branch_measures[i].times_power(-(kappa + 1)).scaled(c * prod))
     deficit = 1.0 - total
-    if deficit > tol:
-        nu = nu.plus(AtomicMeasure.delta(0.0, deficit))
+    nu = superpose(
+        _entry_terms(data, prod), -(kappa + 1), deficit if deficit > tol else 0.0
+    )
     return nu, deficit
 
 
@@ -589,20 +592,11 @@ def root_measure_conditions(data: BranchData, nu: AtomicMeasure, tol: float = 1e
             }
         )
     lhs = nu.times_power(kappa)
-    rhs = AtomicMeasure.zero()
-    prod = data.trunk_product_sq(kappa)
-    infinite = False
-    for i in range(data.eta):
-        c = data.entry_mod_sq(i)
-        if c == 0.0:
-            continue
-        if data.branch_measures[i].mass_at_zero > 0.0:
-            infinite = True
-            break
-        rhs = rhs.plus(data.branch_measures[i].times_power(-1).scaled(c * prod))
-    if infinite:
+    terms = _entry_terms(data, data.trunk_product_sq(kappa))
+    if any(m.mass_at_zero > 0.0 for _, m in terms):
         checks.append({"item": "measure-identity", "value": math.inf, "ok": False})
     else:
+        rhs = superpose(terms, -1)
         disc, at = measure_discrepancy(lhs, rhs)
         checks.append(
             {
@@ -699,27 +693,15 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
         weights[-ell] = data.trunk_weights[ell]
     shift = WeightedShift(tree, weights)
     mu = {}
-    eps = {}
     for i in range(1, data.eta + 1):
         base = data.branch_measures[i - 1]
-        current = base
-        for j in range(1, depth + 1):
-            mu[(i, j)] = current.scaled(1.0 / current.total_mass)
-            eps[(i, j)] = 0.0
-            current = current.times_power(1)
+        mu.update(_normalized_powers(base, [(i, j) for j in range(1, depth + 1)]))
+    eps = {v: 0.0 for v in mu}
     branching, eps0 = _branching_vertex_measure(data)
     mu[0] = branching
     eps[0] = eps0 if kappa == 0 else 0.0
     for ell in range(1, trunk_len + 1):
-        prod = data.trunk_product_sq(ell)
-        acc = AtomicMeasure.zero()
-        for i in range(data.eta):
-            c = data.entry_mod_sq(i)
-            if c == 0.0:
-                continue
-            acc = acc.plus(
-                data.branch_measures[i].times_power(-(ell + 1)).scaled(c * prod)
-            )
+        acc = superpose(_entry_terms(data, data.trunk_product_sq(ell)), -(ell + 1))
         deficit = 1.0 - acc.total_mass
         if ell == kappa and deficit > tol:
             acc = acc.plus(AtomicMeasure.delta(0.0, deficit))
@@ -733,13 +715,18 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
     return MeasureSystem(mu=mu, eps=eps), shift
 
 
+def _entry_terms(data: BranchData, factor: float = 1.0) -> list:
+    """The terms (factor * |entry weight|^2, branch measure) of every branch
+    entered by a nonzero weight, in branch order."""
+    return [
+        (c * factor, data.branch_measures[i])
+        for i in range(data.eta)
+        if (c := data.entry_mod_sq(i)) != 0.0
+    ]
+
+
 def _branching_vertex_measure(data: BranchData):
-    acc = AtomicMeasure.zero()
-    for i in range(data.eta):
-        c = data.entry_mod_sq(i)
-        if c == 0.0:
-            continue
-        acc = acc.plus(data.branch_measures[i].times_power(-1).scaled(c))
+    acc = superpose(_entry_terms(data), -1)
     deficit = 1.0 - acc.total_mass
     if data.kappa == 0 and deficit > 0.0:
         acc = acc.plus(AtomicMeasure.delta(0.0, deficit))

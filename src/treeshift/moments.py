@@ -15,6 +15,7 @@ an inverse-power integral (see :func:`scaled_inverse_integral`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +62,23 @@ class AtomicMeasure:
         for x, w in self.atoms:
             x = float(x)
             w = float(w)
-            if x < -MERGE_TOL:
-                raise ValueError(f"atom position {x} is negative")
-            if w < 0.0:
-                raise ValueError(f"atom mass {w} is negative")
+            if not -MERGE_TOL <= x < math.inf:
+                kind = "negative" if math.isfinite(x) else "not finite"
+                raise ValueError(f"atom position {x} is {kind}")
+            if not 0.0 <= w < math.inf:
+                kind = "negative" if math.isfinite(w) else "not finite"
+                raise ValueError(f"atom mass {w} is {kind}")
             if w == 0.0:
                 continue
             pairs.append((max(x, 0.0), w))
-        pairs.sort()
-        merged: list[list[float]] = []
-        for x, w in pairs:
-            if merged and x - merged[-1][0] <= MERGE_TOL:
-                merged[-1][1] += w
-            else:
-                merged.append([x, w])
-        object.__setattr__(self, "atoms", tuple((x, w) for x, w in merged))
+        object.__setattr__(self, "atoms", _canonical(pairs))
+
+    @classmethod
+    def _of_canonical(cls, atoms: tuple) -> "AtomicMeasure":
+        """Wrap an atom tuple that is already canonical and checked."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "atoms", atoms)
+        return measure
 
     @classmethod
     def delta(cls, x: float, mass: float = 1.0) -> "AtomicMeasure":
@@ -122,28 +125,26 @@ class AtomicMeasure:
         return math.fsum(w * x**n for x, w in self.atoms if x > 0.0 or n > 0)
 
     def moments(self, n_max: int) -> tuple:
-        return tuple(self.moment(n) for n in range(n_max + 1))
+        """Moments of orders 0..n_max, computed together and each summed
+        exactly as :meth:`moment` sums it."""
+        atoms = self.atoms
+        return tuple(
+            math.fsum([w * x**n for x, w in atoms] if n else [w for _, w in atoms])
+            for n in range(n_max + 1)
+        )
 
     # -- transforms -----------------------------------------------------------
 
     def scaled(self, factor: float) -> "AtomicMeasure":
-        if factor < 0:
-            raise ValueError("mass scale must be nonnegative")
-        return AtomicMeasure(tuple((x, w * factor) for x, w in self.atoms))
+        return superpose(((factor, self),), 0)
 
     def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure(self.atoms + other.atoms)
+        return AtomicMeasure._of_canonical(_canonical([*self.atoms, *other.atoms]))
 
     def times_power(self, p: int) -> "AtomicMeasure":
         """Reweight by s^p.  Positive p annihilates any atom at zero; negative
         p requires no atom at zero."""
-        if p >= 0:
-            return AtomicMeasure(
-                tuple((x, w * x**p) for x, w in self.atoms if x > 0.0 or p == 0)
-            )
-        if self.mass_at_zero > 0.0:
-            raise ValueError("cannot divide by s: positive mass at zero")
-        return AtomicMeasure(tuple((x, w * x**p) for x, w in self.atoms))
+        return superpose(((1.0, self),), p)
 
     def restricted(self, cutoff: float) -> "AtomicMeasure":
         """Restriction to the closed window [0, cutoff] (not renormalized)."""
@@ -151,6 +152,63 @@ class AtomicMeasure:
 
     def as_dict(self) -> dict:
         return {"atoms": [{"x": x, "w": w} for x, w in self.atoms]}
+
+
+def _canonical(pairs: list) -> tuple:
+    """Sort (position, mass) pairs with nonzero masses and merge positions
+    closer than ``MERGE_TOL``; a merged atom keeps the smallest position, and
+    its masses are added in sorted order."""
+    pairs.sort()
+    merged = []
+    start = None
+    for x, w in pairs:
+        if start is not None and x - start <= MERGE_TOL:
+            mass += w
+            continue
+        if start is not None:
+            merged.append((start, mass))
+        start, mass = x, w
+    if start is not None:
+        merged.append((start, mass))
+    return tuple(merged)
+
+
+def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
+    """The measure sum of c * s^power * mu over (c, mu) in ``terms``, plus
+    ``deficit`` at zero.
+
+    This is the right-hand side of the consistency identity.  Each term is
+    merged into the running sum in turn and the deficit comes last, so the
+    masses are added in the same order as a left fold of
+    ``plus(mu.times_power(power).scaled(c))`` followed by
+    ``plus(delta(0.0, deficit))``, with the same bits.  Positive powers
+    annihilate atoms at zero; a negative power on a measure with mass at zero
+    raises ``ValueError``.  The measures were checked when they were built, so
+    the terms are not checked again.
+    """
+    if deficit < 0.0:
+        raise ValueError("deficit mass must be nonnegative")
+    power = operator.index(power)
+    atoms = ()
+    for c, mu in terms:
+        c = float(c)
+        if c < 0.0:
+            raise ValueError("mass scale must be nonnegative")
+        if power < 0 and mu.mass_at_zero > 0.0:
+            raise ValueError("cannot divide by s: positive mass at zero")
+        term = []
+        for x, w in mu.atoms:
+            if power > 0 and x == 0.0:
+                continue
+            w = w * x**power
+            if w != 0.0:
+                w = w * c
+                if w != 0.0:
+                    term.append((x, w))
+        atoms = _canonical([*atoms, *term]) if atoms else tuple(term)
+    if deficit > 0.0:
+        atoms = _canonical([*atoms, (0.0, float(deficit))])
+    return AtomicMeasure._of_canonical(atoms)
 
 
 def measure_from_json(doc: dict) -> AtomicMeasure:
@@ -173,6 +231,9 @@ class MomentSequence:
 
     def __post_init__(self):
         values = tuple(float(t) for t in self.values)
+        for n, t in enumerate(values):
+            if not math.isfinite(t):
+                raise ValueError(f"moment t_{n} = {t} is not finite")
         if len(values) < 2:
             raise ValueError("a moment sequence needs at least t_0 and t_1")
         if self.origin == WEIGHT_DERIVED and abs(values[0] - 1.0) > 1e-9:
@@ -306,6 +367,8 @@ def backward_extend(mu: AtomicMeasure, theta: float, tol: float = 0.0) -> Atomic
     :class:`NoBackwardExtensionError` when the deficit would be negative,
     which includes any input carrying mass at zero.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"the prepended value must be finite, got {theta}")
     if theta <= 0:
         raise ValueError("the prepended value must be positive")
     inv = mu.moment(-1)

@@ -89,6 +89,9 @@ class WeightedShift:
         if extra:
             names = ", ".join(repr(v) for v in sorted(extra, key=vertex_sort_key))
             raise ValueError(f"weights for vertices outside the tree: {names}")
+        for v, w in weights.items():
+            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+                raise ValueError(f"weight {w} of vertex {v!r} is not finite")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_norm_cache", {})
 

@@ -369,3 +369,12 @@ def test_tolerance_flag_wins_over_env(capsys, monkeypatch):
     code, out = run_cli(["check-stieltjes", "--t", "[1,1,1,1]", "--tol", "1e-6"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_input_error(tmp_path, capsys, value):
+    measure = write(tmp_path, "m.json", {"atoms": [{"x": 1.0, "w": 1.0}]})
+    code = main(["backward-extend", "--measure", measure, f"--theta={value}"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"--theta must be finite, got {float(value)}" in captured.err

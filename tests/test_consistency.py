@@ -296,3 +296,12 @@ def test_measure_discrepancy_alignment():
     c = AtomicMeasure(((1.0, 0.5), (2.0, 0.5), (3.0, 0.2)))
     d2, at2 = measure_discrepancy(a, c)
     assert d2 == pytest.approx(0.2) and at2 == 3.0
+
+
+def test_non_finite_zero_masses_are_rejected():
+    mu = {0: AtomicMeasure.delta(1.0)}
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"point mass {bad} at zero of 0 is not finite"):
+            MeasureSystem(mu=mu, eps={0: bad})
+    with pytest.raises(ValueError, match="nonnegative"):
+        MeasureSystem(mu=mu, eps={0: -0.5})

@@ -17,8 +17,9 @@ from treeshift import (
     forward_map,
     moments_of,
     quadrature_from_moments,
+    superpose,
 )
-from treeshift.moments import MEASURE_DERIVED, measure_from_json
+from treeshift.moments import MERGE_TOL, MEASURE_DERIVED, measure_from_json
 
 from conftest import random_probability_measure, stratified_atoms
 
@@ -35,6 +36,105 @@ def test_canonical_form_merges_and_sorts():
     with pytest.raises(ValueError, match="negative"):
         AtomicMeasure(((1.0, -0.5),))
     assert AtomicMeasure(((1.0, 0.0),)).atoms == ()
+
+
+def test_non_finite_atoms_are_rejected():
+    for atoms, bad in (
+        (((math.nan, 1.0),), "position nan"),
+        (((math.inf, 1.0),), "position inf"),
+        (((-math.inf, 1.0),), "position -inf"),
+        (((1.0, math.nan),), "mass nan"),
+        (((1.0, math.inf),), "mass inf"),
+        (((math.nan, 1.0), (1.0, math.inf)), "position nan"),
+    ):
+        with pytest.raises(ValueError, match=f"atom {bad} is not finite"):
+            AtomicMeasure(atoms)
+
+
+def test_non_finite_moments_are_rejected():
+    with pytest.raises(ValueError, match="t_1 = nan is not finite"):
+        MomentSequence((1.0, math.nan))
+    with pytest.raises(ValueError, match="t_2 = -inf is not finite"):
+        MomentSequence((1.0, 1.0, -math.inf))
+
+
+# -- the superposition kernel --------------------------------------------------
+
+
+def _seed_canonical(atoms) -> tuple:
+    """The canonical form as the measure constructor has always built it,
+    kept here as an independent oracle for the kernel."""
+    pairs = sorted((max(x, 0.0), w) for x, w in atoms if w != 0.0)
+    merged = []
+    for x, w in pairs:
+        if merged and x - merged[-1][0] <= MERGE_TOL:
+            merged[-1][1] += w
+        else:
+            merged.append([x, w])
+    return tuple((x, w) for x, w in merged)
+
+
+def _seed_fold(terms, power, deficit) -> tuple:
+    """Left fold of plus(times_power(power).scaled(c)), then the deficit at
+    zero, with every intermediate measure canonicalized as before the kernel."""
+    acc = ()
+    for c, mu in terms:
+        reweighted = _seed_canonical(
+            (x, w * x**power) for x, w in mu.atoms if x > 0.0 or power <= 0
+        )
+        acc = _seed_canonical(acc + _seed_canonical((x, w * c) for x, w in reweighted))
+    if deficit > 0.0:
+        acc = _seed_canonical(acc + ((0.0, deficit),))
+    return acc
+
+
+# positions on a grid, plus chains whose neighbours are closer than MERGE_TOL
+_POSITIONS = [0.0, 3e-13, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 10.0]
+_POSITIONS += [1.0 + k * 0.6 * MERGE_TOL for k in range(1, 5)]
+_POSITIONS += [2.0 - 0.9 * MERGE_TOL, 2.0 + 0.9 * MERGE_TOL]
+_masses = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
+_measures = st.lists(
+    st.tuples(st.sampled_from(_POSITIONS), _masses), min_size=0, max_size=6
+).map(lambda atoms: AtomicMeasure(tuple(atoms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=5.0), _measures), max_size=6
+    ),
+    power=st.integers(min_value=-3, max_value=3),
+    deficit=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=2.0)),
+)
+def test_superpose_equals_the_left_fold_exactly(terms, power, deficit):
+    if power < 0:
+        terms = [(c, mu) for c, mu in terms if mu.mass_at_zero == 0.0]
+    got = superpose(terms, power, deficit)
+    assert got.atoms == _seed_fold(terms, power, deficit)
+    fold = AtomicMeasure.zero()
+    for c, mu in terms:
+        fold = fold.plus(mu.times_power(power).scaled(c))
+    if deficit > 0.0:
+        fold = fold.plus(AtomicMeasure.delta(0.0, deficit))
+    assert got.atoms == fold.atoms
+    assert AtomicMeasure(got.atoms).atoms == got.atoms  # canonical
+
+
+def test_superpose_refuses_inverse_powers_of_mass_at_zero():
+    terms = [(1.0, AtomicMeasure.delta(1.0)), (2.0, AtomicMeasure.delta(0.0))]
+    with pytest.raises(ValueError, match="positive mass at zero"):
+        superpose(terms, -1)
+    assert superpose(terms, 1).atoms == ((1.0, 1.0),)
+    with pytest.raises(ValueError, match="nonnegative"):
+        superpose([(-1.0, AtomicMeasure.delta(1.0))], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure=_measures, n=st.integers(min_value=0, max_value=12))
+def test_moments_equal_moment_by_order_exactly(measure, n):
+    with_zero = measure.plus(AtomicMeasure.delta(0.0, 0.5))
+    for mu in (measure, with_zero):
+        assert mu.moments(n) == tuple(mu.moment(k) for k in range(n + 1))
 
 
 def test_moments_of_examples():
@@ -139,6 +239,9 @@ def test_backward_extend_examples():
         backward_extend(AtomicMeasure.delta(0.0), 100.0)
     with pytest.raises(NoBackwardExtensionError):
         backward_extend(AtomicMeasure.delta(0.5), 1.0)  # inverse moment is 2
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            backward_extend(d1, theta)
 
 
 def test_forward_map_examples():

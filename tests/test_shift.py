@@ -294,3 +294,10 @@ def test_weights_from_json_forms():
             {"weights": [{"v": 1, "re": 1.0}, {"v": 1, "re": 2.0}, {"v": 2}, {"v": 3}]},
             tree,
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+def test_non_finite_weights_are_rejected(bad):
+    tree = make_family("unilateral", 3)
+    with pytest.raises(ValueError, match=r"weight .* of vertex 2 is not finite"):
+        WeightedShift(tree, {1: 1.0, 2: bad, 3: 1.0})
