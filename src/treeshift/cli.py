@@ -13,12 +13,10 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
-
-from jsonschema.exceptions import ValidationError, best_match
-from jsonschema.validators import validator_for
 
 from . import consistency, models, moments, truncation
 from .report import (
@@ -66,13 +64,270 @@ class RunConfig:
         }
 
 
+# -- document schemas ---------------------------------------------------------
+#
+# The shipped v1 schemas use a small subset of JSON Schema 2020-12; Schema
+# checks exactly that subset and refuses any other keyword when it is built.
+# Errors are chosen as jsonschema's ``best_match`` chooses them and worded as
+# jsonschema words them, so a violation reads the same as it would there.
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()
+    ),
+}
+_ANNOTATIONS = frozenset({"$id", "$schema", "title"})
+_WEAK = frozenset({"oneOf", "anyOf"})
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path) -> str:
+    """JSONPath of a location given as a sequence of keys and indices."""
+    out = "$"
+    for elem in path:
+        if isinstance(elem, int):
+            out += f"[{elem}]"
+        elif _PLAIN_KEY.match(elem):
+            out += "." + elem
+        else:
+            out += "['" + elem.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+class Violation:
+    """One failed keyword: the instance and (sub)schema it failed on, its
+    location relative to the parent error's instance (or to the document),
+    and, for ``oneOf``/``anyOf``, the errors of every branch tried."""
+
+    __slots__ = ("keyword", "message", "instance", "schema", "path", "context", "parent")
+
+    def __init__(self, keyword, message, instance, schema, context=()):
+        self.keyword = keyword
+        self.message = message
+        self.instance = instance
+        self.schema = schema
+        self.path = ()
+        self.context = context
+        self.parent = None
+        for error in context:
+            error.parent = self
+
+    @property
+    def json_path(self) -> str:
+        path = self.path
+        parent = self.parent
+        while parent is not None:
+            path = parent.path + path
+            parent = parent.parent
+        return _json_path(path)
+
+    def relevance(self) -> tuple:
+        """jsonschema's ``relevance`` key; the largest ranks best: shallow
+        errors, then later siblings, keywords other than ``oneOf``/``anyOf``,
+        and instances off the failing schema's own type."""
+        expected = self.schema.get("type")
+        matches = expected is not None and _TYPES[expected](self.instance)
+        return (-len(self.path), self.path, self.keyword not in _WEAK, False, not matches)
+
+
+def _equal(one, two) -> bool:
+    """JSON equality: ``True`` is not ``1``, in containers too."""
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key]) for key, value in one.items()
+        )
+    if isinstance(one, bool) or isinstance(two, bool):
+        return one is two
+    return one == two
+
+
+def _descend(instance, schema, key):
+    for error in _errors(instance, schema):
+        error.path = (key,) + error.path
+        yield error
+
+
+def _kw_type(expected, instance, schema):
+    if not _TYPES[expected](instance):
+        yield Violation("type", f"{instance!r} is not of type {expected!r}", instance, schema)
+
+
+def _kw_properties(properties, instance, schema):
+    if isinstance(instance, dict):
+        for key, subschema in properties.items():
+            if key in instance:
+                yield from _descend(instance[key], subschema, key)
+
+
+def _kw_additional_properties(extra, instance, schema):
+    if not isinstance(instance, dict):
+        return
+    known = schema.get("properties", {})
+    extras = [key for key in instance if key not in known]
+    if extra is not False:
+        for key in extras:
+            yield from _descend(instance[key], extra, key)
+    elif extras:
+        names = ", ".join(repr(key) for key in sorted(extras, key=str))
+        verb = "was" if len(extras) == 1 else "were"
+        yield Violation(
+            "additionalProperties",
+            f"Additional properties are not allowed ({names} {verb} unexpected)",
+            instance,
+            schema,
+        )
+
+
+def _kw_required(names, instance, schema):
+    if isinstance(instance, dict):
+        for name in names:
+            if name not in instance:
+                yield Violation("required", f"{name!r} is a required property", instance, schema)
+
+
+def _kw_items(subschema, instance, schema):
+    if isinstance(instance, list):
+        for index, item in enumerate(instance):
+            yield from _descend(item, subschema, index)
+
+
+def _kw_min_items(bound, instance, schema):
+    if isinstance(instance, list) and len(instance) < bound:
+        message = "should be non-empty" if bound == 1 else "is too short"
+        yield Violation("minItems", f"{instance!r} {message}", instance, schema)
+
+
+def _kw_max_items(bound, instance, schema):
+    if isinstance(instance, list) and len(instance) > bound:
+        message = "is expected to be empty" if bound == 0 else "is too long"
+        yield Violation("maxItems", f"{instance!r} {message}", instance, schema)
+
+
+def _kw_minimum(bound, instance, schema):
+    if _TYPES["number"](instance) and instance < bound:
+        message = f"{instance!r} is less than the minimum of {bound!r}"
+        yield Violation("minimum", message, instance, schema)
+
+
+def _kw_const(value, instance, schema):
+    if not _equal(instance, value):
+        yield Violation("const", f"{value!r} was expected", instance, schema)
+
+
+def _kw_enum(values, instance, schema):
+    if not any(_equal(value, instance) for value in values):
+        yield Violation("enum", f"{instance!r} is not one of {values!r}", instance, schema)
+
+
+def _kw_any_of(branches, instance, schema):
+    context = []
+    for subschema in branches:
+        errors = list(_errors(instance, subschema))
+        if not errors:
+            return
+        context.extend(errors)
+    message = f"{instance!r} is not valid under any of the given schemas"
+    yield Violation("anyOf", message, instance, schema, context)
+
+
+def _kw_one_of(branches, instance, schema):
+    context = []
+    for index, subschema in enumerate(branches):
+        errors = list(_errors(instance, subschema))
+        if not errors:
+            break
+        context.extend(errors)
+    else:
+        message = f"{instance!r} is not valid under any of the given schemas"
+        yield Violation("oneOf", message, instance, schema, context)
+        return
+    more = [s for s in branches[index + 1 :] if next(_errors(instance, s), None) is None]
+    if more:
+        reprs = ", ".join(repr(s) for s in [*more, branches[index]])
+        yield Violation("oneOf", f"{instance!r} is valid under each of {reprs}", instance, schema)
+
+
+_KEYWORDS = {
+    "type": _kw_type,
+    "properties": _kw_properties,
+    "additionalProperties": _kw_additional_properties,
+    "required": _kw_required,
+    "items": _kw_items,
+    "minItems": _kw_min_items,
+    "maxItems": _kw_max_items,
+    "minimum": _kw_minimum,
+    "const": _kw_const,
+    "enum": _kw_enum,
+    "anyOf": _kw_any_of,
+    "oneOf": _kw_one_of,
+}
+
+
+def _errors(instance, schema):
+    """Every error of ``instance`` against ``schema``, keywords in schema order."""
+    for keyword, value in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            yield from check(value, instance, schema)
+
+
+def _check_keywords(schema) -> None:
+    """Raise ValueError unless every rule in ``schema`` is one that
+    :func:`_errors` checks."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported schema {schema!r}")
+    for keyword, value in schema.items():
+        if keyword in _ANNOTATIONS:
+            continue
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"unsupported schema keyword {keyword!r}")
+        if keyword == "type" and not (isinstance(value, str) and value in _TYPES):
+            raise ValueError(f"unsupported schema type {value!r}")
+        if keyword == "properties":
+            subschemas = value.values()
+        elif keyword in ("oneOf", "anyOf"):
+            subschemas = value
+        elif keyword == "items" or keyword == "additionalProperties" and value is not False:
+            subschemas = (value,)
+        else:
+            subschemas = ()
+        for subschema in subschemas:
+            _check_keywords(subschema)
+
+
+class Schema:
+    """A document schema in the supported subset of JSON Schema 2020-12."""
+
+    def __init__(self, schema: dict):
+        _check_keywords(schema)
+        self.schema = schema
+
+    def best_match(self, instance) -> Violation | None:
+        """The error jsonschema's ``best_match`` would pick, or None."""
+        key = Violation.relevance
+        best = max(_errors(instance, self.schema), key=key, default=None)
+        while best is not None and best.context:
+            smallest = sorted(best.context, key=key)[:2]
+            if len(smallest) == 2 and key(smallest[0]) == key(smallest[1]):
+                break
+            best = smallest[0]
+        return best
+
+
 @functools.cache
-def _validator(name: str):
-    """Validator for a shipped schema; the schemas themselves are checked
-    against their meta-schema by the test suite, not on every document."""
+def _schema(name: str) -> Schema:
+    """A shipped schema.  The test suite checks the files against their
+    meta-schema; loading checks only that every keyword is supported."""
     path = resources.files("treeshift.schemas").joinpath(f"{name}.v1.schema.json")
-    schema = json.loads(path.read_text())
-    return validator_for(schema)(schema)
+    return Schema(json.loads(path.read_text()))
 
 
 def _non_finite_path(value, path=()):
@@ -103,13 +358,12 @@ def _decode_json(text: str, source: str):
         ) from exc
     bad = _non_finite_path(doc)
     if bad is not None:
-        location = ValidationError("", path=bad).json_path
-        raise InputError(f"non-finite number in {source} at {location}")
+        raise InputError(f"non-finite number in {source} at {_json_path(bad)}")
     return doc
 
 
 def _check_schema(doc, schema_name: str, source: str) -> dict:
-    error = best_match(_validator(schema_name).iter_errors(doc))
+    error = _schema(schema_name).best_match(doc)
     if error is not None:
         raise InputError(
             f"schema violation in {source} at {error.json_path}: {error.message}"

@@ -260,7 +260,8 @@ def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMat
     for n, rhs in enumerate(shift.moment_values(u, top)):
         lhs = lhs_values[n]
         rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        worst = max(worst, rel)
+        # a non-finite moment or norm makes rel NaN, which max() would drop
+        worst = max(worst, rel) if rel == rel else math.inf
         rows.append((n, lhs, rhs, rel))
     return MomentsMatchReport(
         vertex=u, rows=tuple(rows), ok=worst <= tol, max_rel_err=worst

@@ -18,8 +18,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 MERGE_TOL = 1e-12
 
 MEASURE_DERIVED = "measure-derived"
@@ -117,21 +115,30 @@ class AtomicMeasure:
 
     def moment(self, n: int) -> float:
         """Integral of s^n; for negative n the value is inf as soon as a
-        positive mass sits at zero (1/0 = inf convention)."""
+        positive mass sits at zero (1/0 = inf convention).  Raises
+        ``ValueError`` when the moment overflows."""
         if n < 0 and self.mass_at_zero > 0.0:
             return math.inf
-        if n == 0:
-            return self.total_mass
-        return math.fsum(w * x**n for x, w in self.atoms if x > 0.0 or n > 0)
+        try:
+            if n == 0:
+                return self.total_mass
+            return math.fsum(w * x**n for x, w in self.atoms if x > 0.0 or n > 0)
+        except OverflowError:
+            raise _moment_overflow(self.atoms, n) from None
 
     def moments(self, n_max: int) -> tuple:
         """Moments of orders 0..n_max, computed together and each summed
         exactly as :meth:`moment` sums it."""
         atoms = self.atoms
-        return tuple(
-            math.fsum([w * x**n for x, w in atoms] if n else [w for _, w in atoms])
-            for n in range(n_max + 1)
-        )
+        out = []
+        for n in range(n_max + 1):
+            try:
+                out.append(
+                    math.fsum([w * x**n for x, w in atoms] if n else [w for _, w in atoms])
+                )
+            except OverflowError:
+                raise _moment_overflow(atoms, n) from None
+        return tuple(out)
 
     # -- transforms -----------------------------------------------------------
 
@@ -152,6 +159,20 @@ class AtomicMeasure:
 
     def as_dict(self) -> dict:
         return {"atoms": [{"x": x, "w": w} for x, w in self.atoms]}
+
+
+def _moment_overflow(atoms: tuple, n: int) -> ValueError:
+    """The error for a moment of order n that overflows, naming the first
+    atom whose power overflows (or the sum, when no single power does)."""
+    for x, w in atoms:
+        if x > 0.0:
+            try:
+                x**n
+            except OverflowError:
+                return ValueError(
+                    f"moment of order {n} overflows: x**{n} at the atom x = {x}, w = {w}"
+                )
+    return ValueError(f"moment of order {n} overflows")
 
 
 def _canonical(pairs: list) -> tuple:
@@ -184,7 +205,8 @@ def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
     ``plus(delta(0.0, deficit))``, with the same bits.  Positive powers
     annihilate atoms at zero; a negative power on a measure with mass at zero
     raises ``ValueError``.  The measures were checked when they were built, so
-    the terms are not checked again.
+    the terms are not checked again; a resulting mass that overflows (or is
+    NaN) raises ``ValueError``.
     """
     if deficit < 0.0:
         raise ValueError("deficit mass must be nonnegative")
@@ -200,7 +222,10 @@ def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
         for x, w in mu.atoms:
             if power > 0 and x == 0.0:
                 continue
-            w = w * x**power
+            try:
+                w = w * x**power
+            except OverflowError:
+                raise ValueError(f"superposed mass overflows: x**{power} at x = {x}") from None
             if w != 0.0:
                 w = w * c
                 if w != 0.0:
@@ -208,6 +233,9 @@ def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
         atoms = _canonical([*atoms, *term]) if atoms else tuple(term)
     if deficit > 0.0:
         atoms = _canonical([*atoms, (0.0, float(deficit))])
+    for x, w in atoms:
+        if not w < math.inf:
+            raise ValueError(f"superposed mass at x = {x} is not finite: {w}")
     return AtomicMeasure._of_canonical(atoms)
 
 
@@ -310,9 +338,9 @@ class StieltjesVerdict:
         return out
 
 
-def _hankel(values: np.ndarray, size: int, offset: int) -> np.ndarray:
-    idx = np.arange(size)
-    return values[idx[:, None] + idx[None, :] + offset]
+def _hankel(values, size: int, offset: int):
+    """The size x size Hankel block of a numpy vector, starting at ``offset``."""
+    return values[[[i + j + offset for j in range(size)] for i in range(size)]]
 
 
 def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
@@ -322,6 +350,8 @@ def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
     largest sizes the prefix supports and requires both to be positive
     semidefinite up to a relative eigenvalue tolerance.
     """
+    import numpy as np
+
     values = np.asarray(as_values(seq), dtype=float)
     order = len(values) - 1
     if order < 2:
@@ -483,6 +513,8 @@ def carleman_diagnostic(
             partial_sums=tuple(sums),
             terms=tuple(terms),
         )
+    import numpy as np
+
     slope = float(np.polyfit(xs, ys, 1)[0])
     if slope <= divergence_threshold:
         label = DIVERGENCE
@@ -594,6 +626,8 @@ def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> 
     Refuted input raises :class:`RefutedSequenceError`; a numerically
     singular Hankel yields fewer atoms, reported via ``rank``.
     """
+    import numpy as np
+
     values = as_values(seq)
     if len(values) < 2:
         raise ValueError("need at least two moments")

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from treeshift.cli import InputError, load_document, main, parse_document
+from treeshift.cli import InputError, Schema, load_document, main, parse_document
 
 
 def run_cli(args, capsys):
@@ -318,6 +322,185 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_loads_neither_numpy_nor_jsonschema():
+    code = (
+        "import sys, treeshift, treeshift.cli; "
+        "print(sorted(m for m in ('numpy', 'jsonschema') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# A valid document per shipped schema, reaching every branch of its oneOf and
+# anyOf keywords; the property below mutates them into invalid ones.
+VALID_DOCUMENTS = {
+    "branch": {
+        "eta": 2,
+        "kappa": "inf",
+        "entry_weights": [1.0, {"re": 0.5, "im": 0.5}],
+        "trunk_weights": [2, {"re": 1.0}],
+        "branch_weights": [[1.0, {"im": 1.0}], [2.0]],
+        "branch_measures": [{"atoms": [{"x": 1.0, "w": 1.0}]}],
+        "nu": {"atoms": [{"x": 0.0, "w": 0.5}]},
+    },
+    "measure": {"atoms": [{"x": 1.0, "w": 0.5}, {"x": 0, "w": 0.5}]},
+    "moments": {"t": [1.0, 2.0, 5]},
+    "sequences": {"sequences": {"0": [1.0, 1.0], "a b": [1, 2, 5]}},
+    "system": {
+        "measures": {"0": {"atoms": [{"x": 1.0, "w": 1.0}]}, "1": {"atoms": []}},
+        "eps": {"0": 0.0, "1": 2},
+    },
+    "tree": {
+        "family": "t-eta-kappa",
+        "params": {"depth": 3, "eta": 2, "kappa": 1, "back": 1},
+    },
+    "weights": {"weights": [1.0, {"v": [0, 1], "re": 1.0, "im": 0.5}, {"v": 3}]},
+}
+EXTRA_TREES = [
+    {"family": "unilateral", "params": {"kappa": "inf"}},
+    {"vertices": [0, [1, 2]], "edges": [[0, 1], [[1, 2], 3]]},
+]
+MUTANT_VALUES = [
+    None, True, False, 0, 1, -1, 2, 2.0, 2.5, -0.5, 1e300, "inf", "x", "",
+    [], {}, [1.0], [0, 1], [[0, 1], 2], {"x": 1.0, "w": 1.0}, {"re": 1.0}, {"v": 0},
+    {"atoms": []}, {"family": "unilateral"},
+]
+MUTANT_KEYS = [
+    "x", "w", "v", "re", "im", "t", "atoms", "eta", "kappa", "family", "params",
+    "depth", "edges", "branch_weights", "extra", "0", "a b", "it's", "Zeta_2", "_x",
+]
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutated(data, doc):
+    """Drop keys, add keys, retype values, shorten and lengthen arrays."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        path, node = data.draw(st.sampled_from(list(_nodes(doc))))
+        ops = ["retype"]
+        if isinstance(node, dict):
+            ops += ["drop", "add"] if node else ["add"]
+        if isinstance(node, list):
+            ops += ["shorten", "lengthen"] if node else ["lengthen"]
+        op = data.draw(st.sampled_from(ops))
+        value = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES)))
+        if op == "drop":
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif op == "add":
+            node[data.draw(st.sampled_from(MUTANT_KEYS))] = value
+        elif op == "shorten":
+            del node[data.draw(st.integers(min_value=0, max_value=len(node) - 1))]
+        elif op == "lengthen":
+            extra = copy.deepcopy(data.draw(st.sampled_from(node))) if node else value
+            node.insert(data.draw(st.integers(min_value=0, max_value=len(node))), extra)
+        elif path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+    return doc
+
+
+@pytest.mark.parametrize("schema_name", sorted(VALID_DOCUMENTS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_built_in_checker_agrees_with_jsonschema(schema_name, data):
+    schema = json.loads((SCHEMA_DIR / f"{schema_name}.v1.schema.json").read_text())
+    seeds = [VALID_DOCUMENTS[schema_name]]
+    if schema_name == "tree":
+        seeds += EXTRA_TREES
+    doc = _mutated(data, data.draw(st.sampled_from(seeds)))
+    expected = best_match(validator_for(schema)(schema).iter_errors(doc))
+    if expected is None:
+        assert parse_document(json.dumps(doc), schema_name) == doc
+        return
+    with pytest.raises(InputError) as got:
+        parse_document(json.dumps(doc), schema_name, source="doc.json")
+    assert str(got.value) == (
+        f"schema violation in doc.json at {expected.json_path}: {expected.message}"
+    )
+
+
+def test_valid_documents_pass_both_checkers():
+    for name, doc in VALID_DOCUMENTS.items():
+        schema = json.loads((SCHEMA_DIR / f"{name}.v1.schema.json").read_text())
+        for each in [doc] + (EXTRA_TREES if name == "tree" else []):
+            jsonschema.validate(each, schema)
+            assert parse_document(json.dumps(each), name) == each
+
+
+@pytest.mark.parametrize(
+    "schema, doc",
+    [
+        ({"const": 1}, True),
+        ({"const": 1}, 1.0),
+        ({"enum": [[1], {"a": False}]}, [True]),
+        ({"enum": [[1], {"a": False}]}, {"a": 0}),
+        ({"enum": [[1], {"a": False}]}, {"a": False}),
+        ({"type": "integer"}, 2.0),
+        ({"type": "integer"}, 2.5),
+        ({"type": "number"}, True),
+        ({"minimum": 0}, False),
+        ({"type": "array", "minItems": 1}, []),
+        ({"type": "array", "maxItems": 0}, [1]),
+        ({"additionalProperties": False}, {"b": 1, "a": 2, "it's": 3}),
+        ({"properties": {"a b": {"items": {"type": "object"}}}}, {"a b": [{}, 1]}),
+        ({"oneOf": [{"type": "number"}, {"minimum": 1}]}, 2),
+        ({"oneOf": [{"minimum": 3}, {"type": "array", "minItems": 2}]}, [1]),
+        ({"anyOf": [{"required": ["a"]}, {"required": ["b"]}], "type": "object"}, {}),
+    ],
+)
+def test_checker_matches_jsonschema_on_edge_cases(schema, doc):
+    expected = best_match(validator_for(schema)(schema).iter_errors(doc))
+    got = Schema(schema).best_match(doc)
+    if expected is None:
+        assert got is None
+    else:
+        assert (got.json_path, got.message) == (expected.json_path, expected.message)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "pattern": "^a"},
+        {"type": ["number", "null"]},
+        {"properties": {"a": {"type": "string"}}},
+        {"items": {"$ref": "#"}},
+        {"additionalProperties": True},
+        {"oneOf": [{"minimum": 0}, {"format": "date"}]},
+        {"anyOf": [{"required": ["a"]}], "properties": {"a": {"exclusiveMinimum": 0}}},
+    ],
+)
+def test_schema_with_an_unsupported_keyword_is_refused(schema):
+    with pytest.raises(ValueError, match="unsupported schema"):
+        Schema(schema)
+
+
+def test_overflowing_moments_are_input_errors(tmp_path, capsys):
+    big = write(tmp_path, "big.json", {"atoms": [{"x": 1e200, "w": 1.0}]})
+    code = main(["backward-extend", "--measure", big, "--theta", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "input error: moment of order 2 overflows: x**2 at the atom x = 1e+200, w = 1.0\n"
+    )
 
 
 def test_non_finite_inline_moments_are_input_errors(capsys):

@@ -115,6 +115,19 @@ def test_moments_match_identity(rng):
             assert moments_match(sys_, s, u, 6).ok
 
 
+def test_moments_match_fails_rows_that_are_not_finite():
+    # |w_1|^2 = 1e320 overflows, so the norms are inf and the relative
+    # errors NaN; such a row must fail, not vanish from the maximum
+    tree = make_family("unilateral", 2)
+    shift = WeightedShift(tree, {1: 1e160, 2: 1.0})
+    mu = {v: AtomicMeasure.delta(1.0) for v in tree.sorted_vertices}
+    system = MeasureSystem(mu=mu, eps={v: 0.0 for v in tree.sorted_vertices})
+    rep = moments_match(system, shift, 0, 2)
+    assert not rep.ok
+    assert rep.max_rel_err == math.inf
+    assert rep.rows[1][:3] == (1, 1.0, math.inf) and math.isnan(rep.rows[1][3])
+
+
 def test_parent_from_children_examples():
     tree = make_family("unilateral", 1)
     shift = WeightedShift(tree, {1: 1.0})

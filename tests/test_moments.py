@@ -129,6 +129,40 @@ def test_superpose_refuses_inverse_powers_of_mass_at_zero():
         superpose([(-1.0, AtomicMeasure.delta(1.0))], 0)
 
 
+def test_superpose_refuses_masses_that_overflow():
+    huge = AtomicMeasure.delta(2.0, 1e300)
+    with pytest.raises(ValueError, match=r"mass at x = 2.0 is not finite: inf"):
+        huge.scaled(1e300)
+    with pytest.raises(ValueError, match=r"overflows: x\*\*2 at x = 1e\+200"):
+        AtomicMeasure.delta(1e200).times_power(2)
+    with pytest.raises(ValueError, match=r"overflows: x\*\*-2 at x = 1e-300"):
+        AtomicMeasure.delta(1e-300).times_power(-2)
+    with pytest.raises(ValueError, match="mass at x = 1e-200 is not finite: inf"):
+        AtomicMeasure.delta(1e-200, 1e300).times_power(-1)
+    # two finite masses whose merged sum overflows
+    terms = [(1.0, AtomicMeasure.delta(1.0, 1e308)), (1.0, AtomicMeasure.delta(1.0, 1e308))]
+    with pytest.raises(ValueError, match="mass at x = 1.0 is not finite"):
+        superpose(terms, 0)
+    with pytest.raises(ValueError, match="not finite: nan"):
+        superpose([(math.nan, AtomicMeasure.delta(1.0))], 0)
+    with pytest.raises(ValueError, match="not finite: inf"):
+        superpose([(1.0, AtomicMeasure.delta(1.0))], 0, deficit=math.inf)
+    assert huge.scaled(1.0).atoms == ((2.0, 1e300),)
+
+
+def test_moments_that_overflow_name_order_and_atom():
+    mu = AtomicMeasure(((1.0, 0.5), (1e200, 0.5)))
+    assert mu.moments(1) == (1.0, 0.5 + 0.5e200)
+    for call in (lambda: mu.moments(3), lambda: mu.moment(2)):
+        with pytest.raises(ValueError, match=r"moment of order 2 overflows: .* x = 1e\+200, w = 0.5"):
+            call()
+    with pytest.raises(ValueError, match="moment of order -2 overflows"):
+        AtomicMeasure.delta(1e-200).moment(-2)
+    # no single power overflows, but the sum does
+    with pytest.raises(ValueError, match="moment of order 0 overflows$"):
+        AtomicMeasure(((1.0, 1e308), (2.0, 1e308))).moments(0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(measure=_measures, n=st.integers(min_value=0, max_value=12))
 def test_moments_equal_moment_by_order_exactly(measure, n):
