@@ -31,11 +31,13 @@ for n in range(7):
 
 print()
 print("coefficients of S^3 e_0:", shift.power_coefficients(0, 3))
-print("adjoint on e_3:", shift.adjoint_basis(3))
+# the adjoint sends e_v to conj(w_v) e_parent(v)
+print("adjoint on e_3:", (path.parent_of(3), shift.weight(3).conjugate()))
 print()
 print("closed-form inner product <S^2 e_1, S^3 e_0>:")
 closed = shift.inner_product_powers(1, 2, 0, 3)
-brute = shift.inner_product_brute(1, 2, 0, 3)
+left, right = shift.power_coefficients(1, 2), shift.power_coefficients(0, 3)
+brute = sum(left[w] * right[w].conjugate() for w in left.keys() & right.keys())
 print(f"  closed form {closed:.6f}, brute force {brute:.6f}")
 
 report = shift.norm_bound()

@@ -254,17 +254,16 @@ def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMat
     mu_u = system.measure(u)
     avail = shift.tree.available_depth(u)
     top = int(min(n_max, avail)) if avail != math.inf else n_max
-    rows = []
-    worst = 0.0
-    lhs_values = mu_u.moments(top)
-    for n, rhs in enumerate(shift.moment_values(u, top)):
-        lhs = lhs_values[n]
-        rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        # a non-finite moment or norm makes rel NaN, which max() would drop
-        worst = max(worst, rel) if rel == rel else math.inf
-        rows.append((n, lhs, rhs, rel))
+    lhs = mu_u.moments(top)
+    rhs = shift.moment_values(u, top)
+    rels = [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lhs, rhs)]
+    # a non-finite moment or norm makes rel NaN, which max() would drop
+    worst = math.inf if any(map(math.isnan, rels)) else max(0.0, *rels)
     return MomentsMatchReport(
-        vertex=u, rows=tuple(rows), ok=worst <= tol, max_rel_err=worst
+        vertex=u,
+        rows=tuple(zip(range(top + 1), lhs, rhs, rels)),
+        ok=worst <= tol,
+        max_rel_err=worst,
     )
 
 

@@ -36,7 +36,7 @@ from .moments import (
     superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
-from .shift import WeightedShift, _mod_sq
+from .shift import WeightedShift, _mod_sq, product_moments
 from .tree import (
     BILATERAL_WINDOW,
     T_ETA_KAPPA,
@@ -78,16 +78,6 @@ class ModelCertificate:
             "detail": self.detail,
             "witness": self.witness,
         }
-
-
-def product_moments(weights: Sequence[complex]) -> tuple:
-    """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list."""
-    values = [1.0]
-    acc = 1.0 + 0.0j
-    for w in weights:
-        acc = acc * complex(w)
-        values.append(_mod_sq(acc))
-    return tuple(values)
 
 
 def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
@@ -242,18 +232,10 @@ def two_sided_from_weights(weights: Mapping[int, complex]) -> TwoSidedSequence:
     lo, hi = keys[0], keys[-1]
     if lo > 0 or hi < 1:
         raise ValueError("the window must contain the weights into 0 and 1")
-    values = {0: 1.0}
-    acc = 1.0 + 0.0j
-    for n in range(1, hi + 1):
-        acc = acc * complex(weights[n])
-        values[n] = _mod_sq(acc)
-    acc = 1.0 + 0.0j
-    for n in range(0, lo - 1, -1):
-        acc = acc * complex(weights[n])
-        values[n - 1] = 1.0 / _mod_sq(acc)
-    return TwoSidedSequence(
-        values=tuple(values[n] for n in range(lo - 1, hi + 1)), k_min=lo - 1
-    )
+    forward = product_moments([weights[n] for n in range(1, hi + 1)])
+    backward = product_moments([weights[n] for n in range(0, lo - 1, -1)])
+    below = tuple(1.0 / b for b in reversed(backward[1:]))
+    return TwoSidedSequence(values=below + forward, k_min=lo - 1)
 
 
 def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> ModelCertificate:
@@ -377,10 +359,7 @@ class BranchData:
     def trunk_product_sq(self, length: int) -> float:
         """Squared modulus of the product of the first ``length`` trunk
         weights (those of vertices 0, -1, ..., -(length-1))."""
-        acc = 1.0 + 0.0j
-        for w in self.trunk_weights[:length]:
-            acc *= w
-        return _mod_sq(acc)
+        return product_moments(self.trunk_weights[:length])[-1]
 
     def as_dict(self) -> dict:
         out = {
@@ -480,7 +459,8 @@ def verify_branch_moments(data: BranchData, tol: float = 1e-9) -> dict:
         prods = product_moments(ws)
         for n in range(1, n_max + 1):
             rel = abs(mom[n] - prods[n]) / max(1.0, abs(mom[n]), abs(prods[n]))
-            worst = max(worst, rel)
+            # a non-finite moment or product makes rel NaN, which max() would drop
+            worst = max(worst, rel) if rel == rel else math.inf
             rows.append({"branch": i + 1, "n": n, "moment": mom[n], "product": prods[n]})
         if abs(mu.total_mass - 1.0) > tol:
             worst = max(worst, abs(mu.total_mass - 1.0))

@@ -208,8 +208,8 @@ def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
     the terms are not checked again; a resulting mass that overflows (or is
     NaN) raises ``ValueError``.
     """
-    if deficit < 0.0:
-        raise ValueError("deficit mass must be nonnegative")
+    if not deficit >= 0.0:
+        raise ValueError(f"deficit mass must be nonnegative, got {deficit}")
     power = operator.index(power)
     atoms = ()
     for c, mu in terms:

@@ -9,8 +9,10 @@ closed-form inner product between two such powers, and structural checks
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from .tree import DirectedTree, UnknownVertexError, vertex_sort_key
 
@@ -24,6 +26,17 @@ def _fsum_complex(terms) -> complex:
 
 def _mod_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
+
+
+def _running_products(weights):
+    """1, w1, w1 w2, ...: the left-to-right products of complex weights,
+    accumulated in C."""
+    return accumulate(weights, operator.mul, initial=complex(1.0))
+
+
+def product_moments(weights: Sequence[complex]) -> tuple:
+    """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list."""
+    return tuple(map(_mod_sq, _running_products(map(complex, weights))))
 
 
 @dataclass(frozen=True)
@@ -125,50 +138,70 @@ class WeightedShift:
 
     # -- powers on basis vectors -------------------------------------------
 
-    def _levels(self, u, n: int):
-        """Coefficient maps of the k-th powers on the basis vector at u, for
-        k = 0..n, from one walk down the tree.  The vertex, the order and
-        the horizon are checked once, before the walk."""
+    def _walk(self, u, n: int):
+        """Squared norms of the powers 0..n on the basis vector at u, and the
+        (vertex, coefficient) pairs of the n-th power, from one walk down the
+        tree.
+
+        The vertex, the order and the horizon are checked once, before the
+        walk.  A run of single-child vertices from u is multiplied out by the
+        running product of :func:`product_moments`; below it each level is a
+        list of (vertex, coefficient) pairs, and a level of more than one
+        vertex has the exact sum of its squared moduli as its norm (the sum
+        of one value is that value)."""
         if not 0 <= n <= self.tree.available_depth(u):
             # delegate the precise error (negative order or horizon)
             self.tree.children_n(u, n)
-        level = {u: complex(1.0)}
-        yield level
+        children = self.tree._children
+        weights = self.weights
+        run = []
+        v = u
+        below = children[u]
         for _ in range(n):
-            nxt = {}
-            for v, coeff in level.items():
-                for c in self.tree.children(v):
-                    nxt[c] = coeff * self.weights[c]
-            level = nxt
-            yield level
+            if len(below) != 1:
+                break
+            v = below[0]
+            run.append(weights[v])
+            below = children[v]
+        products = list(_running_products(run))
+        norms = list(map(_mod_sq, products))
+        level = [(v, products[-1])]
+        for _ in range(len(run), n):
+            level = [(c, coeff * weights[c]) for p, coeff in level for c in children[p]]
+            norms.append(
+                _mod_sq(level[0][1])
+                if len(level) == 1
+                else math.fsum([_mod_sq(coeff) for _, coeff in level])
+            )
+        return norms, level
 
     def power_coefficients(self, u, n: int) -> dict:
         """Coefficient map of the n-th power applied to the basis vector at u,
         keyed by the n-th generation below u."""
-        *_, level = self._levels(u, n)
+        level = dict(self._walk(u, n)[1])
         return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
 
     def power_norm_sq(self, u, n: int) -> float:
         """Squared norm of the n-th power on the basis vector at u.
 
-        Computed by :meth:`moment_values`, together with every lower order,
-        once per shift and then cached."""
-        cached = self._norm_cache.get((u, n))
-        if cached is None:
-            cached = self.moment_values(u, n)[n]
-        return cached
+        Read from the list of norms that :meth:`moment_values` keeps per
+        vertex; an order beyond that list recomputes it, longer."""
+        norms = self._norm_cache.get(u)
+        if norms is None or not 0 <= n < len(norms):
+            norms = self._norm_cache[u] = self._walk(u, n)[0]
+        return norms[n]
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
         """The sequence of squared power norms at u, orders 0..n_max.
 
-        One walk down the tree computes every order up to n_max; each value
-        is then cached on the shift, so later calls for the same vertex and
-        a lower or equal order do no arithmetic."""
-        cache = self._norm_cache
-        if (u, n_max) not in cache:
-            for k, level in enumerate(self._levels(u, n_max)):
-                cache[(u, k)] = math.fsum(_mod_sq(c) for c in level.values())
-        return tuple(cache[(u, k)] for k in range(n_max + 1))
+        One walk down the tree computes every order up to n_max, and the
+        shift keeps the list of norms per vertex.  A later call for the same
+        vertex at a lower or equal order does no arithmetic; a higher order
+        walks again and replaces the list with the longer one."""
+        norms = self._norm_cache.get(u)
+        if norms is None or not 0 <= n_max < len(norms):
+            norms = self._norm_cache[u] = self._walk(u, n_max)[0]
+        return tuple(norms[: n_max + 1])
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th
@@ -183,22 +216,6 @@ class WeightedShift:
         if anc != u or not self.tree.children_n(v, n):
             return complex(0.0)
         return self.path_weight(u, v) * self.power_norm_sq(v, n)
-
-    def inner_product_brute(self, u, m: int, v, n: int) -> complex:
-        """Same inner product evaluated by expanding both coefficient maps."""
-        cu = self.power_coefficients(u, m)
-        cv = self.power_coefficients(v, n)
-        common = sorted(set(cu) & set(cv), key=vertex_sort_key)
-        return _fsum_complex(cu[w] * cv[w].conjugate() for w in common)
-
-    def adjoint_basis(self, u):
-        """Adjoint applied to a basis vector: (parent, conjugate weight), or
-        None for the root (the zero vector)."""
-        self.tree._require(u)
-        p = self.tree.parent.get(u)
-        if p is None:
-            return None
-        return (p, self.weights[u].conjugate())
 
     # -- structure ----------------------------------------------------------
 

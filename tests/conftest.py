@@ -23,7 +23,9 @@ from treeshift import (
     make_family,
     parent_from_children,
     truncated_tree,
+    vertex_sort_key,
 )
+from treeshift.shift import _fsum_complex
 
 
 def random_truncated_tree(rng, max_vertices=40, max_depth=5):
@@ -151,6 +153,15 @@ def random_complex_weights(rng, tree, lo=0.3, hi=1.5):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         out[v] = complex(r * math.cos(phi), r * math.sin(phi))
     return WeightedShift(tree, out)
+
+
+def inner_product_brute(shift, u, m: int, v, n: int) -> complex:
+    """Oracle for ``inner_product_powers``: the inner product of the m-th
+    power at u with the n-th power at v, from both coefficient maps."""
+    cu = shift.power_coefficients(u, m)
+    cv = shift.power_coefficients(v, n)
+    common = sorted(set(cu) & set(cv), key=vertex_sort_key)
+    return _fsum_complex(cu[w] * cv[w].conjugate() for w in common)
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,6 +128,79 @@ def test_moments_match_fails_rows_that_are_not_finite():
     assert not rep.ok
     assert rep.max_rel_err == math.inf
     assert rep.rows[1][:3] == (1, 1.0, math.inf) and math.isnan(rep.rows[1][3])
+
+
+def _reference_moments_match(system, shift, u, n_max, tol=1e-9):
+    """The row loop that ``moments_match`` replaced: one relative error per
+    order, folded into the maximum, with a NaN row making it inf."""
+    mu_u = system.measure(u)
+    avail = shift.tree.available_depth(u)
+    top = int(min(n_max, avail)) if avail != math.inf else n_max
+    rows = []
+    worst = 0.0
+    lhs_values = mu_u.moments(top)
+    for n, rhs in enumerate(shift.moment_values(u, top)):
+        lhs = lhs_values[n]
+        rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        worst = max(worst, rel) if rel == rel else math.inf
+        rows.append((n, lhs, rhs, rel))
+    return tuple(rows), worst <= tol, worst
+
+
+def _bits(values):
+    return [struct.pack("<d", float(x)) for x in values]
+
+
+def _assert_same_report(rep, system, shift, u, n_max):
+    rows, ok, worst = _reference_moments_match(system, shift, u, n_max)
+    assert [r[0] for r in rep.rows] == [r[0] for r in rows]
+    for got, want in zip(rep.rows, rows):
+        assert _bits(got[1:]) == _bits(want[1:])
+    assert len(rep.rows) == len(rows)
+    assert rep.ok is ok
+    assert _bits([rep.max_rel_err]) == _bits([worst])
+
+
+class _FixedMoments:
+    """A stand-in measure whose moments are given outright, so rows can hold
+    values no atomic measure produces."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def moments(self, n_max):
+        return self.values[: n_max + 1]
+
+
+def test_moments_match_rows_equal_the_row_loop_bit_for_bit(rng):
+    for _ in range(10):
+        shift, system = random_consistent_system(rng, max_vertices=30)
+        for u in shift.tree.sorted_vertices:
+            _assert_same_report(moments_match(system, shift, u, 6), system, shift, u, 6)
+    # overflowing norms: inf and NaN rows
+    tree = make_family("unilateral", 3)
+    shift = WeightedShift(tree, {1: 1e160, 2: 1.0, 3: 1e-10})
+    system = MeasureSystem(
+        mu={v: AtomicMeasure.delta(1.0) for v in tree.sorted_vertices},
+        eps={v: 0.0 for v in tree.sorted_vertices},
+    )
+    for u in tree.sorted_vertices:
+        _assert_same_report(moments_match(system, shift, u, 3), system, shift, u, 3)
+    # moments that no measure has: infinite, NaN, negative and huge, where
+    # the relative error can itself be inf, NaN or exactly zero
+    shift = WeightedShift(tree, {1: 1.3e154, 2: 0.5 - 0.5j, 3: 0.0})
+    norms = shift.moment_values(0, 3)
+    assert math.isfinite(norms[2]) and norms[1] > 1e308
+    for values in (
+        norms,
+        (1.0, math.inf, 1.0, 0.0),
+        (1.0, norms[1], math.nan, 0.0),
+        (1.0, -1.7e308, norms[2], 0.0),
+        (1.0, norms[1] * (1 + 1e-9), norms[2], 1e-300),
+    ):
+        stub = SimpleNamespace(measure=lambda v, m=_FixedMoments(values): m)
+        for n_max in (0, 1, 3):
+            _assert_same_report(moments_match(stub, shift, 0, n_max), stub, shift, 0, n_max)
 
 
 def test_parent_from_children_examples():

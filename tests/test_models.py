@@ -178,6 +178,24 @@ def test_branch_moment_hypothesis_is_enforced():
     assert not report["ok"]
 
 
+def test_branch_moment_check_fails_rows_that_are_not_finite():
+    # |1e160|^2 overflows, so the running products are inf and the relative
+    # errors NaN; such a row must fail, not vanish from the maximum
+    data = BranchData(
+        eta=2,
+        kappa=0,
+        branch_measures=(AtomicMeasure.delta(1.0), AtomicMeasure.delta(1.0)),
+        entry_weights=(0.5, 0.5),
+        branch_weights=((1e160, 1.0), (1.0, 1.0)),
+    )
+    report = verify_branch_moments(data)
+    assert not report["ok"]
+    assert report["max_rel_err"] == math.inf
+    assert report["rows"][0] == {"branch": 1, "n": 1, "moment": 1.0, "product": math.inf}
+    with pytest.raises(ValueError, match="do not represent"):
+        certify_t_eta_kappa(data, depth=3)
+
+
 def random_branch_data(rng, eta, kappa, passing=True):
     """Random instance with two-atom branch measures; when ``passing``, the
     entry and trunk weights are solved so the trunk equalities hold and the

@@ -129,6 +129,13 @@ def test_superpose_refuses_inverse_powers_of_mass_at_zero():
         superpose([(-1.0, AtomicMeasure.delta(1.0))], 0)
 
 
+@pytest.mark.parametrize("deficit", [math.nan, -1.0])
+def test_superpose_refuses_a_deficit_that_is_not_nonnegative(deficit):
+    # NaN compares false both ways, so it must not slip past the sign check
+    with pytest.raises(ValueError, match=f"deficit mass must be nonnegative, got {deficit}"):
+        superpose([(1.0, AtomicMeasure.delta(1.0))], 0, deficit=deficit)
+
+
 def test_superpose_refuses_masses_that_overflow():
     huge = AtomicMeasure.delta(2.0, 1e300)
     with pytest.raises(ValueError, match=r"mass at x = 2.0 is not finite: inf"):

@@ -9,12 +9,19 @@ from treeshift import (
     WeightedShift,
     explicit_tree,
     make_family,
+    product_moments,
+    truncated_tree,
     weights_from_json,
 )
 from treeshift.shift import _mod_sq
 from treeshift.tree import vertex_sort_key
 
-from conftest import family_windows, random_complex_weights, random_truncated_tree
+from conftest import (
+    family_windows,
+    inner_product_brute,
+    random_complex_weights,
+    random_truncated_tree,
+)
 
 
 def unilateral_shift(weights):
@@ -117,6 +124,125 @@ def test_power_norms_equal_reference_in_any_call_order(rng):
             )
 
 
+def grafted_tree(rng, explicit=False):
+    """A random window with chains of single-child vertices grafted above its
+    root and into about half of its edges.  With ``explicit`` the childless
+    vertices are true leaves rather than frontier vertices, so the levels
+    below a branching can narrow to one vertex, or to none."""
+    base = random_truncated_tree(rng, max_vertices=20, max_depth=4)
+    vertices = list(base.vertices)
+    parent = dict(base.parent)
+    next_id = max(vertices) + 1
+
+    def chain(top, length):
+        nonlocal next_id
+        for _ in range(length):
+            vertices.append(next_id)
+            parent[next_id] = top
+            top = next_id
+            next_id += 1
+        return top
+
+    for child in sorted(base.parent):
+        if rng.random() < 0.5:
+            parent[child] = chain(parent[child], int(rng.integers(1, 6)))
+    root = next_id
+    vertices.append(root)
+    next_id += 1
+    parent[0] = chain(root, int(rng.integers(0, 5)))
+    return explicit_tree(vertices, parent) if explicit else truncated_tree(vertices, parent)
+
+
+def mixed_weights(rng, tree):
+    """Complex weights with nonzero imaginary parts, about one in six of them
+    zero (either sign of zero)."""
+    out = {}
+    for v in tree.non_root_vertices:
+        r = rng.random()
+        if r < 0.08:
+            out[v] = complex(0.0, 0.0)
+        elif r < 0.16:
+            out[v] = complex(-0.0, -0.0)
+        else:
+            out[v] = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.1, 1.5) * rng.choice([-1, 1]))
+    return WeightedShift(tree, out)
+
+
+def _run_and_branch_trees(rng):
+    return [
+        make_family("t-eta-kappa", 6, eta=3, kappa=4),
+        make_family("t-eta-kappa", 5, eta=2, kappa=1),
+        *(grafted_tree(rng) for _ in range(8)),
+        *(grafted_tree(rng, explicit=True) for _ in range(8)),
+    ]
+
+
+def _orders(tree, u, cap=14):
+    return range(int(min(cap, tree.available_depth(u))) + 1)
+
+
+def test_walk_equals_reference_on_runs_and_branchings(rng):
+    # exact equality on trees where single-child runs meet branchings, with
+    # complex and zero weights
+    for tree in _run_and_branch_trees(rng):
+        s = mixed_weights(rng, tree)
+        for u in tree.sorted_vertices:
+            orders = _orders(tree, u)
+            expect = [reference_norm_sq(s, u, n) for n in orders]
+            fresh = WeightedShift(tree, s.weights)
+            assert fresh.moment_values(u, orders[-1]) == tuple(expect)
+            for n in orders:
+                assert WeightedShift(tree, s.weights).power_norm_sq(u, n) == expect[n]
+                assert s.power_coefficients(u, n) == reference_coefficients(s, u, n)
+
+
+def test_norm_cache_grows_per_vertex(rng):
+    # low, one higher, then high, then low again: every answer equals the
+    # reference and the shift keeps one list of norms per vertex, as long as
+    # the highest order asked for
+    for tree in _run_and_branch_trees(rng):
+        s = mixed_weights(rng, tree)
+        for u in tree.sorted_vertices:
+            top = _orders(tree, u)[-1]
+            expect = tuple(reference_norm_sq(s, u, n) for n in range(top + 1))
+            low = top // 3
+            assert s.power_norm_sq(u, low) == expect[low]
+            assert len(s._norm_cache[u]) == low + 1
+            if low < top:
+                assert s.power_norm_sq(u, low + 1) == expect[low + 1]
+                assert s.moment_values(u, low + 1) == expect[: low + 2]
+            assert s.moment_values(u, top) == expect
+            assert len(s._norm_cache[u]) == top + 1
+            assert s.moment_values(u, low) == expect[: low + 1]
+            assert s.power_norm_sq(u, low) == expect[low]
+            assert len(s._norm_cache[u]) == top + 1
+
+
+def _product_moments_loop(weights):
+    values = [1.0]
+    acc = 1.0 + 0.0j
+    for w in weights:
+        acc = acc * complex(w)
+        values.append(_mod_sq(acc))
+    return tuple(values)
+
+
+def test_product_moments_equals_the_running_loop(rng):
+    assert product_moments([]) == (1.0,)
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        weights = [complex(rng.normal(), rng.normal()) for _ in range(n)]
+        if n and rng.random() < 0.3:
+            weights[int(rng.integers(n))] = 0.0
+        assert product_moments(weights) == _product_moments_loop(weights)
+        reals = [float(w.real) for w in weights]
+        assert product_moments(reals) == _product_moments_loop(reals)
+    # overflow gives the same inf and NaN products as the loop
+    got = product_moments([1e160, 1e160, 1.0])
+    want = _product_moments_loop([1e160, 1e160, 1.0])
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
 def test_power_norm_horizon_error_unchanged(rng):
     for tree in _trees_for_reference(rng):
         s = random_complex_weights(rng, tree)
@@ -182,7 +308,7 @@ def test_inner_product_closed_form_matches_brute(rng):
             m = int(rng.integers(0, int(min(4, tree.available_depth(u))) + 1))
             n = int(rng.integers(0, int(min(4, tree.available_depth(v))) + 1))
             closed = s.inner_product_powers(u, m, v, n)
-            brute = s.inner_product_brute(u, m, v, n)
+            brute = inner_product_brute(s, u, m, v, n)
             scale = max(1.0, abs(closed), abs(brute))
             assert abs(closed - brute) <= 1e-12 * scale
             cases += 1
@@ -227,12 +353,22 @@ def test_inner_product_diagonal_and_path():
     assert got2 == pytest.approx(want2, rel=1e-12)
 
 
+def adjoint_basis(shift, u):
+    """The adjoint on the basis vector at u, from <S* e_u, e_p> = conj <S e_p,
+    e_u>: (parent p, conjugate coefficient), or None at a root (the zero
+    vector)."""
+    p = shift.tree.parent_of(u)
+    if p is None:
+        return None
+    return (p, shift.power_coefficients(p, 1)[u].conjugate())
+
+
 def test_adjoint_basis():
     s = unilateral_shift([1.0, 1.0, 2j, 1.0])
-    assert s.adjoint_basis(0) is None
-    vertex, coeff = s.adjoint_basis(3)
+    assert adjoint_basis(s, 0) is None
+    vertex, coeff = adjoint_basis(s, 3)
     assert vertex == 2 and coeff == -2j
-    vertex, coeff = s.adjoint_basis(1)
+    vertex, coeff = adjoint_basis(s, 1)
     assert vertex == 0 and coeff == 1.0
 
 
