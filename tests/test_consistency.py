@@ -156,7 +156,6 @@ def _assert_same_report(rep, system, shift, u, n_max):
     assert [r[0] for r in rep.rows] == [r[0] for r in rows]
     for got, want in zip(rep.rows, rows):
         assert _bits(got[1:]) == _bits(want[1:])
-    assert len(rep.rows) == len(rows)
     assert rep.ok is ok
     assert _bits([rep.max_rel_err]) == _bits([worst])
 
