@@ -145,10 +145,10 @@ class WeightedShift:
 
         The vertex, the order and the horizon are checked once, before the
         walk.  A run of single-child vertices from u is multiplied out by the
-        running product of :func:`product_moments`; below it each level is a
-        list of (vertex, coefficient) pairs, and a level of more than one
-        vertex has the exact sum of its squared moduli as its norm (the sum
-        of one value is that value)."""
+        running product of :func:`product_moments`, each norm the squared
+        modulus of one product; below it each level is a list of (vertex,
+        coefficient) pairs with the exact sum of their squared moduli as its
+        norm."""
         if not 0 <= n <= self.tree.available_depth(u):
             # delegate the precise error (negative order or horizon)
             self.tree.children_n(u, n)
@@ -168,28 +168,35 @@ class WeightedShift:
         level = [(v, products[-1])]
         for _ in range(len(run), n):
             level = [(c, coeff * weights[c]) for p, coeff in level for c in children[p]]
-            norms.append(
-                _mod_sq(level[0][1])
-                if len(level) == 1
-                else math.fsum([_mod_sq(coeff) for _, coeff in level])
-            )
+            norms.append(math.fsum([_mod_sq(coeff) for _, coeff in level]))
         return norms, level
+
+    def _norms(self, u, n: int) -> list:
+        """The cached list of squared power norms at u, walked again (longer)
+        when it stops short of order n."""
+        norms = self._norm_cache.get(u)
+        if norms is None or not 0 <= n < len(norms):
+            norms = self._norm_cache[u] = self._walk(u, n)[0]
+        return norms
 
     def power_coefficients(self, u, n: int) -> dict:
         """Coefficient map of the n-th power applied to the basis vector at u,
-        keyed by the n-th generation below u."""
-        level = dict(self._walk(u, n)[1])
+        keyed by the n-th generation below u.
+
+        The walk's norms replace the cached list at u when they reach
+        further."""
+        norms, level = self._walk(u, n)
+        if len(norms) > len(self._norm_cache.get(u, ())):
+            self._norm_cache[u] = norms
+        level = dict(level)
         return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
 
     def power_norm_sq(self, u, n: int) -> float:
         """Squared norm of the n-th power on the basis vector at u.
 
-        Read from the list of norms that :meth:`moment_values` keeps per
-        vertex; an order beyond that list recomputes it, longer."""
-        norms = self._norm_cache.get(u)
-        if norms is None or not 0 <= n < len(norms):
-            norms = self._norm_cache[u] = self._walk(u, n)[0]
-        return norms[n]
+        Read from the list of norms the shift keeps per vertex (see
+        :meth:`moment_values`); an order beyond that list walks again."""
+        return self._norms(u, n)[n]
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
         """The sequence of squared power norms at u, orders 0..n_max.
@@ -198,10 +205,7 @@ class WeightedShift:
         shift keeps the list of norms per vertex.  A later call for the same
         vertex at a lower or equal order does no arithmetic; a higher order
         walks again and replaces the list with the longer one."""
-        norms = self._norm_cache.get(u)
-        if norms is None or not 0 <= n_max < len(norms):
-            norms = self._norm_cache[u] = self._walk(u, n_max)[0]
-        return tuple(norms[: n_max + 1])
+        return tuple(self._norms(u, n_max)[: n_max + 1])
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th

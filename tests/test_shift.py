@@ -218,6 +218,24 @@ def test_norm_cache_grows_per_vertex(rng):
             assert len(s._norm_cache[u]) == top + 1
 
 
+def test_power_coefficients_extends_the_norm_cache(rng):
+    # the coefficient walk leaves its norms in the cache when they reach
+    # further than the cached list, and never shortens it
+    for tree in _run_and_branch_trees(rng):
+        s = mixed_weights(rng, tree)
+        for u in tree.sorted_vertices:
+            top = _orders(tree, u)[-1]
+            expect = [reference_norm_sq(s, u, n) for n in range(top + 1)]
+            low = top // 3
+            s.power_coefficients(u, low)
+            assert s._norm_cache[u] == expect[: low + 1]
+            s.power_coefficients(u, top)
+            assert s._norm_cache[u] == expect
+            s.power_coefficients(u, low)
+            assert s._norm_cache[u] == expect
+            assert s.power_norm_sq(u, top) == expect[top]
+
+
 def _product_moments_loop(weights):
     values = [1.0]
     acc = 1.0 + 0.0j
