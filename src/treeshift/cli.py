@@ -461,8 +461,7 @@ def _cmd_moments(args, config: RunConfig) -> int:
     )
     table = {}
     for u in targets:
-        avail = tree.available_depth(u)
-        top = config.horizon if avail == float("inf") else int(min(config.horizon, avail))
+        top = int(min(config.horizon, tree.available_depth(u)))
         table[vertex_to_key(u)] = list(shift.moment_values(u, top))
     return _emit(
         {
@@ -538,27 +537,17 @@ def _cmd_backward_extend(args, config: RunConfig) -> int:
 def _cmd_check_consistency(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
-    tree = shift.tree
-    targets = (
-        [vertex_from_key(args.vertex)]
-        if args.vertex
-        else [u for u in tree.sorted_vertices if tree.available_depth(u) >= 1]
-    )
     depth = args.depth
-    reports = []
-    witness = None
-    for u in targets:
-        rep = consistency.propagate_check(system, shift, u, depth, tol=config.tol)
-        reports.append(rep)
-        if not rep.ok and witness is None:
-            witness = {
-                "vertex": vertex_to_key(u),
-                "check": "consistency-identity",
-                "depth": depth,
-                "discrepancy": rep.max_discrepancy,
-                "position": rep.discrepancy_position,
-                "reason": rep.reason,
-            }
+    if args.vertex:
+        u = vertex_from_key(args.vertex)
+        reports = [consistency.propagate_check(system, shift, u, depth, tol=config.tol)]
+    else:
+        reports = consistency.identity_reports(system, shift, depth, tol=config.tol)
+        if not reports:
+            tree = shift.tree
+            height = max((tree.available_depth(u) for u in tree.sorted_vertices), default=0)
+            raise InputError(f"--depth {depth} exceeds the window height {height}")
+    witness = consistency.identity_witness(reports, depth=depth)
     ok = witness is None
     return _emit(
         {

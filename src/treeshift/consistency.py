@@ -227,6 +227,33 @@ def check_consistency_at(system, shift, u, tol: float = 1e-9) -> ConsistencyRepo
     return propagate_check(system, shift, u, 1, tol=tol)
 
 
+def identity_reports(system, shift, n: int = 1, tol: float = 1e-9) -> tuple:
+    """The depth-n identity checked at every vertex with n complete levels
+    below it inside the window, in vertex order."""
+    tree = shift.tree
+    return tuple(
+        propagate_check(system, shift, u, n, tol=tol)
+        for u in tree.sorted_vertices
+        if tree.available_depth(u) >= n
+    )
+
+
+def identity_witness(reports, **extra) -> dict | None:
+    """Witness of the first failed identity check among ``reports``, with
+    ``extra`` keys added, or None when every check holds."""
+    bad = next((r for r in reports if not r.ok), None)
+    if bad is None:
+        return None
+    return {
+        "vertex": vertex_to_key(bad.vertex),
+        "check": "consistency-identity",
+        "discrepancy": bad.max_discrepancy,
+        "position": bad.discrepancy_position,
+        "reason": bad.reason,
+        **extra,
+    }
+
+
 @dataclass(frozen=True)
 class MomentsMatchReport:
     """Comparison of measure moments against squared power norms at a vertex."""
@@ -248,17 +275,22 @@ class MomentsMatchReport:
         }
 
 
+def relative_errors(lhs, rhs) -> tuple:
+    """Row by row |a - b| / max(1, |a|, |b|) of two value sequences, and the
+    largest row.  A non-finite value makes its row NaN, which max() would
+    drop, so any NaN row makes the largest inf."""
+    rels = [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lhs, rhs)]
+    worst = math.inf if any(map(math.isnan, rels)) else max(rels, default=0.0)
+    return rels, worst
+
+
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
     """Verify that the moments of the measure at u reproduce the squared
     power norms of the shift at u, up to n_max or the window horizon."""
-    mu_u = system.measure(u)
-    avail = shift.tree.available_depth(u)
-    top = int(min(n_max, avail)) if avail != math.inf else n_max
-    lhs = mu_u.moments(top)
+    top = int(min(n_max, shift.tree.available_depth(u)))
+    lhs = system.measure(u).moments(top)
     rhs = shift.moment_values(u, top)
-    rels = [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lhs, rhs)]
-    # a non-finite moment or norm makes rel NaN, which max() would drop
-    worst = math.inf if any(map(math.isnan, rels)) else max(0.0, *rels)
+    rels, worst = relative_errors(lhs, rhs)
     return MomentsMatchReport(
         vertex=u,
         rows=tuple(zip(range(top + 1), lhs, rhs, rels)),
@@ -438,33 +470,20 @@ def certify_subnormal(
         )
     notes.append(f"verdict holds up to horizon {horizon}")
 
-    witness = None
-    consistency_reports = []
-    moment_reports = []
-    for u in tree.sorted_vertices:
-        if tree.available_depth(u) < 1:
-            continue
-        rep = check_consistency_at(system, shift, u, tol=tol)
-        consistency_reports.append(rep)
-        if not rep.ok and witness is None:
-            witness = {
-                "vertex": vertex_to_key(u),
-                "check": "consistency-identity",
-                "discrepancy": rep.max_discrepancy,
-                "position": rep.discrepancy_position,
-                "reason": rep.reason,
-            }
-    for u in tree.sorted_vertices:
-        rep = moments_match(system, shift, u, horizon, tol=tol)
-        moment_reports.append(rep)
-        if not rep.ok and witness is None:
-            witness = {
-                "vertex": vertex_to_key(u),
-                "check": "moment-identity",
-                "discrepancy": rep.max_rel_err,
-                "position": None,
-                "reason": "measure moments disagree with power norms",
-            }
+    consistency_reports = identity_reports(system, shift, tol=tol)
+    witness = identity_witness(consistency_reports)
+    moment_reports = tuple(
+        moments_match(system, shift, u, horizon, tol=tol) for u in tree.sorted_vertices
+    )
+    bad = next((r for r in moment_reports if not r.ok), None)
+    if bad is not None and witness is None:
+        witness = {
+            "vertex": vertex_to_key(bad.vertex),
+            "check": "moment-identity",
+            "discrepancy": bad.max_rel_err,
+            "position": None,
+            "reason": "measure moments disagree with power norms",
+        }
     structural = shift.structural_checks()
     if structural.not_hyponormal and witness is None:
         witness = {
@@ -498,8 +517,8 @@ def certify_subnormal(
         status = CERTIFIED
     return Certificate(
         status=status,
-        consistency=tuple(consistency_reports),
-        moments=tuple(moment_reports),
+        consistency=consistency_reports,
+        moments=moment_reports,
         structural=structural,
         eps_violations=eps_violations,
         witness=witness,

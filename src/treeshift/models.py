@@ -22,6 +22,7 @@ from .consistency import (
     MeasureSystem,
     certify_subnormal,
     measure_discrepancy,
+    relative_errors,
 )
 from .moments import (
     AtomicMeasure,
@@ -42,6 +43,7 @@ from .tree import (
     T_ETA_KAPPA,
     UNILATERAL,
     make_family,
+    vertex_sort_key,
     vertex_to_key,
 )
 
@@ -80,6 +82,41 @@ class ModelCertificate:
         }
 
 
+def _refuted(family: str, stieltjes: dict, detail: dict, witness: dict) -> ModelCertificate:
+    """A refuted verdict, which materializes no system."""
+    return ModelCertificate(
+        status=REFUTED,
+        family=family,
+        stieltjes=stieltjes,
+        system_certificate=None,
+        detail=detail,
+        witness=witness,
+    )
+
+
+def _hankel_witness(verdict, **where) -> dict:
+    """Witness of a failed Hankel test, located by ``where`` (a vertex or a
+    shift)."""
+    return {
+        "check": "hankel",
+        **where,
+        "block": verdict.witness_block,
+        "vector": list(verdict.witness_vector),
+        "quadratic_form": verdict.witness_value,
+    }
+
+
+def _fitted_length(values) -> int:
+    """Length of the longest even-length prefix of ``values``: the orders
+    0 .. _fitted_length - 1 that the representing measure reproduces."""
+    return 2 * (len(values) // 2)
+
+
+def _representing_measure(values, tol: float) -> AtomicMeasure:
+    """Quadrature measure of the longest even-length prefix of ``values``."""
+    return quadrature_from_moments(values[: _fitted_length(values)], tol=tol).measure
+
+
 def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
     """Map the k-th of ``vertices`` to the base measure reweighted by s^k and
     normalized: the proof system along a path."""
@@ -92,10 +129,10 @@ def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
     return mu
 
 
-def _power_system_on_path(tree, first_vertex: int, weights, base: AtomicMeasure):
-    """Proof system on an integer path: the measure at step n is the base
-    measure reweighted by s^n and normalized; any base mass at zero becomes
-    the path root's point mass."""
+def _certify_on_path(tree, first_vertex: int, weights, base: AtomicMeasure, tol: float):
+    """Cross-certify the proof system on an integer path, up to its length:
+    the measure at step n is the base measure reweighted by s^n and
+    normalized; any base mass at zero becomes the path root's point mass."""
     shift = WeightedShift(
         tree, {first_vertex + k + 1: w for k, w in enumerate(weights)}
     )
@@ -103,7 +140,8 @@ def _power_system_on_path(tree, first_vertex: int, weights, base: AtomicMeasure)
     mu = _normalized_powers(base, path)
     eps = {v: 0.0 for v in mu}
     eps[first_vertex] = base.mass_at_zero / base.total_mass
-    return MeasureSystem(mu=mu, eps=eps), shift
+    system = MeasureSystem(mu=mu, eps=eps)
+    return certify_subnormal(shift, system, horizon=len(weights), tol=tol)
 
 
 def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCertificate:
@@ -124,26 +162,12 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
     values = product_moments(weights)
     verdict = check_stieltjes(values, tol=tol)
     if not verdict.consistent:
-        return ModelCertificate(
-            status=REFUTED,
-            family=UNILATERAL,
-            stieltjes={"0": verdict},
-            system_certificate=None,
-            detail={"sequence": list(values)},
-            witness={
-                "check": "hankel",
-                "vertex": "0",
-                "block": verdict.witness_block,
-                "vector": list(verdict.witness_vector),
-                "quadratic_form": verdict.witness_value,
-            },
-        )
-    usable = 2 * (len(values) // 2)
-    base = quadrature_from_moments(values[:usable], tol=tol).measure
-    depth = usable - 1
+        detail = {"sequence": list(values)}
+        return _refuted(UNILATERAL, {"0": verdict}, detail, _hankel_witness(verdict, vertex="0"))
+    base = _representing_measure(values, tol)
+    depth = _fitted_length(values) - 1
     tree = make_family(UNILATERAL, depth)
-    system, shift = _power_system_on_path(tree, 0, weights[:depth], base)
-    certificate = certify_subnormal(shift, system, horizon=depth, tol=tol)
+    certificate = _certify_on_path(tree, 0, weights[:depth], base, tol)
     return ModelCertificate(
         status=certificate.status,
         family=UNILATERAL,
@@ -164,19 +188,10 @@ def _unilateral_fallback(weights, tol) -> ModelCertificate:
     verdicts = {}
     witness = None
     for k in range(len(weights) - 1):
-        avail = len(weights) - k
-        if avail < 2:
-            break
-        v = check_stieltjes(shift.moment_values(k, avail), tol=tol)
+        v = check_stieltjes(shift.moment_values(k, len(weights) - k), tol=tol)
         verdicts[str(k)] = v
         if not v.consistent and witness is None:
-            witness = {
-                "check": "hankel",
-                "vertex": vertex_to_key(k),
-                "block": v.witness_block,
-                "vector": list(v.witness_vector),
-                "quadratic_form": v.witness_value,
-            }
+            witness = _hankel_witness(v, vertex=vertex_to_key(k))
     status = REFUTED if witness is not None else CONDITIONAL
     return ModelCertificate(
         status=status,
@@ -263,32 +278,16 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
         v = check_stieltjes(shifted, tol=tol)
         verdicts[str(k)] = v
         if not v.consistent and witness is None:
-            witness = {
-                "check": "hankel",
-                "shift": k,
-                "block": v.witness_block,
-                "vector": list(v.witness_vector),
-                "quadratic_form": v.witness_value,
-            }
+            witness = _hankel_witness(v, shift=k)
     if witness is not None:
-        return ModelCertificate(
-            status=REFUTED,
-            family=BILATERAL_WINDOW,
-            stieltjes=verdicts,
-            system_certificate=None,
-            detail={"two_sided": seq.as_dict()},
-            witness=witness,
-        )
+        return _refuted(BILATERAL_WINDOW, verdicts, {"two_sided": seq.as_dict()}, witness)
     root = seq.k_min
     base_values = seq.left_shift(-root)
-    usable = 2 * (len(base_values) // 2)
-    base = quadrature_from_moments(base_values[:usable], tol=tol).measure
-    depth = usable - 1
-    top = root + depth
-    tree = make_family(BILATERAL_WINDOW, depth=top, back=-root)
+    base = _representing_measure(base_values, tol)
+    depth = _fitted_length(base_values) - 1
+    tree = make_family(BILATERAL_WINDOW, depth=root + depth, back=-root)
     path_weights = [weights[root + k + 1] for k in range(depth)]
-    system, shift = _power_system_on_path(tree, root, path_weights, base)
-    certificate = certify_subnormal(shift, system, horizon=depth, tol=tol)
+    certificate = _certify_on_path(tree, root, path_weights, base, tol)
     return ModelCertificate(
         status=certificate.status,
         family=BILATERAL_WINDOW,
@@ -361,6 +360,11 @@ class BranchData:
         weights (those of vertices 0, -1, ..., -(length-1))."""
         return product_moments(self.trunk_weights[:length])[-1]
 
+    def trunk_suffix_sq(self, start: int) -> float:
+        """Squared modulus of the product of the trunk weights from index
+        ``start`` on (those of vertices -start, ..., down to the root)."""
+        return product_moments(self.trunk_weights[start:])[-1]
+
     def as_dict(self) -> dict:
         out = {
             "eta": self.eta,
@@ -393,11 +397,9 @@ def measures_from_branch_weights(branch_weights, tol: float = 1e-9) -> tuple:
     among possibly many)."""
     measures = []
     for ws in branch_weights:
-        values = product_moments(ws)
-        usable = 2 * (len(values) // 2)
-        if usable < 2:
+        if not ws:
             raise ValueError("need at least one branch weight per branch")
-        measures.append(quadrature_from_moments(values[:usable], tol=tol).measure)
+        measures.append(_representing_measure(product_moments(ws), tol))
     return tuple(measures)
 
 
@@ -454,14 +456,13 @@ def verify_branch_moments(data: BranchData, tol: float = 1e-9) -> dict:
     worst = 0.0
     rows = []
     for i, (mu, ws) in enumerate(zip(data.branch_measures, data.branch_weights)):
-        n_max = len(ws)
-        mom = mu.moments(n_max)
-        prods = product_moments(ws)
-        for n in range(1, n_max + 1):
-            rel = abs(mom[n] - prods[n]) / max(1.0, abs(mom[n]), abs(prods[n]))
-            # a non-finite moment or product makes rel NaN, which max() would drop
-            worst = max(worst, rel) if rel == rel else math.inf
-            rows.append({"branch": i + 1, "n": n, "moment": mom[n], "product": prods[n]})
+        mom = mu.moments(len(ws))[1:]
+        prods = product_moments(ws)[1:]
+        worst = max(worst, relative_errors(mom, prods)[1])
+        rows.extend(
+            {"branch": i + 1, "n": n, "moment": a, "product": b}
+            for n, (a, b) in enumerate(zip(mom, prods), start=1)
+        )
         if abs(mu.total_mass - 1.0) > tol:
             worst = max(worst, abs(mu.total_mass - 1.0))
     return {"ok": worst <= tol, "max_rel_err": worst, "rows": rows}
@@ -556,12 +557,8 @@ def root_measure_conditions(data: BranchData, nu: AtomicMeasure, tol: float = 1e
         }
     )
     for n in range(1, kappa + 1):
-        # squared product of the first n trunk weights below the root:
-        # weights of vertices -(kappa-1) .. -(kappa-n)
-        acc = 1.0 + 0.0j
-        for j in range(kappa - n, kappa):
-            acc *= data.trunk_weights[j]
-        target = _mod_sq(acc)
+        # the first n trunk weights below the root
+        target = data.trunk_suffix_sq(kappa - n)
         value = nu.moment(n)
         checks.append(
             {
@@ -616,13 +613,9 @@ def root_measure_equivalence_check(data: BranchData, tol: float = 1e-9) -> dict:
         via_measure = root_measure_conditions(data, nu, tol=tol)
     recovered = []
     if nu is not None:
-        prod_full = data.trunk_product_sq(kappa)
         for level in range(0, kappa):
             # moments of nu recover the interior equalities level by level
-            denom = 1.0 + 0.0j
-            for j in range(level, kappa):
-                denom *= data.trunk_weights[j]
-            denom_sq = _mod_sq(denom)
+            denom_sq = data.trunk_suffix_sq(level)
             value = nu.moment(kappa - level) / denom_sq if denom_sq > 0 else math.inf
             recovered.append({"level": level, "value": value})
     return {
@@ -784,14 +777,7 @@ def certify_t_eta_kappa(
                 ),
             }
     if witness is not None:
-        return ModelCertificate(
-            status=REFUTED,
-            family=T_ETA_KAPPA,
-            stieltjes={},
-            system_certificate=None,
-            detail=detail,
-            witness=witness,
-        )
+        return _refuted(T_ETA_KAPPA, {}, detail, witness)
     if kappa == math.inf:
         detail["window_note"] = (
             f"infinite trunk checked on a window of {data.trunk_window} levels"
@@ -801,8 +787,6 @@ def certify_t_eta_kappa(
     status = certificate.status
     if status == CERTIFIED and conditional:
         status = CONDITIONAL
-    from .tree import vertex_sort_key
-
     detail["eps"] = {
         vertex_to_key(v): system.eps_at(v)
         for v in sorted(system.eps, key=vertex_sort_key)
@@ -877,20 +861,19 @@ def extract_branch_data(
     notes = []
     for v in required:
         values = as_values(sequences[v])
-        avail = tree.available_depth(v)
-        top = int(min(len(values) - 1, avail if avail != math.inf else len(values) - 1))
-        for n, rhs in enumerate(shift.moment_values(v, top)):
-            lhs = values[n]
-            if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-                raise ValueError(
-                    f"sequence at {v!r} disagrees with the shift at order {n}: "
-                    f"{lhs} vs {rhs}"
-                )
-    measures = []
-    for i in range(1, eta + 1):
-        values = as_values(sequences[(i, 1)])
-        usable = 2 * (len(values) // 2)
-        measures.append(quadrature_from_moments(values[:usable], tol=tol).measure)
+        top = int(min(len(values) - 1, tree.available_depth(v)))
+        norms = shift.moment_values(v, top)
+        rels, worst = relative_errors(values, norms)
+        if worst > tol:
+            n = next(n for n, rel in enumerate(rels) if not rel <= tol)
+            raise ValueError(
+                f"sequence at {v!r} disagrees with the shift at order {n}: "
+                f"{values[n]} vs {norms[n]}"
+            )
+    measures = [
+        _representing_measure(as_values(sequences[(i, 1)]), tol)
+        for i in range(1, eta + 1)
+    ]
     trunk_weights = tuple(
         shift.weight(-ell) for ell in range(trunk_len)
     )
@@ -918,9 +901,7 @@ def extract_branch_data(
         notes.append("infinite trunk: equalities checked up to the window")
     else:
         conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        nu_values = as_values(sequences[-kappa])
-        usable = 2 * (len(nu_values) // 2)
-        nu = quadrature_from_moments(nu_values[:usable], tol=tol).measure
+        nu = _representing_measure(as_values(sequences[-kappa]), tol)
         conditions["root_measure_form"] = root_measure_conditions(
             data, nu, tol=max(tol, 1e-8)
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .tree import DirectedTree, UnknownVertexError, vertex_sort_key
+from .tree import DirectedTree, UnknownVertexError, _computed_leafless, vertex_sort_key
 
 
 def _fsum_complex(terms) -> complex:
@@ -255,8 +255,8 @@ class WeightedShift:
         leafless = self.tree.leafless
         source = "family" if self.tree.family != "explicit" or self.tree.frontier else "computed"
         if source == "computed":
-            leafless = all(
-                self.tree.children(v) for v in self.tree.vertices
+            leafless = _computed_leafless(
+                self.tree.vertices, self.tree._children, self.tree.frontier
             )
         zero_sum = tuple(
             v

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .consistency import MeasureSystem, check_consistency_at
+from .consistency import MeasureSystem, identity_reports
 from .moments import AtomicMeasure, check_stieltjes
 from .shift import WeightedShift, _fsum_complex
 from .tree import vertex_sort_key, vertex_to_key
@@ -144,14 +144,8 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     at most the window height), and run the bounded-case Hankel test on the
     truncated power norms at every vertex."""
     tree = entry.shift.tree
-    reports = []
-    ok = True
-    for u in tree.sorted_vertices:
-        if tree.available_depth(u) < 1:
-            continue
-        rep = check_consistency_at(entry.system, entry.shift, u, tol=tol)
-        reports.append(rep)
-        ok = ok and rep.ok
+    reports = identity_reports(entry.system, entry.shift, tol=tol)
+    ok = all(r.ok for r in reports)
     max_support = max(
         (entry.system.measure(v).max_position() for v in tree.sorted_vertices),
         default=0.0,
@@ -161,8 +155,7 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     norm_bound_ok = bound <= entry.index + tol
     stieltjes_failures = []
     for u in tree.sorted_vertices:
-        avail = tree.available_depth(u)
-        top = int(min(avail, 8)) if avail != math.inf else 8
+        top = int(min(8, tree.available_depth(u)))
         if top < 2:
             continue
         values = entry.shift.moment_values(u, top)
@@ -172,7 +165,7 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     return TruncationReport(
         index=entry.index,
         ok=ok and supports_ok and norm_bound_ok and stieltjes_ok,
-        consistency=tuple(reports),
+        consistency=reports,
         supports_ok=supports_ok,
         max_support=max_support,
         norm_bound=bound,

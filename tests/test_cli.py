@@ -135,6 +135,35 @@ def test_check_consistency_and_truncate(unilateral_inputs, capsys):
     assert entry["index"] == 2
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_check_consistency_depth_checks_vertices_with_that_many_levels(
+    unilateral_inputs, capsys, depth
+):
+    tree, weights, system = unilateral_inputs
+    args = ["check-consistency", "--tree", tree, "--weights", weights, "--system", system]
+    code, out = run_cli(args + ["--depth", str(depth)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "consistent"
+    # the window has 4 levels below vertex 0, so 0 .. 4 - depth qualify
+    assert [r["vertex"] for r in doc["reports"]] == [str(k) for k in range(5 - depth)]
+    assert all(r["depth"] == depth for r in doc["reports"])
+    # an explicit vertex without that many levels below it is still refused
+    code, _ = run_cli(args + ["--depth", str(depth), "--vertex", str(5 - depth)], capsys)
+    assert code == 3
+
+
+def test_check_consistency_depth_past_the_window_is_an_input_error(
+    unilateral_inputs, capsys
+):
+    tree, weights, system = unilateral_inputs
+    args = ["check-consistency", "--tree", tree, "--weights", weights, "--system", system]
+    assert main(args + ["--depth", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth 5 exceeds the window height 4" in captured.err
+
+
 def test_converge_table(unilateral_inputs, capsys):
     tree, weights, system = unilateral_inputs
     code, out = run_cli(

@@ -23,9 +23,10 @@ from treeshift import (
     propagate_check,
     system_from_json,
 )
-from treeshift.consistency import measure_discrepancy
+from treeshift.consistency import identity_reports, measure_discrepancy, relative_errors
+from treeshift.tree import HorizonError
 
-from conftest import random_consistent_system
+from conftest import family_windows, random_consistent_system
 
 
 def delta_one_system(depth=4):
@@ -200,6 +201,67 @@ def test_moments_match_rows_equal_the_row_loop_bit_for_bit(rng):
         stub = SimpleNamespace(measure=lambda v, m=_FixedMoments(values): m)
         for n_max in (0, 1, 3):
             _assert_same_report(moments_match(stub, shift, 0, n_max), stub, shift, 0, n_max)
+
+
+def _reference_relative_errors(lhs, rhs):
+    """The row loop that ``relative_errors`` replaced in
+    ``verify_branch_moments``: each row folded into the maximum in turn,
+    a NaN row making it inf."""
+    rels = []
+    worst = 0.0
+    for a, b in zip(lhs, rhs):
+        rel = abs(a - b) / max(1.0, abs(a), abs(b))
+        worst = max(worst, rel) if rel == rel else math.inf
+        rels.append(rel)
+    return rels, worst
+
+
+def test_relative_errors_equal_the_row_loop_on_non_finite_rows():
+    big = 1.7e308
+    rows = [
+        (1.0, 1.0),
+        (1.0, math.inf),  # NaN row
+        (math.inf, math.inf),  # NaN row
+        (big, -big),  # inf row
+        (math.nan, 1.0),
+        (0.0, 0.0),
+        (2.5, 2.5 * (1 + 1e-9)),
+        (-3.0, 1e-300),
+    ]
+    for start in range(len(rows)):
+        for stop in range(start, len(rows) + 1):
+            lhs = [a for a, _ in rows[start:stop]]
+            rhs = [b for _, b in rows[start:stop]]
+            rels, worst = relative_errors(lhs, rhs)
+            want_rels, want_worst = _reference_relative_errors(lhs, rhs)
+            assert _bits(rels) == _bits(want_rels)
+            assert _bits([worst]) == _bits([want_worst])
+    assert relative_errors([1.0, big], [1.0, -big])[1] == math.inf
+    assert relative_errors([1.0, 1.0], [1.0, math.inf])[1] == math.inf
+    assert relative_errors([], []) == ([], 0.0)
+
+
+def _reference_identity_reports(system, shift, n, tol=1e-9):
+    """The per-vertex loop that ``identity_reports`` replaced, with the
+    vertices chosen by whether the window holds their n-th generation."""
+    reports = []
+    for u in shift.tree.sorted_vertices:
+        try:
+            shift.tree.children_n(u, n)
+        except HorizonError:
+            continue
+        reports.append(propagate_check(system, shift, u, n, tol=tol))
+    return tuple(reports)
+
+
+def test_identity_reports_equal_the_per_vertex_loop(rng):
+    for tree in family_windows():
+        shift, system = random_consistent_system(rng, tree=tree)
+        for n in (1, 2, 3):
+            reports = identity_reports(system, shift, n)
+            assert reports == _reference_identity_reports(system, shift, n)
+            assert all(r.depth == n for r in reports)
+        assert certify_subnormal(shift, system).consistency == identity_reports(system, shift)
 
 
 def test_parent_from_children_examples():

@@ -1,0 +1,190 @@
+"""Pinned report digests.
+
+Each case builds its inputs from fixed formulas and the standard library's
+Mersenne Twister, runs a certifier whose path calls no numpy routine (no
+Hankel eigenvalues, no quadrature), and pins the sha256 of the report's
+``canonical_json``.  The digests therefore do not depend on the LAPACK
+build, and a refactor that is meant to keep reports byte-identical must
+keep every one of them.
+"""
+
+from __future__ import annotations
+
+import cmath
+import dataclasses
+import functools
+import hashlib
+import json
+import math
+import random
+
+import pytest
+
+from treeshift import (
+    AtomicMeasure,
+    BranchData,
+    MeasureSystem,
+    WeightedShift,
+    certify_subnormal,
+    certify_t_eta_kappa,
+    root_measure_equivalence_check,
+    superpose,
+    truncated_tree,
+)
+from treeshift.cli import main
+from treeshift.models import branching_tree_system, construct_root_measure
+from treeshift.report import canonical_json
+from treeshift.tree import vertex_to_json
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _measure(rng, k):
+    positions = sorted(rng.uniform(0.15, 10.0) for _ in range(k))
+    masses = [rng.uniform(0.2, 1.0) for _ in range(k)]
+    total = math.fsum(masses)
+    return AtomicMeasure(tuple((x, m / total) for x, m in zip(positions, masses)))
+
+
+def bary_pair(b=2, depth=4, seed=7):
+    """Full b-ary window with complex weights and a system closed bottom-up:
+    random measures on the frontier, each parent the superposition of its
+    children, a deficit of 0.3 at the root only."""
+    rng = random.Random(seed)
+    count = (b ** (depth + 1) - 1) // (b - 1)
+    parent = {v: (v - 1) // b for v in range(1, count)}
+    tree = truncated_tree(range(count), parent)
+    mu, eps, weights = {}, {}, {}
+    for u in reversed(range(count)):
+        kids = tree.children(u)
+        if not kids:
+            mu[u] = _measure(rng, rng.randint(1, 3))
+            eps[u] = 0.0
+            continue
+        budget = 0.7 if u == 0 else 1.0
+        shares = [rng.uniform(0.5, 1.5) for _ in kids]
+        total = math.fsum(shares)
+        terms = []
+        for v, share in zip(kids, shares):
+            c = budget * share / total / mu[v].moment(-1)
+            weights[v] = math.sqrt(c) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            terms.append((c, mu[v]))
+        eps[u] = 1.0 - budget if u == 0 else 0.0
+        mu[u] = superpose(terms, -1, eps[u])
+    return WeightedShift(tree, weights), MeasureSystem(mu=mu, eps=eps)
+
+
+_MEASURES = (
+    AtomicMeasure(((0.5, 0.4), (2.0, 0.6))),
+    AtomicMeasure(((1.0, 0.7), (3.0, 0.3))),
+    AtomicMeasure(((0.8, 0.25), (1.5, 0.5), (4.0, 0.25))),
+)
+
+
+def branch_data(eta, kappa, depth, entry_budget=1.0, terminal=0.8):
+    """Branch data solved so that every trunk equality holds and the
+    terminal level (finite trunk only) sits at ``terminal``; complex entry
+    and trunk weights, branch weights read off the measures' moment ratios."""
+    measures = _MEASURES[:eta]
+    shares = [(i + 1) / math.fsum(range(1, eta + 1)) for i in range(eta)]
+    entry = tuple(
+        math.sqrt(entry_budget * s / m.moment(-1)) * cmath.exp(0.3j * (i + 1))
+        for i, (s, m) in enumerate(zip(shares, measures))
+    )
+    branch = tuple(
+        tuple(math.sqrt(m.moment(n) / m.moment(n - 1)) for n in range(1, depth))
+        for m in measures
+    )
+    levels = depth if kappa == "inf" else kappa
+    trunk = []
+    prod = 1.0
+    for level in range(1, levels + 1):
+        inv_sum = math.fsum(
+            abs(e) ** 2 * m.moment(-(level + 1)) for e, m in zip(entry, measures)
+        )
+        target = terminal if level == kappa else 1.0
+        w_sq = target / (inv_sum * prod)
+        trunk.append(math.sqrt(w_sq) * cmath.exp(-0.7j * level))
+        prod *= w_sq
+    return BranchData(
+        eta=eta,
+        kappa=kappa,
+        branch_measures=measures,
+        entry_weights=entry,
+        branch_weights=branch,
+        trunk_weights=tuple(trunk),
+    )
+
+
+def _with_root_measure(data):
+    nu, _ = construct_root_measure(data)
+    return dataclasses.replace(data, nu=nu)
+
+
+def _perturbed(shift, vertex, factor):
+    weights = dict(shift.weights)
+    weights[vertex] *= factor
+    return WeightedShift(shift.tree, weights)
+
+
+@functools.cache
+def _library_reports():
+    shift, system = bary_pair()
+    return {
+        "bary-clean": certify_subnormal(shift, system, horizon=6),
+        "bary-perturbed": certify_subnormal(_perturbed(shift, 5, 1.001), system, horizon=6),
+        "teta-kappa0": certify_t_eta_kappa(branch_data(2, 0, 5, entry_budget=0.8), depth=5),
+        "teta-kappa0-refuted": certify_t_eta_kappa(
+            branch_data(2, 0, 5, entry_budget=1.2), depth=5
+        ),
+        "teta-kappa2": certify_t_eta_kappa(branch_data(3, 2, 4), depth=4),
+        "teta-kappa2-refuted": certify_t_eta_kappa(branch_data(3, 2, 4, terminal=1.3), depth=4),
+        "teta-kappa-inf": certify_t_eta_kappa(branch_data(2, "inf", 4), depth=4),
+        "teta-kappa2-nu": certify_t_eta_kappa(
+            _with_root_measure(branch_data(2, 2, 5)), depth=5
+        ),
+        "equivalence-kappa3": root_measure_equivalence_check(branch_data(2, 3, 5)),
+    }
+
+
+GOLDEN = {
+    "bary-clean": "a8110e504a7b77297d0d79f9baf18a7c40e2089034068abeb92917954516a0a7",
+    "bary-perturbed": "a52a62a937152f868574c1c689ebe4490eced55a6f9faa9968122812f8f5ee9c",
+    "teta-kappa0": "360277781b824ecb7a1a367283d448ab2a32cbb908eb5c2bb70b5887870d7979",
+    "teta-kappa0-refuted": "f2bc9df02b05ccab2e30d30f32c9b493a9bb49a9e80592453fd425d92d05d1c7",
+    "teta-kappa2": "b84ca6b1f2c0d57978e2a8b7f5605d93a5081c7ef50becf791a6b3c60d4413b7",
+    "teta-kappa2-refuted": "f8bce6eca5a7c512d5414446973f86b50f425c58c8022727f25f04324004626a",
+    "teta-kappa-inf": "c7b193ebacda2e25b1613e0ead8139c8993f63129a002f2ef43982302e441f97",
+    "teta-kappa2-nu": "ddd88c8352d626ad0335f9c9eaf7ad4e0268e69fe28f811efb4f606f2dcab282",
+    "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
+    "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"cli-check-consistency"}))
+def test_library_report_digests(name):
+    assert _digest(canonical_json(_library_reports()[name])) == GOLDEN[name]
+
+
+def test_check_consistency_report_digest(tmp_path, capsys):
+    data = branch_data(2, 2, 5)
+    system, shift = branching_tree_system(data, 5)
+    docs = {
+        "tree": {"family": "t-eta-kappa", "params": {"eta": 2, "kappa": 2, "depth": 5}},
+        "weights": {
+            "weights": [
+                {"v": vertex_to_json(v), "re": w.real, "im": w.imag}
+                for v, w in shift.weights.items()
+            ]
+        },
+        "system": system.as_dict(),
+    }
+    args = ["check-consistency", "--depth", "1"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        args += [f"--{name}", str(path)]
+    assert main(args) == 0
+    assert _digest(capsys.readouterr().out) == GOLDEN["cli-check-consistency"]

@@ -254,6 +254,33 @@ def test_finite_trunk_solved_instances_certify(rng):
             assert set(eps) <= allowed
 
 
+def _reference_trunk_suffix_sq(data, start):
+    """The loop that ``trunk_suffix_sq`` replaced: the trunk weights from
+    ``start`` on, multiplied in index order."""
+    acc = 1.0 + 0.0j
+    for j in range(start, len(data.trunk_weights)):
+        acc *= data.trunk_weights[j]
+    return acc.real * acc.real + acc.imag * acc.imag
+
+
+def test_trunk_suffix_sq_equals_the_suffix_loop(rng):
+    for kappa in range(6):
+        for _ in range(20):
+            trunk = tuple(
+                complex(*rng.uniform(-3.0, 3.0, size=2)) * 10.0 ** rng.integers(-40, 40)
+                for _ in range(kappa)
+            )
+            data = BranchData(
+                eta=2,
+                kappa=kappa,
+                branch_measures=(AtomicMeasure.delta(1.0), AtomicMeasure.delta(2.0)),
+                entry_weights=(0.5, 0.5),
+                trunk_weights=trunk,
+            )
+            for start in range(kappa + 1):
+                assert data.trunk_suffix_sq(start) == _reference_trunk_suffix_sq(data, start)
+
+
 def test_trunk_root_equivalence_on_random_instances(rng):
     disagreements = 0
     for _ in range(100):
@@ -432,3 +459,15 @@ def test_extract_finite_trunk_checks_root_measure_form():
     m1, m2 = ext.data.branch_measures
     assert m1.atoms[0][0] == pytest.approx(1.0, rel=1e-9)
     assert m2.atoms[0][0] == pytest.approx(4.0, rel=1e-9)
+
+
+def test_extract_rejects_a_sequence_against_an_overflowing_norm():
+    # |w_(1,1)|^2 = 1e320 overflows, so the norms at 0 are (1, inf, inf);
+    # the supplied 1 at order 1 must be caught, not pass as a NaN row
+    tree = make_family("t-eta-kappa", 2, eta=2, kappa=0)
+    weights = {(1, 1): 1e160, (1, 2): 1.0, (2, 1): 1.0, (2, 2): 1.0}
+    shift = WeightedShift(tree, weights)
+    assert shift.moment_values(0, 2) == (1.0, math.inf, math.inf)
+    seqs = {v: [1.0, 1.0, 1.0, 1.0] for v in (0, (1, 1), (2, 1))}
+    with pytest.raises(ValueError, match="sequence at 0 disagrees with the shift at order 1"):
+        extract_branch_data(shift, seqs)
