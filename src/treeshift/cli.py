@@ -30,7 +30,7 @@ from .report import (
     canonical_json,
     jsonable,
 )
-from .shift import weights_from_json
+from .shift import vertex_keyed, weights_from_json
 from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
 
 DEFAULT_HORIZON = 16
@@ -610,14 +610,14 @@ def _cmd_certify(args, config: RunConfig) -> int:
     if family == "unilateral":
         doc = load_document(args.weights, "weights")
         entries = doc["weights"]
-        if entries and isinstance(entries[0], dict):
+        if entries and vertex_keyed(entries):
             raise InputError("unilateral certification expects a bare weight list")
         cert = models.certify_unilateral(entries, tol=config.tol)
         payload = cert.as_dict()
     elif family == "bilateral":
         doc = load_document(args.weights, "weights")
         entries = doc["weights"]
-        if not entries or not isinstance(entries[0], dict):
+        if not entries or not vertex_keyed(entries):
             raise InputError(
                 "bilateral certification expects vertex-keyed weights over a window"
             )

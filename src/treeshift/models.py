@@ -42,6 +42,7 @@ from .tree import (
     BILATERAL_WINDOW,
     T_ETA_KAPPA,
     UNILATERAL,
+    int_if_integral,
     make_family,
     vertex_sort_key,
     vertex_to_key,
@@ -321,6 +322,7 @@ class BranchData:
     nu: AtomicMeasure | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "eta", int_if_integral(self.eta))
         if self.eta < 2:
             raise ValueError("the branching family requires eta >= 2")
         kappa = math.inf if self.kappa in ("inf", math.inf) else int(self.kappa)
@@ -476,11 +478,11 @@ def _inverse_sum(data: BranchData, power: int) -> float:
     )
 
 
-def root_inequality(data: BranchData) -> dict:
+def root_inequality(data: BranchData, tol: float = 1e-9) -> dict:
     """Rooted-branching-vertex condition: the entry-weighted inverse moment
-    sum must not exceed one."""
+    sum must not exceed one by more than ``tol``."""
     s = _inverse_sum(data, 1)
-    return {"sum": s, "ok": s <= 1.0 + 1e-9, "equation": "entry-inverse-sum<=1"}
+    return {"sum": s, "ok": s <= 1.0 + tol, "equation": "entry-inverse-sum<=1"}
 
 
 def trunk_conditions(data: BranchData, tol: float = 1e-9) -> dict:
@@ -740,7 +742,7 @@ def certify_t_eta_kappa(
             )
     witness = None
     if kappa == 0:
-        cond = root_inequality(data)
+        cond = root_inequality(data, tol=tol)
         detail["condition"] = cond
         if not cond["ok"]:
             witness = {
@@ -895,7 +897,7 @@ def extract_branch_data(
     moment_check = verify_branch_moments(data, tol=max(tol, 1e-8))
     conditions["branch_moment_check"] = moment_check
     if kappa == 0:
-        conditions["condition"] = root_inequality(data)
+        conditions["condition"] = root_inequality(data, tol=tol)
     elif kappa == math.inf:
         conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
         notes.append("infinite trunk: equalities checked up to the window")

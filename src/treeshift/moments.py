@@ -575,6 +575,32 @@ def _recurrence_from_moments(m: tuple, k: int, rank_tol: float):
     return alphas, betas[1:]
 
 
+def _solve(rows, tol):
+    """Solve the augmented system ``rows`` (coefficients, then right-hand
+    side) in place by Gaussian elimination with scaled partial pivoting;
+    None when a partial row sum or a pivot is at most ``tol``."""
+    size = len(rows)
+    for j in range(size):
+        best, pivot = 0, j
+        for k in range(j, size):
+            s = sum(abs(a) for a in rows[k][j:size])
+            if s <= tol:
+                return None
+            if abs(rows[k][j]) / s > best:
+                best, pivot = abs(rows[k][j]) / s, k
+        if abs(rows[pivot][j]) <= tol:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        for row in rows[j + 1 :]:
+            f = row[j] / rows[j][j]
+            row[j:] = [a - f * b for a, b in zip(row[j:], rows[j][j:])]
+    out = [0] * size
+    for i in reversed(range(size)):
+        tail = sum(rows[i][c] * out[c] for c in range(i + 1, size))
+        out[i] = (rows[i][size] - tail) / rows[i][i]
+    return out
+
+
 def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10):
     """Solve the moment equations for the atoms in extended precision.
 
@@ -583,35 +609,33 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     A Newton iteration carried out with ``digits`` working digits, seeded by
     the eigen-decomposition estimate, recovers the atoms of the given
     moments essentially exactly; the only remaining error is the rounding
-    of the moments themselves.
+    of the moments themselves.  Iteration stops early at a step below
+    10^(8 - digits), or at a Jacobian J singular to within ||J||_1 * 2^-178:
+    the rule of mpmath's 179-bit ``lu_solve``, which the tests keep as this
+    polish's oracle.
     """
-    from mpmath import lu_solve, matrix, mp, mpf
+    from decimal import Decimal, localcontext
 
     r = len(nodes)
-    m = [float(v) for v in values[: 2 * r]]
-    with mp.workdps(digits):
-        x = [mpf(float(v)) for v in nodes]
-        w = [mpf(float(v)) for v in masses]
-        mm = [mpf(v) for v in m]
+    with localcontext() as ctx:
+        ctx.prec = digits + 3
+        x = [Decimal(float(v)) for v in nodes]
+        w = [Decimal(float(v)) for v in masses]
+        m = [Decimal(float(v)) for v in values[: 2 * r]]
         for _ in range(iterations):
-            F = matrix(2 * r, 1)
-            J = matrix(2 * r, 2 * r)
+            rows = []
+            low, high = [Decimal(0)] * r, [Decimal(1)] * r  # x^(n-1), x^n
             for n in range(2 * r):
-                total = mpf(0)
-                for i in range(r):
-                    xp = x[i] ** n
-                    total += w[i] * xp
-                    J[n, i] = xp
-                    J[n, r + i] = n * w[i] * x[i] ** (n - 1) if n >= 1 else mpf(0)
-                F[n] = total - mm[n]
-            try:
-                step = lu_solve(J, -F)
-            except Exception:
+                residual = m[n] - sum(a * b for a, b in zip(w, high))
+                rows.append(high + [n * a * b for a, b in zip(w, low)] + [residual])
+                low, high = high, [a * b for a, b in zip(high, x)]
+            norm = max(sum(abs(row[c]) for row in rows) for c in range(2 * r))
+            step = _solve(rows, norm * Decimal(2) ** -178)
+            if step is None:
                 break
-            for i in range(r):
-                w[i] += step[i]
-                x[i] += step[r + i]
-            if max(abs(v) for v in step) < mpf(10) ** (-digits + 8):
+            w = [a + b for a, b in zip(w, step)]
+            x = [a + b for a, b in zip(x, step[r:])]
+            if max(abs(v) for v in step) < Decimal(10) ** (8 - digits):
                 break
         return [float(v) for v in x], [float(v) for v in w]
 

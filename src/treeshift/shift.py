@@ -285,6 +285,22 @@ class WeightedShift:
         )
 
 
+def vertex_keyed(entries) -> bool:
+    """Whether a weights list is in the vertex-keyed form (every entry an
+    object) rather than the bare form (every entry a number).  The v1 schema
+    admits either per entry, so a list mixing the two raises ``ValueError``
+    naming the first entry whose form differs from the first entry's."""
+    keyed = not entries or isinstance(entries[0], dict)
+    forms = ("a bare number", "vertex-keyed")
+    for i, item in enumerate(entries):
+        if isinstance(item, dict) != keyed:
+            raise ValueError(
+                f"weights entry {i} ({item!r}) is {forms[not keyed]}, "
+                f"but entry 0 is {forms[keyed]}"
+            )
+    return keyed
+
+
 def weights_from_json(doc: dict, tree: DirectedTree) -> WeightedShift:
     """Parse a weights document against a tree.
 
@@ -296,7 +312,7 @@ def weights_from_json(doc: dict, tree: DirectedTree) -> WeightedShift:
     from .tree import as_vertex
 
     entries = doc["weights"]
-    if entries and isinstance(entries[0], (int, float)):
+    if not vertex_keyed(entries):
         targets = sorted(tree.non_root_vertices, key=vertex_sort_key)
         if len(entries) != len(targets):
             raise ValueError(

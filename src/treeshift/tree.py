@@ -45,6 +45,14 @@ def as_vertex(obj):
     raise ValueError(f"invalid vertex id {obj!r}")
 
 
+def int_if_integral(value):
+    """An integer-valued float as an int, any other value unchanged: JSON
+    Schema's ``integer`` type admits 3.0, and the families count with it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def vertex_sort_key(v):
     """Total order used for all deterministic output: integers first, then pairs."""
     if isinstance(v, int):
@@ -441,7 +449,7 @@ def tree_from_json(doc: dict) -> DirectedTree:
     """Parse a tree document: either a family descriptor or an explicit edge
     list."""
     if "family" in doc:
-        params = dict(doc.get("params", {}))
+        params = {k: int_if_integral(v) for k, v in doc.get("params", {}).items()}
         family = doc["family"]
         depth = params.get("depth", params.get("N", 8))
         return make_family(

@@ -208,6 +208,73 @@ def test_certify_bilateral_ok(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, entries, message",
+    [
+        (
+            ["moments", "--tree", "{tree}"],
+            [1.0, {"v": 2, "re": 1.0}],
+            "weights entry 1 ({'v': 2, 're': 1.0}) is vertex-keyed, "
+            "but entry 0 is a bare number",
+        ),
+        (
+            ["certify", "--family", "unilateral"],
+            [1.0, {"v": 2, "re": 1.0}, 1],
+            "weights entry 1 ({'v': 2, 're': 1.0}) is vertex-keyed, "
+            "but entry 0 is a bare number",
+        ),
+        (
+            ["certify", "--family", "bilateral"],
+            [{"v": 0, "re": 1}, {"v": 1, "re": 1}, 2.0],
+            "weights entry 2 (2.0) is a bare number, but entry 0 is vertex-keyed",
+        ),
+    ],
+    ids=["moments", "certify-unilateral", "certify-bilateral"],
+)
+def test_weights_mixing_both_forms_are_input_errors(
+    tmp_path, capsys, args, entries, message
+):
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 2}})
+    weights = write(tmp_path, "weights.json", {"weights": entries})
+    argv = [a.format(tree=tree) for a in args] + ["--weights", weights]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["validate-tree", "--tree"], {"family": "unilateral", "params": {"depth": 3}}),
+        (
+            ["validate-tree", "--tree"],
+            {"family": "t-eta-kappa", "params": {"depth": 3, "eta": 2, "kappa": 2}},
+        ),
+        (
+            ["certify", "--family", "t-eta-kappa", "--input"],
+            {
+                "eta": 2,
+                "kappa": 0,
+                "branch_measures": [
+                    {"atoms": [{"x": 1, "w": 1}]},
+                    {"atoms": [{"x": 2, "w": 1}]},
+                ],
+                "entry_weights": [0.5, 0.5],
+            },
+        ),
+    ],
+    ids=["unilateral-tree", "branching-tree", "branch"],
+)
+def test_integer_valued_floats_read_as_integers(tmp_path, capsys, args, doc):
+    # JSON Schema's "integer" admits 3.0: spelling every integer as a float
+    # must not change the report
+    spelled = json.loads(json.dumps(doc), parse_int=float)
+    code, out = run_cli(args + [write(tmp_path, "int.json", doc)], capsys)
+    assert code == 0
+    assert run_cli(args + [write(tmp_path, "float.json", spelled)], capsys) == (0, out)
+
+
 def test_certify_branching_fixture(tmp_path, capsys):
     doc = {
         "eta": 2,
@@ -362,6 +429,21 @@ def test_package_import_loads_neither_numpy_nor_jsonschema():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_quadrature_runs_without_mpmath(tmp_path):
+    weights = write(tmp_path, "w.json", {"weights": [1.0] * 8})
+    argv = ["certify", "--family", "unilateral", "--weights", weights]
+    runs = []
+    for block in ("", "sys.modules['mpmath'] = None; "):
+        code = f"import sys; {block}from treeshift.cli import main; sys.exit(main({argv!r}))"
+        runs.append(
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        )
+    unblocked, blocked = runs
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == unblocked.stdout
+    assert json.loads(blocked.stdout)["status"] == "certified-up-to-horizon"
 
 
 # A valid document per shipped schema, reaching every branch of its oneOf and

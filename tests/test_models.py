@@ -164,6 +164,13 @@ def test_rooted_branching_vertex_worked_example():
     assert doubled.witness["value"] == pytest.approx(1.5)
 
 
+def test_root_inequality_reads_the_certifier_tolerance():
+    # the entry-weighted inverse sum is 1 + 5e-7: within tol 1e-6, not 1e-9
+    data = worked_branch_data(entry_sq=(1 + 5e-7) / 1.5)
+    assert certify_t_eta_kappa(data, depth=4, tol=1e-6).status == CERTIFIED
+    assert certify_t_eta_kappa(data, depth=4).status == REFUTED
+
+
 def test_branch_moment_hypothesis_is_enforced():
     bad = BranchData(
         eta=2,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from treeshift import (
     quadrature_from_moments,
     superpose,
 )
+from treeshift import moments
 from treeshift.moments import MERGE_TOL, MEASURE_DERIVED, measure_from_json
 
 from conftest import random_probability_measure, stratified_atoms
@@ -398,6 +400,69 @@ def test_quadrature_roundtrip():
         for (x1, w1), (x2, w2) in zip(rec.atoms, mu.atoms):
             assert abs(x1 - x2) <= 1e-8 * max(1.0, x2)
             assert abs(w1 - w2) <= 1e-8 * max(1.0, w2)
+
+
+def _mpmath_polish(nodes, masses, values, digits=50, iterations=10, singular=None):
+    """The Newton polish as it ran on mpmath's ``lu_solve``, kept as the
+    oracle for the decimal one; records in ``singular`` each time
+    ``lu_solve`` reports a singular Jacobian."""
+    from mpmath import lu_solve, matrix, mp, mpf
+
+    r = len(nodes)
+    m = [float(v) for v in values[: 2 * r]]
+    with mp.workdps(digits):
+        x = [mpf(float(v)) for v in nodes]
+        w = [mpf(float(v)) for v in masses]
+        mm = [mpf(v) for v in m]
+        for _ in range(iterations):
+            F = matrix(2 * r, 1)
+            J = matrix(2 * r, 2 * r)
+            for n in range(2 * r):
+                total = mpf(0)
+                for i in range(r):
+                    xp = x[i] ** n
+                    total += w[i] * xp
+                    J[n, i] = xp
+                    J[n, r + i] = n * w[i] * x[i] ** (n - 1) if n >= 1 else mpf(0)
+                F[n] = total - mm[n]
+            try:
+                step = lu_solve(J, -F)
+            except Exception as exc:
+                singular.append(exc)
+                break
+            for i in range(r):
+                w[i] += step[i]
+                x[i] += step[r + i]
+            if max(abs(v) for v in step) < mpf(10) ** (-digits + 8):
+                break
+        return [float(v) for v in x], [float(v) for v in w]
+
+
+def _quadrature_outcome(values):
+    try:
+        q = quadrature_from_moments(values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return q.rank, q.measure.atoms
+
+
+def test_decimal_polish_agrees_with_the_mpmath_oracle(monkeypatch):
+    # 2k + 2 moments of k = 4..7 atoms ask for one atom more than the data
+    # holds, which is where lu_solve meets singular Jacobians
+    rng = np.random.default_rng(2026)
+    singular = []
+    oracle = functools.partial(_mpmath_polish, singular=singular)
+    for i in range(20):
+        k = int(rng.integers(4, 8))
+        lo, hi = [(0.15, 10.0), (1e-3, 1e3), (0.0, 50.0)][i % 3]
+        positions = rng.uniform(lo, hi, size=k).tolist()
+        masses = rng.dirichlet(np.ones(k)).tolist()
+        values = AtomicMeasure(tuple(zip(positions, masses))).moments(2 * k + 1)
+        ours = _quadrature_outcome(values)
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "_newton_polish", oracle)
+            assert _quadrature_outcome(values) == ours
+    assert len(singular) == 3
 
 
 # -- determinacy diagnostic ----------------------------------------------------------
