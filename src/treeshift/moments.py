@@ -575,21 +575,22 @@ def _recurrence_from_moments(m: tuple, k: int, rank_tol: float):
     return alphas, betas[1:]
 
 
-def _solve(rows, tol):
-    """Solve the augmented system ``rows`` (coefficients, then right-hand
-    side) in place by Gaussian elimination with scaled partial pivoting;
-    None when a partial row sum or a pivot is at most ``tol``."""
+def _solve(rows):
+    """Solve the augmented system ``rows`` (coefficients, then right-hand side)
+    in place by Gaussian elimination with scaled partial pivoting; raise
+    ZeroDivisionError at a partial row sum or pivot <= ||A||_1 * 2^-178."""
     size = len(rows)
+    tol = max(sum(abs(row[c]) for row in rows) for c in range(size)) / 2**178
     for j in range(size):
         best, pivot = 0, j
         for k in range(j, size):
             s = sum(abs(a) for a in rows[k][j:size])
             if s <= tol:
-                return None
+                raise ZeroDivisionError("matrix is numerically singular")
             if abs(rows[k][j]) / s > best:
                 best, pivot = abs(rows[k][j]) / s, k
         if abs(rows[pivot][j]) <= tol:
-            return None
+            raise ZeroDivisionError("matrix is numerically singular")
         rows[j], rows[pivot] = rows[pivot], rows[j]
         for row in rows[j + 1 :]:
             f = row[j] / rows[j][j]
@@ -611,7 +612,7 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     moments essentially exactly; the only remaining error is the rounding
     of the moments themselves.  Iteration stops early at a step below
     10^(8 - digits), or at a Jacobian J singular to within ||J||_1 * 2^-178:
-    the rule of mpmath's 179-bit ``lu_solve``, which the tests keep as this
+    the rule of the 179-bit ``lu_solve`` that the tests run as this
     polish's oracle.
     """
     from decimal import Decimal, localcontext
@@ -622,21 +623,21 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
         x = [Decimal(float(v)) for v in nodes]
         w = [Decimal(float(v)) for v in masses]
         m = [Decimal(float(v)) for v in values[: 2 * r]]
-        for _ in range(iterations):
-            rows = []
-            low, high = [Decimal(0)] * r, [Decimal(1)] * r  # x^(n-1), x^n
-            for n in range(2 * r):
-                residual = m[n] - sum(a * b for a, b in zip(w, high))
-                rows.append(high + [n * a * b for a, b in zip(w, low)] + [residual])
-                low, high = high, [a * b for a, b in zip(high, x)]
-            norm = max(sum(abs(row[c]) for row in rows) for c in range(2 * r))
-            step = _solve(rows, norm * Decimal(2) ** -178)
-            if step is None:
-                break
-            w = [a + b for a, b in zip(w, step)]
-            x = [a + b for a, b in zip(x, step[r:])]
-            if max(abs(v) for v in step) < Decimal(10) ** (8 - digits):
-                break
+        try:  # a singular Jacobian, or a NaN or infinity met on the way, ends it
+            for _ in range(iterations):
+                rows = []
+                low, high = [Decimal(0)] * r, [Decimal(1)] * r  # x^(n-1), x^n
+                for n in range(2 * r):
+                    residual = m[n] - sum(a * b for a, b in zip(w, high))
+                    rows.append(high + [n * a * b for a, b in zip(w, low)] + [residual])
+                    low, high = high, [a * b for a, b in zip(high, x)]
+                step = _solve(rows)
+                w = [a + b for a, b in zip(w, step)]
+                x = [a + b for a, b in zip(x, step[r:])]
+                if max(abs(v) for v in step) < Decimal(10) ** (8 - digits):
+                    break
+        except ArithmeticError:
+            pass
         return [float(v) for v in x], [float(v) for v in w]
 
 

@@ -614,6 +614,22 @@ def test_overflowing_moments_are_input_errors(tmp_path, capsys):
     )
 
 
+
+def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
+    # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
+    # polish stops at the infinity and the measure refuses the atom
+    doc = {
+        "eta": 2,
+        "kappa": 0,
+        "entry_weights": [0.5, 0.5],
+        "branch_weights": [[1e160], [1]],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    code = main(["certify", "--family", "t-eta-kappa", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "input error: atom position inf is not finite\n"
+
 def test_non_finite_inline_moments_are_input_errors(capsys):
     code = main(["check-stieltjes", "--t", "[1, NaN, 1, 1, 1]"])
     captured = capsys.readouterr()

@@ -465,6 +465,87 @@ def test_decimal_polish_agrees_with_the_mpmath_oracle(monkeypatch):
     assert len(singular) == 3
 
 
+
+@pytest.mark.parametrize("values", [[1.0, math.inf], [1.0, math.nan]])
+def test_non_finite_moments_stop_the_polish_as_with_the_oracle(monkeypatch, values):
+    # Inf - Inf, or ordering a NaN, signals in decimal; the polish stops there
+    # as it stopped where lu_solve failed, and the measure refuses the atom
+    ours = _quadrature_outcome(values)
+    assert ours == (ValueError, f"atom position {values[1]} is not finite")
+    oracle = functools.partial(_mpmath_polish, singular=[])
+    monkeypatch.setattr(moments, "_newton_polish", oracle)
+    assert _quadrature_outcome(values) == ours
+
+
+# ||A||_1 * 2^-178 for A = [[1, 3], [a, -b]] with a, b far below 1
+_TOL_1_3 = 3 * 2.0**-178
+
+
+@pytest.mark.parametrize(
+    "matrix_rows, singular",
+    [
+        # the second row sums to 0.9 tol, but its last pivot would be 1.26 tol
+        ([[1.0, 3.0], [0.18 * _TOL_1_3, -0.72 * _TOL_1_3]], True),
+        ([[1.0, 3.0], [0.22 * _TOL_1_3, -0.88 * _TOL_1_3]], False),
+        # every row sum is about 1, but the second pivot is 2^-180 <= 2^-177
+        ([[1.0, 0.0, 0.0], [0.0, 2.0**-180, 1.0], [0.0, 2.0**-180, -1.0]], True),
+        ([[1.0, 0.0, 0.0], [0.0, 2.0**-170, 1.0], [0.0, 2.0**-170, -1.0]], False),
+    ],
+    ids=["row-sum", "row-sum-above", "pivot", "pivot-above"],
+)
+def test_solve_finds_singular_what_lu_solve_does(matrix_rows, singular):
+    from decimal import Decimal, localcontext
+
+    from mpmath import lu_solve, matrix, mp
+
+    rhs = [1.0] * len(matrix_rows)
+    with mp.workdps(50):
+        try:
+            expected = [float(v) for v in lu_solve(matrix(matrix_rows), matrix(rhs))]
+        except ZeroDivisionError:
+            expected = None
+    assert (expected is None) == singular
+    with localcontext() as ctx:
+        ctx.prec = 53
+        rows = [[Decimal(v) for v in row + [b]] for row, b in zip(matrix_rows, rhs)]
+        try:
+            got = [float(v) for v in moments._solve(rows)]
+        except ZeroDivisionError:
+            got = None
+    assert got == (None if singular else pytest.approx(expected, rel=1e-15))
+
+
+# Moments of 5 and of 7 atoms, each with one atom more than their numerical
+# rank can hold: after ten Newton steps that atom still drifts outward with
+# a mass near 1e-38, so its place is rounding noise times 1/mass, and the
+# base-10 and base-2 polishes leave it one to three ulps apart
+_PARTING = [
+    [1.0, 2.2719398504998223, 13.964768430881502, 94.24083025241215,
+     639.4202014985773, 4339.727990370673, 29454.10000031005, 199907.64146399515,
+     1356791.3158787258, 9208665.89390032, 62500051.825112216],
+    [1.0, 6.475744443157197, 90.91047203667314, 2220.7760133400116,
+     75419.48841284984, 2906629.715393694, 116555431.52924258, 4731390358.800047,
+     192829062218.89993, 7869667466514.522, 321337152090376.25,
+     1.3123509578335028e+16, 5.360092208966715e+17, 2.1893127106219164e+19,
+     8.942288707055215e+20],
+]
+
+
+@pytest.mark.parametrize("values", _PARTING, ids=["5-atoms", "7-atoms"])
+def test_polishes_part_only_on_an_atom_of_negligible_mass(monkeypatch, values):
+    ours = quadrature_from_moments(values)
+    singular = []
+    oracle = functools.partial(_mpmath_polish, singular=singular)
+    monkeypatch.setattr(moments, "_newton_polish", oracle)
+    theirs = quadrature_from_moments(values)
+    assert singular == [] and ours.rank == theirs.rank
+    assert len(ours.measure.atoms) == len(theirs.measure.atoms)
+    for (x, w), (y, v) in zip(ours.measure.atoms, theirs.measure.atoms):
+        if v > 1e-30:
+            assert (x, w) == (y, v)
+        else:
+            assert x == pytest.approx(y, rel=1e-14) and w == pytest.approx(v, rel=1e-14)
+
 # -- determinacy diagnostic ----------------------------------------------------------
 
 
