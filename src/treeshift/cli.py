@@ -31,7 +31,7 @@ from .report import (
     jsonable,
 )
 from .shift import vertex_keyed, weights_from_json
-from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
+from .tree import int_if_integral, tree_from_json, validate, vertex_from_key, vertex_to_key
 
 DEFAULT_HORIZON = 16
 DEFAULT_TOL = 1e-9
@@ -623,9 +623,10 @@ def _cmd_certify(args, config: RunConfig) -> int:
             )
         weights = {}
         for item in entries:
-            if not isinstance(item["v"], int):
+            v = int_if_integral(item["v"])
+            if not isinstance(v, int):
                 raise InputError("bilateral vertices are integers")
-            weights[item["v"]] = complex(item.get("re", 0.0), item.get("im", 0.0))
+            weights[v] = complex(item.get("re", 0.0), item.get("im", 0.0))
         cert = models.certify_bilateral(weights, tol=config.tol)
         payload = cert.as_dict()
     elif family == "t-eta-kappa":

@@ -14,6 +14,7 @@ the windowed variant of the equalities for an infinite trunk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -325,9 +326,14 @@ class BranchData:
         object.__setattr__(self, "eta", int_if_integral(self.eta))
         if self.eta < 2:
             raise ValueError("the branching family requires eta >= 2")
-        kappa = math.inf if self.kappa in ("inf", math.inf) else int(self.kappa)
-        if kappa != math.inf and kappa < 0:
-            raise ValueError("kappa must be nonnegative or infinite")
+        kappa = math.inf
+        if self.kappa not in ("inf", math.inf):
+            try:
+                kappa = operator.index(int_if_integral(self.kappa))
+            except TypeError:
+                raise ValueError(f"kappa must be an integer or infinite, got {self.kappa!r}") from None
+            if kappa < 0:
+                raise ValueError("kappa must be nonnegative or infinite")
         object.__setattr__(self, "kappa", kappa)
         if len(self.branch_measures) != self.eta:
             raise ValueError("one branch measure per branch required")

@@ -307,13 +307,17 @@ class StieltjesVerdict:
 
     ``consistent-up-to-order-N`` is the strongest claim finite data allows;
     refutation is definitive and carries a coefficient vector whose quadratic
-    form against the failing Hankel block is negative.
+    form against H + tol * diag(H), for the failing Hankel block H, is
+    negative in exact rational arithmetic.  ``min_pivot_hankel`` and
+    ``min_pivot_shifted`` are the smallest pivots of the LDL^T factorization
+    of each block scaled to unit diagonal, D^-1/2 H D^-1/2 + tol * I with
+    D = diag(H); a factorization that fails stops at its first failing pivot.
     """
 
     status: str
     order: int
-    min_eig_hankel: float
-    min_eig_shifted: float
+    min_pivot_hankel: float
+    min_pivot_shifted: float
     witness_block: str | None = None
     witness_vector: tuple = ()
     witness_value: float = 0.0
@@ -326,8 +330,8 @@ class StieltjesVerdict:
         out = {
             "status": self.status,
             "order": self.order,
-            "min_eig_hankel": self.min_eig_hankel,
-            "min_eig_shifted": self.min_eig_shifted,
+            "min_pivot_hankel": self.min_pivot_hankel,
+            "min_pivot_shifted": self.min_pivot_shifted,
         }
         if self.witness_block is not None:
             out["witness"] = {
@@ -338,53 +342,194 @@ class StieltjesVerdict:
         return out
 
 
-def _hankel(values, size: int, offset: int):
-    """The size x size Hankel block of a numpy vector, starting at ``offset``."""
-    return values[[[i + j + offset for j in range(size)] for i in range(size)]]
+def _hankel(values, size: int, offset: int) -> list:
+    """The size x size Hankel block of ``values``, starting at ``offset``, as rows."""
+    return [list(values[i + offset : i + offset + size]) for i in range(size)]
+
+
+def _ldl(a: list):
+    """Factor the symmetric matrix ``a`` (rows of floats or of Fractions) as
+    L diag(pivots) L^T, stopping where it shows that ``a`` is not positive
+    semidefinite.
+
+    Returns the pivots found and either None or a vector x meant to give
+    x^T a x < 0: at a negative (or NaN) pivot d_k, x = L^-T e_k, whose form
+    is d_k; at a zero pivot whose column does not vanish, a combination of
+    e_k and the first index j with a nonzero entry c in that column, mapped
+    back the same way, whose form is -(|S_jj| + |c|) for the Schur complement
+    S.  In float arithmetic the vector is a candidate that the caller
+    confirms; in rational arithmetic it is exact.
+    """
+    m = len(a)
+    rows = [[] for _ in range(m)]  # row i of L, left of the diagonal
+    pivots = []
+    for k in range(m):
+        scaled = list(map(operator.mul, rows[k], pivots))  # L_kj * d_j
+        column = [a[i][k] - sum(map(operator.mul, rows[i], scaled)) for i in range(k, m)]
+        pivot = column[0]
+        pivots.append(pivot)
+        if pivot > 0 or not any(column):  # a positive pivot, or a zero row
+            for i in range(k + 1, m):
+                rows[i].append(column[i - k] / pivot if pivot else 0)
+            continue
+        x = [0] * m
+        x[k] = 1
+        if pivot == 0:
+            j = next(j for j in range(k + 1, m) if column[j - k])
+            c = column[j - k]
+            scaled = list(map(operator.mul, rows[j], pivots))
+            s = a[j][j] - sum(map(operator.mul, rows[j], scaled))  # S_jj
+            x[k], x[j] = -(s + abs(s) + abs(c)) / (2 * c), 1
+        for i in reversed(range(k)):
+            x[i] = 0 - sum(rows[r][i] * x[r] for r in range(i + 1, m) if x[r])  # no -0.0
+        return pivots, x
+    return pivots, None
+
+
+def _confirmed_form(block: list, x, tol: float):
+    """x^T H x for H = ``block``, as a float, if x^T (H + tol * diag(H)) x < 0
+    holds in exact arithmetic over the floats of H, x and tol; else None.
+
+    Every finite float is n / 2^k, so each sum is taken over integers on the
+    largest power-of-two denominator and divided once.
+    """
+    from fractions import Fraction
+
+    support = [(i, *v.as_integer_ratio()) for i, v in enumerate(x) if v]
+    pairs, diagonal = [], []
+    for i, a, c in support:
+        row = block[i]
+        for j, b, d in support:
+            n, q = row[j].as_integer_ratio()
+            pairs.append((a * b * n, c * d * q))
+            if i == j:
+                diagonal.append(pairs[-1])
+    form = _dyadic_sum(pairs)
+    if form + Fraction(tol) * _dyadic_sum(diagonal) < 0:
+        return _as_float(form)
+    return None
+
+
+def _dyadic_sum(terms):
+    """The exact sum of n / d over the pairs (n, d), every d a power of two."""
+    from fractions import Fraction
+
+    top = max(d for _, d in terms)
+    return Fraction(sum(n * (top // d) for n, d in terms), top)
+
+
+def _as_float(q) -> float:
+    """The rational q as a float, or the infinity of its sign past the largest float."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.copysign(math.inf, q)
+
+
+def _unit(x) -> list:
+    """x scaled by the power of two that puts its largest entry in [1, 2)."""
+    shift = 1 - math.frexp(max(map(abs, x)))[1]
+    return [math.ldexp(v, shift) for v in x]
+
+
+def _decide_block(block: list, tol: float):
+    """Decide whether H + tol * diag(H) is positive semidefinite for the
+    Hankel block H = ``block``.
+
+    Returns the smallest scaled pivot and, when the block fails, a float
+    witness x, scaled by a power of two to a largest entry in [1, 2), whose
+    form against H + tol * diag(H) is negative in exact arithmetic, with
+    x^T H x (else None, None).  A negative diagonal entry h_ii refutes with
+    x = e_i.  Otherwise a float LDL^T of D^-1/2 H D^-1/2 + tol * I decides
+    (D = diag(H), with unit scale on zero diagonal entries): positive pivots
+    pass, and at the first failing pivot the witness D^-1/2 L^-T e_k is
+    confirmed exactly.  A zero pivot, or a witness that is not finite or not
+    confirmed, hands the block to an exact LDL^T of H + tol * diag(H) in
+    Fractions, which decides it.
+    """
+    from fractions import Fraction
+
+    m = len(block)
+    diag = [block[i][i] for i in range(m)]
+    negative = next((i for i, h in enumerate(diag) if h < 0), None)
+    if negative is not None:
+        x = [float(i == negative) for i in range(m)]
+        return -(1.0 + tol), x, _confirmed_form(block, x, tol)
+    scale = [1.0 / math.sqrt(h) if h > 0 else 1.0 for h in diag]
+    a = []  # the lower triangle, which is all that _ldl reads
+    for i, si in enumerate(scale):
+        row = [si * h * sj for h, sj in zip(block[i][:i], scale)]
+        row.append(1.0 + tol if diag[i] > 0 else 0.0)
+        a.append(row)
+    pivots, z = _ldl(a)
+    if z is None and min(pivots) > 0:
+        return min(pivots), None, None
+    if z is not None:
+        x = [si * zi for si, zi in zip(scale, z)]
+        if all(map(math.isfinite, x)):
+            x = _unit(x)
+            form = _confirmed_form(block, x, tol)
+            if form is not None:
+                return min(pivots), x, form
+    exact = [[Fraction(h) for h in row] for row in block]
+    for i in range(m):
+        exact[i][i] *= 1 + Fraction(tol)
+    pivots, z = _ldl(exact)
+    low = _as_float(min(p / Fraction(h) if h > 0 else p for p, h in zip(pivots, diag)))
+    if z is not None:
+        top = max(map(abs, z))  # divide by a power of two near it, so no entry overflows
+        unit = Fraction(2) ** (top.numerator.bit_length() - top.denominator.bit_length())
+        x = _unit([float(v / unit) for v in z])
+        form = _confirmed_form(block, x, tol)
+        if form is not None:
+            return low, x, form
+    # passed, or failed by less than a float64 witness can exhibit
+    return low, None, None
 
 
 def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
     """Test a finite prefix for consistency with a halfline moment problem.
 
-    Builds the Hankel matrix of the sequence and its one-step shift at the
-    largest sizes the prefix supports and requires both to be positive
-    semidefinite up to a relative eigenvalue tolerance.
+    Builds the Hankel matrix H of the sequence and of its one-step shift at
+    the largest sizes the prefix supports and requires H + tol * diag(H) to
+    be positive semidefinite for both; equivalently, the smallest eigenvalue
+    of the unit-diagonal scaling D^-1/2 H D^-1/2 is at least -tol.  A
+    refutation is emitted only with a witness checked in exact arithmetic;
+    when both blocks fail, the one with the more negative pivot supplies it.
     """
-    import numpy as np
-
-    values = np.asarray(as_values(seq), dtype=float)
+    values = as_values(seq)
     order = len(values) - 1
     if order < 2:
         raise ValueError("the Hankel test needs t_0..t_N with N >= 2")
+    MomentSequence(values)  # refuses a moment that is not finite
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"the Hankel tolerance must be nonnegative and finite, got {tol}")
     blocks = {}
     blocks["hankel"] = _hankel(values, order // 2 + 1, 0)
     blocks["shifted-hankel"] = _hankel(values, (order - 1) // 2 + 1, 1)
-    min_eigs = {}
+    pivots = {}
     worst = None
     for name, H in blocks.items():
-        eigvals, eigvecs = np.linalg.eigh(H)
-        scale = max(1.0, float(np.abs(eigvals).max()))
-        min_eigs[name] = float(eigvals[0])
-        margin = eigvals[0] / scale
-        if eigvals[0] < -tol * scale and (worst is None or margin < worst[0]):
-            worst = (margin, name, eigvecs[:, 0], H)
+        pivot, vector, form = _decide_block(H, tol)
+        pivots[name] = pivot
+        if vector is not None and (worst is None or pivot < worst[0]):
+            worst = (pivot, name, vector, form)
     if worst is None:
         return StieltjesVerdict(
             status="consistent-up-to-order-N",
             order=order,
-            min_eig_hankel=min_eigs["hankel"],
-            min_eig_shifted=min_eigs["shifted-hankel"],
+            min_pivot_hankel=pivots["hankel"],
+            min_pivot_shifted=pivots["shifted-hankel"],
         )
-    _, name, vector, H = worst
-    quad = float(vector @ H @ vector)
+    _, name, vector, form = worst
     return StieltjesVerdict(
         status="refuted",
         order=order,
-        min_eig_hankel=min_eigs["hankel"],
-        min_eig_shifted=min_eigs["shifted-hankel"],
+        min_pivot_hankel=pivots["hankel"],
+        min_pivot_shifted=pivots["shifted-hankel"],
         witness_block=name,
-        witness_vector=tuple(float(a) for a in vector),
-        witness_value=quad,
+        witness_vector=tuple(vector),
+        witness_value=form,
     )
 
 
@@ -513,9 +658,10 @@ def carleman_diagnostic(
             partial_sums=tuple(sums),
             terms=tuple(terms),
         )
-    import numpy as np
-
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    mean_x = math.fsum(xs) / len(xs)
+    mean_y = math.fsum(ys) / len(ys)
+    dx = [x - mean_x for x in xs]
+    slope = math.fsum(a * (y - mean_y) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
     if slope <= divergence_threshold:
         label = DIVERGENCE
     elif slope >= convergence_threshold:
@@ -573,6 +719,56 @@ def _recurrence_from_moments(m: tuple, k: int, rank_tol: float):
         sigma_prev = sigma_curr
         sigma_curr = sigma_next
     return alphas, betas[1:]
+
+
+def _jacobi_eigen(alphas, betas):
+    """Eigenvalues of the Jacobi matrix with diagonal ``alphas`` and squared
+    off-diagonal ``betas``, in ascending order, with the squared first
+    components of their unit eigenvectors: the nodes and normalized weights
+    of Gauss quadrature (Golub and Welsch).  Implicit QL with Wilkinson
+    shifts (``tqli``), carrying only the first row of the eigenvector matrix
+    through the plane rotations.
+    """
+    d = list(alphas)
+    e = [math.sqrt(b) for b in betas] + [0.0]
+    n = len(d)
+    z = [1.0] + [0.0] * (n - 1)
+    for low in range(n):
+        for _ in range(60):
+            m = low
+            while m < n - 1 and abs(e[m]) > 2.0**-52 * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == low:
+                break
+            g = (d[low + 1] - d[low]) / (2.0 * e[low])
+            g = d[m] - d[low] + e[low] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in reversed(range(low, m)):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the rotation underflowed: split the matrix here
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            else:
+                d[low] -= p
+                e[low] = g
+                e[m] = 0.0
+        else:
+            raise ValueError("the Jacobi eigenvalue iteration did not converge")
+    order = sorted(range(n), key=d.__getitem__)
+    return [d[i] for i in order], [z[i] ** 2 for i in order]
 
 
 def _solve(rows):
@@ -651,8 +847,6 @@ def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> 
     Refuted input raises :class:`RefutedSequenceError`; a numerically
     singular Hankel yields fewer atoms, reported via ``rank``.
     """
-    import numpy as np
-
     values = as_values(seq)
     if len(values) < 2:
         raise ValueError("need at least two moments")
@@ -669,23 +863,16 @@ def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> 
     k = len(values) // 2
     alphas, betas = _recurrence_from_moments(values, k, rank_tol)
     rank = len(alphas)
-    if rank == 1:
-        nodes = np.array([alphas[0]])
-        first_components_sq = np.array([1.0])
-    else:
-        off = np.sqrt(np.array(betas))
-        jacobi = np.diag(np.array(alphas)) + np.diag(off, 1) + np.diag(off, -1)
-        nodes, vecs = np.linalg.eigh(jacobi)
-        first_components_sq = vecs[0, :] ** 2
-    masses = values[0] * first_components_sq
+    nodes, first_components_sq = _jacobi_eigen(alphas, betas)
+    masses = [values[0] * w for w in first_components_sq]
     nodes, masses = _newton_polish(nodes, masses, values[: 2 * rank])
-    scale = max(1.0, float(np.abs(nodes).max()))
+    scale = max(1.0, max(map(abs, nodes)))
     atoms = []
     for x, w in zip(nodes, masses):
         if x < -1e-9 * scale:
             raise ValueError(f"negative quadrature node {x}")
         if w > 0.0:
-            atoms.append((max(float(x), 0.0), float(w)))
+            atoms.append((max(x, 0.0), w))
     return QuadratureResult(
         measure=AtomicMeasure(tuple(atoms)), requested=k, rank=rank
     )

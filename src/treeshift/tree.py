@@ -33,13 +33,15 @@ class HorizonError(ValueError):
 
 
 def as_vertex(obj):
-    """Normalize a vertex id: plain int, or a (branch, depth) pair."""
+    """Normalize a vertex id: plain int, or a (branch, depth) pair; an
+    integer-valued float counts as its int."""
     if isinstance(obj, bool):
         raise ValueError(f"invalid vertex id {obj!r}")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, (tuple, list)) and len(obj) == 2:
-        i, j = obj
+    vertex = int_if_integral(obj)
+    if isinstance(vertex, int):
+        return vertex
+    if isinstance(vertex, (tuple, list)) and len(vertex) == 2:
+        i, j = map(int_if_integral, vertex)
         if isinstance(i, int) and isinstance(j, int):
             return (i, j)
     raise ValueError(f"invalid vertex id {obj!r}")

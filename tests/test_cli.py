@@ -275,6 +275,53 @@ def test_integer_valued_floats_read_as_integers(tmp_path, capsys, args, doc):
     assert run_cli(args + [write(tmp_path, "float.json", spelled)], capsys) == (0, out)
 
 
+PATH_EDGES = {"edges": [[0, 1], [1, 2], [2, 3]]}
+PAIR_EDGES = {"edges": [[0, [1, 1]], [0, [2, 1]], [[1, 1], [1, 2]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, docs",
+    [
+        (["validate-tree", "--tree", "{0}"], [PATH_EDGES]),
+        (["validate-tree", "--tree", "{0}"], [PAIR_EDGES]),
+        (
+            ["moments", "--tree", "{0}", "--weights", "{1}"],
+            [PATH_EDGES, {"weights": [{"v": k, "re": 1} for k in (1, 2, 3)]}],
+        ),
+        (
+            ["moments", "--tree", "{0}", "--weights", "{1}"],
+            [PAIR_EDGES, {"weights": [{"v": v, "re": 1} for v in ([1, 1], [2, 1], [1, 2])]}],
+        ),
+        (
+            ["certify", "--family", "bilateral", "--weights", "{0}"],
+            [{"weights": [{"v": k, "re": math.sqrt(2)} for k in range(-6, 7)]}],
+        ),
+    ],
+    ids=["validate-tree", "validate-tree-pairs", "moments", "moments-pairs", "bilateral"],
+)
+def test_integer_valued_float_vertex_ids_read_as_integers(tmp_path, capsys, argv, docs):
+    # a vertex id spelled 1.0 or [1.0, 2.0] is the vertex 1 or (1, 2); 1.5 is
+    # no vertex at all
+    runs = {}
+    for spelling, parse_int in (("int", int), ("float", float), ("half", lambda s: int(s) + 0.5)):
+        paths = [
+            write(tmp_path, f"{spelling}{i}.json", json.loads(json.dumps(doc), parse_int=parse_int))
+            for i, doc in enumerate(docs)
+        ]
+        runs[spelling] = run_cli([a.format(*paths) for a in argv], capsys)
+    assert runs["int"][0] == 0
+    assert runs["float"] == runs["int"]
+    assert runs["half"] == (3, "")
+
+
+@pytest.mark.parametrize("vertex", [1.5, [1, 1.5], True, [1, 2, 3]])
+def test_as_vertex_refuses_what_is_no_integer(vertex):
+    from treeshift.tree import as_vertex
+
+    with pytest.raises(ValueError, match="invalid vertex id"):
+        as_vertex(vertex)
+
+
 def test_certify_branching_fixture(tmp_path, capsys):
     doc = {
         "eta": 2,
@@ -431,19 +478,41 @@ def test_package_import_loads_neither_numpy_nor_jsonschema():
     assert out.stdout.strip() == "[]"
 
 
+def _main_in_subprocess(argv, blocked=None):
+    """Run the CLI in a fresh interpreter, with the module ``blocked`` made
+    unimportable when one is named."""
+    block = f"sys.modules[{blocked!r}] = None; " if blocked else ""
+    code = f"import sys; {block}from treeshift.cli import main; sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 def test_quadrature_runs_without_mpmath(tmp_path):
     weights = write(tmp_path, "w.json", {"weights": [1.0] * 8})
     argv = ["certify", "--family", "unilateral", "--weights", weights]
-    runs = []
-    for block in ("", "sys.modules['mpmath'] = None; "):
-        code = f"import sys; {block}from treeshift.cli import main; sys.exit(main({argv!r}))"
-        runs.append(
-            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        )
-    unblocked, blocked = runs
+    unblocked = _main_in_subprocess(argv)
+    blocked = _main_in_subprocess(argv, "mpmath")
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == unblocked.stdout
     assert json.loads(blocked.stdout)["status"] == "certified-up-to-horizon"
+
+
+def test_commands_run_without_numpy(tmp_path, unilateral_inputs):
+    # commands that reach the Hankel test, quadrature and the Carleman slope
+    tree, weights, system = unilateral_inputs
+    sequences = write(tmp_path, "seqs.json", {"sequences": {str(k): [1.0] * 8 for k in range(5)}})
+    cases = [
+        (["certify", "--family", "unilateral", "--weights", weights], 0),
+        (["check-stieltjes", "--t", "[1,1,0,0]"], 1),
+        (["certify", "--family", "general", "--tree", tree, "--weights", weights,
+          "--sequences", sequences], 2),
+        (["truncate", "--tree", tree, "--weights", weights, "--system", system,
+          "--window", "2"], 0),
+    ]
+    for argv, code in cases:
+        unblocked = _main_in_subprocess(argv)
+        blocked = _main_in_subprocess(argv, "numpy")
+        assert blocked.returncode == unblocked.returncode == code, blocked.stderr
+        assert blocked.stdout == unblocked.stdout
 
 
 # A valid document per shipped schema, reaching every branch of its oneOf and

@@ -154,6 +154,29 @@ def worked_branch_data(entry_sq=0.5):
     )
 
 
+@pytest.mark.parametrize("kappa, expected", [(2, 2), (2.0, 2), ("inf", math.inf), (math.inf, math.inf)])
+def test_branch_data_reads_integer_valued_kappa(kappa, expected):
+    data = BranchData(
+        eta=2,
+        kappa=kappa,
+        branch_measures=(AtomicMeasure.delta(1.0), AtomicMeasure.delta(2.0)),
+        entry_weights=(0.5, 0.5),
+        trunk_weights=(1.0, 1.0),
+    )
+    assert data.kappa == expected and type(data.kappa) is type(expected)
+
+
+@pytest.mark.parametrize("kappa", [2.5, -1.0, "2", None])
+def test_branch_data_refuses_kappa_that_is_no_count(kappa):
+    with pytest.raises(ValueError, match="kappa must be"):
+        BranchData(
+            eta=2,
+            kappa=kappa,
+            branch_measures=(AtomicMeasure.delta(1.0), AtomicMeasure.delta(2.0)),
+            entry_weights=(0.5, 0.5),
+        )
+
+
 def test_rooted_branching_vertex_worked_example():
     cert = certify_t_eta_kappa(worked_branch_data(), depth=8)
     assert cert.status == CERTIFIED

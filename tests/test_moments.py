@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
@@ -227,7 +227,7 @@ def test_check_stieltjes_shifted_block_refutes_halfline():
     v = check_stieltjes([1.0, 0.0, 1.0, 0.0])
     assert not v.consistent
     assert v.witness_block == "shifted-hankel"
-    assert v.min_eig_hankel >= 0.0
+    assert v.min_pivot_hankel >= 0.0
 
 
 def test_witness_quadratic_form_is_verifiable(rng):
@@ -266,6 +266,143 @@ def test_shift_refutation_propagates_back(rng):
         hits += 1
         assert not check_stieltjes(t).consistent
     assert hits > 20  # random sequences refute often enough to be meaningful
+
+
+def _low_order_violation(order):
+    # moments of (delta_1 + delta_10) / 2 with t_2 lowered to 0.9 t_1^2: the
+    # leading 2x2 minor is negative, while the high moments dwarf it
+    t = [0.5 + 0.5 * 10.0**n for n in range(order + 1)]
+    t[2] = 0.9 * t[1] ** 2
+    return t
+
+
+@pytest.mark.parametrize("order", [4, 8, 12, 16, 24])
+def test_large_moments_do_not_hide_a_low_order_violation(order):
+    v = check_stieltjes(_low_order_violation(order))
+    assert not v.consistent
+    assert v.min_pivot_hankel < 0 and v.witness_value < 0
+
+
+@st.composite
+def perturbed_moments(draw, max_order=16):
+    """Moments of 1 to 4 atoms, one of them scaled off its value."""
+    k = draw(st.integers(1, 4))
+    positions = draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k))
+    masses = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    order = draw(st.integers(2, max_order))
+    t = list(AtomicMeasure(tuple(zip(positions, masses))).moments(order))
+    n = draw(st.integers(0, order))
+    t[n] *= draw(st.floats(0.5, 1.5))
+    return t
+
+
+def _exact_forms(t, verdict, tol):
+    """x^T H x and x^T (H + tol * diag(H)) x for the witness x, in Fractions."""
+    from fractions import Fraction
+
+    offset = 0 if verdict.witness_block == "hankel" else 1
+    x = [Fraction(a) for a in verdict.witness_vector]
+    form = sum(a * b * Fraction(t[i + j + offset]) for i, a in enumerate(x) for j, b in enumerate(x))
+    diagonal = sum(a * a * Fraction(t[2 * i + offset]) for i, a in enumerate(x))
+    return form, form + Fraction(tol) * diagonal
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=perturbed_moments(), tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+# a subnormal diagonal entry: unscaled, the witness would overflow its form
+@example(t=[1.75, 2.0, 2.0, 5e-324], tol=1e-9)
+def test_every_witness_has_a_negative_exact_form(t, tol):
+    v = check_stieltjes(t, tol=tol)
+    if v.consistent:
+        return
+    form, shifted = _exact_forms(t, v, tol)
+    assert shifted < 0 and form < 0
+    assert v.witness_value == float(form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=perturbed_moments(max_order=12),
+    cut=st.integers(2, 12),
+    extra=st.lists(st.floats(0.0, 1e6), max_size=6),
+)
+def test_a_refuted_prefix_stays_refuted_when_extended(t, cut, extra):
+    prefix = t[: cut + 1]
+    if check_stieltjes(prefix).consistent:
+        return
+    assert not check_stieltjes(t + extra).consistent
+    assert not check_stieltjes(prefix + extra).consistent
+
+
+def _scaled_min_eig(t, size, offset):
+    H = np.array([[t[i + j + offset] for j in range(size)] for i in range(size)])
+    scale = 1.0 / np.sqrt(np.diag(H))
+    return np.linalg.eigvalsh(H * np.outer(scale, scale))[0]
+
+
+def test_verdicts_agree_with_a_scaled_eigenvalue_oracle():
+    rng = np.random.default_rng(4401)
+    tol = 1e-9
+    compared = refuted = 0
+    for _ in range(600):
+        k = int(rng.integers(1, 5))
+        mu = AtomicMeasure(tuple(zip(rng.uniform(0.1, 10.0, k), rng.uniform(0.05, 1.0, k))))
+        order = int(rng.integers(2, 17))
+        t = list(mu.moments(order))
+        t[int(rng.integers(0, order + 1))] *= 1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -1)
+        lams = [_scaled_min_eig(t, order // 2 + 1, 0), _scaled_min_eig(t, (order - 1) // 2 + 1, 1)]
+        if any(abs(lam + tol) <= 1e-6 for lam in lams):
+            continue
+        compared += 1
+        refuted += not check_stieltjes(t, tol=tol).consistent
+        assert check_stieltjes(t, tol=tol).consistent == all(lam >= -tol for lam in lams)
+    assert compared > 200 and 50 < refuted < compared - 50
+
+
+def _a_step_below(a):
+    # t_2 one float below t_1^2: the 2x2 Hankel block has determinant below
+    # zero by half an ulp, which only exact arithmetic sees
+    return [1.0, a, math.nextafter(a * a, -math.inf)]
+
+
+@pytest.mark.parametrize(
+    "t, status, vector",
+    [
+        ([1.0, 3.0, 9.0, 27.0, 81.0], "consistent-up-to-order-N", ()),
+        ([1.0, 0.0, 0.0, 0.0, 0.0], "consistent-up-to-order-N", ()),
+        (_a_step_below(0.3), "refuted", (-0.3, 1.0)),
+        (_a_step_below(1.1), "refuted", (-1.1, 1.0)),
+    ],
+    ids=["rank-one", "delta-zero", "below-0.3", "below-1.1"],
+)
+def test_boundary_blocks_are_decided_in_exact_arithmetic(monkeypatch, t, status, vector):
+    from fractions import Fraction
+
+    arithmetic = []
+    factor = moments._ldl
+
+    def spy(a):
+        arithmetic.append(type(a[0][0]))
+        return factor(a)
+
+    monkeypatch.setattr(moments, "_ldl", spy)
+    v = check_stieltjes(t, tol=0.0)
+    assert Fraction in arithmetic
+    assert v.status == status and v.witness_vector == vector
+    if vector:
+        assert _exact_forms(t, v, 0.0)[0] < 0
+        assert v.min_pivot_hankel < 0
+
+
+def test_check_stieltjes_refuses_non_finite_moments_and_bad_tolerances():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            check_stieltjes([1.0, bad, 1.0])
+    # a negative tolerance would refute genuine moments, such as these of
+    # (delta_1 + delta_2) / 2
+    for tol in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            check_stieltjes([1.0, 1.5, 2.5, 4.5], tol=tol)
 
 
 # -- backward extension ----------------------------------------------------------
@@ -400,6 +537,42 @@ def test_quadrature_roundtrip():
         for (x1, w1), (x2, w2) in zip(rec.atoms, mu.atoms):
             assert abs(x1 - x2) <= 1e-8 * max(1.0, x2)
             assert abs(w1 - w2) <= 1e-8 * max(1.0, w2)
+
+
+def test_ql_seed_agrees_with_numpy_eigh():
+    rng = np.random.default_rng(515)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        alphas = rng.uniform(0.0, 10.0, n).tolist()
+        betas = rng.uniform(0.01, 5.0, n - 1).tolist()
+        nodes, weights = moments._jacobi_eigen(alphas, betas)
+        off = np.sqrt(betas)
+        expected, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(np.array(nodes) - expected).max() <= 1e-12 * scale
+        assert np.abs(np.array(weights) - vectors[0] ** 2).max() <= 1e-12
+
+
+def _numpy_jacobi_eigen(alphas, betas):
+    """The quadrature seed as numpy.linalg.eigh gave it, kept as the oracle."""
+    if len(alphas) == 1:
+        return [alphas[0]], [1.0]
+    off = np.sqrt(np.array(betas))
+    nodes, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes.tolist(), (vectors[0] ** 2).tolist()
+
+
+def test_ql_seeded_quadrature_matches_the_numpy_seed_bit_for_bit(monkeypatch):
+    # exactly determined input: the 2k moments of k atoms
+    rng = np.random.default_rng(616)
+    cases = []
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        mu = AtomicMeasure(tuple(zip(rng.uniform(0.3, 3.0, k), rng.uniform(0.05, 1.0, k))))
+        cases.append(mu.moments(2 * k - 1))
+    ours = [_quadrature_outcome(values) for values in cases]
+    monkeypatch.setattr(moments, "_jacobi_eigen", _numpy_jacobi_eigen)
+    assert [_quadrature_outcome(values) for values in cases] == ours
 
 
 def _mpmath_polish(nodes, masses, values, digits=50, iterations=10, singular=None):
