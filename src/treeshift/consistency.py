@@ -24,6 +24,7 @@ from .moments import (
     superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
+from .shift import _mod_sq
 from .tree import vertex_from_key, vertex_sort_key, vertex_to_key
 
 POSITION_TOL = 1e-12
@@ -153,63 +154,48 @@ class ConsistencyReport:
         }
 
 
-def _consistency_rhs(system, shift, u, n):
-    """Right-hand side of the depth-n identity at u, or an inconsistency
-    reason when a child carries mass at zero under a nonzero weight."""
-    terms = []
-    inv_sum_terms = []
-    for v in sorted(shift.tree.children_n(u, n), key=vertex_sort_key):
-        if n == 1:
-            coeff = shift.modulus_sq(v)
-        else:
-            pw = shift.path_weight(u, v)
-            coeff = pw.real * pw.real + pw.imag * pw.imag
-        if coeff == 0.0:
-            continue
-        mu_v = system.measure(v)
-        if mu_v.mass_at_zero > 0.0:
-            return None, None, (
-                f"child {v!r} carries mass {mu_v.mass_at_zero} at zero "
-                "under a nonzero path weight"
-            )
-        terms.append((coeff, mu_v))
-        inv_sum_terms.append(scaled_inverse_integral(coeff, mu_v, n))
-    rhs = superpose(terms, -n, system.eps_at(u))
-    return rhs, math.fsum(inv_sum_terms), ""
+def _generation_terms(shift, u, n, measure_of) -> dict:
+    """The terms of the depth-n identity at u: each vertex of the n-th
+    generation below u under a nonzero path weight, in vertex order, mapped
+    to its squared path weight and its measure."""
+    return {
+        v: (c, measure_of(v))
+        for v, pw in shift.power_coefficients(u, n).items()
+        if (c := _mod_sq(pw)) != 0.0
+    }
 
 
 def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyReport:
     """Check the depth-n propagation identity at u: the measure at u must be
     the 1/s^n reweighted superposition over the n-th generation plus the
-    stored point mass at zero."""
+    stored point mass at zero.  A vertex of that generation with mass at
+    zero under a nonzero path weight fails it outright."""
     if n < 1:
         raise ValueError("propagation depth starts at 1")
     mu_u = system.measure(u)
-    rhs, inv_sum, reason = _consistency_rhs(system, shift, u, n)
     eps_stored = system.eps_at(u)
-    if rhs is None:
-        return ConsistencyReport(
-            vertex=u,
-            depth=n,
-            ok=False,
-            max_discrepancy=math.inf,
-            discrepancy_position=0.0,
-            eps_stored=eps_stored,
-            eps_computed=None,
-            reason=reason,
-        )
-    eps_computed = 1.0 - inv_sum
-    mass = mu_u.total_mass
-    disc, disc_at = measure_discrepancy(mu_u, rhs)
-    problems = []
-    if disc > tol * max(1.0, mass):
-        problems.append("atom mismatch between stored and reconstructed measure")
-    if abs(mass - 1.0) > tol:
-        problems.append(f"measure at {u!r} has total mass {mass}")
-    if abs(eps_stored - eps_computed) > tol:
-        problems.append(
-            f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
-        )
+    terms = _generation_terms(shift, u, n, system.measure)
+    at_zero = next((v for v, (_, mu) in terms.items() if mu.mass_at_zero > 0.0), None)
+    if at_zero is not None:
+        disc, disc_at, eps_computed = math.inf, 0.0, None
+        problems = [
+            f"child {at_zero!r} carries mass {terms[at_zero][1].mass_at_zero} at zero "
+            "under a nonzero path weight"
+        ]
+    else:
+        inv_sum = math.fsum(scaled_inverse_integral(c, mu, n) for c, mu in terms.values())
+        eps_computed = 1.0 - inv_sum
+        mass = mu_u.total_mass
+        disc, disc_at = measure_discrepancy(mu_u, superpose(terms.values(), -n, eps_stored))
+        problems = []
+        if disc > tol * max(1.0, mass):
+            problems.append("atom mismatch between stored and reconstructed measure")
+        if abs(mass - 1.0) > tol:
+            problems.append(f"measure at {u!r} has total mass {mass}")
+        if abs(eps_stored - eps_computed) > tol:
+            problems.append(
+                f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
+            )
     return ConsistencyReport(
         vertex=u,
         depth=n,
@@ -238,20 +224,29 @@ def identity_reports(system, shift, n: int = 1, tol: float = 1e-9) -> tuple:
     )
 
 
+def _witness(vertex, check: str, discrepancy, position, reason: str, **extra) -> dict:
+    """A refutation witness: the failed check, the vertex it failed at (or
+    None), by how much and at which position, why, and ``extra`` keys."""
+    return {
+        "vertex": None if vertex is None else vertex_to_key(vertex),
+        "check": check,
+        "discrepancy": discrepancy,
+        "position": position,
+        "reason": reason,
+        **extra,
+    }
+
+
 def identity_witness(reports, **extra) -> dict | None:
     """Witness of the first failed identity check among ``reports``, with
     ``extra`` keys added, or None when every check holds."""
     bad = next((r for r in reports if not r.ok), None)
     if bad is None:
         return None
-    return {
-        "vertex": vertex_to_key(bad.vertex),
-        "check": "consistency-identity",
-        "discrepancy": bad.max_discrepancy,
-        "position": bad.discrepancy_position,
-        "reason": bad.reason,
-        **extra,
-    }
+    return _witness(
+        bad.vertex, "consistency-identity", bad.max_discrepancy,
+        bad.discrepancy_position, bad.reason, **extra,
+    )
 
 
 @dataclass(frozen=True)
@@ -284,6 +279,13 @@ def relative_errors(lhs, rhs) -> tuple:
     return rels, worst
 
 
+def first_failing_row(lhs, rhs, tol: float):
+    """The first row n whose relative error (see :func:`relative_errors`)
+    exceeds tol or is NaN, as (n, error), or None when every row holds."""
+    rels, _ = relative_errors(lhs, rhs)
+    return next(((n, rel) for n, rel in enumerate(rels) if not rel <= tol), None)
+
+
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
     """Verify that the moments of the measure at u reproduce the squared
     power norms of the shift at u, up to n_max or the window horizon."""
@@ -313,24 +315,18 @@ def parent_from_children(
         raise ValueError(
             f"child measures must be keyed exactly by the children of {u!r}"
         )
-    total = math.fsum(
-        scaled_inverse_integral(shift.modulus_sq(v), child_measures[v])
-        for v in children
-    )
+    terms = _generation_terms(shift, u, 1, child_measures.__getitem__).values()
+    total = math.fsum(scaled_inverse_integral(c, mu) for c, mu in terms)
     if total > 1.0 + tol:
         raise ConsistencySumError(
             f"weighted inverse-moment sum at {u!r} is {total} > 1"
         )
     eps = max(0.0, 1.0 - total)
-    # rounding dust below the verification resolution would plant a spurious
-    # atom at zero, which downstream identities treat as a hard obstruction
-    if eps <= 1e-12:
+    # rounding dust at or below the verification tolerance would plant a
+    # spurious atom at zero, which downstream identities treat as a hard
+    # obstruction
+    if eps <= tol:
         eps = 0.0
-    terms = [
-        (c, child_measures[v])
-        for v in sorted(children, key=vertex_sort_key)
-        if (c := shift.modulus_sq(v)) != 0.0
-    ]
     return superpose(terms, -1, eps), eps
 
 
@@ -350,49 +346,57 @@ def child_from_parent_single(shift, u0, mu_parent: AtomicMeasure) -> AtomicMeasu
 def build_system_from_sequences(
     shift, sequences: Mapping, tol: float = 1e-9
 ) -> MeasureSystem:
-    """Assemble a measure system from per-vertex moment sequences.
+    """Assemble a measure system from per-vertex moment sequences, bottom-up.
 
-    Vertices with children (and frontier vertices, which stand for vertices
-    whose children lie past the window) receive the quadrature measure of
-    their sequence; true leaves receive the point mass at zero.  The result
-    carries per-vertex determinacy diagnostics and is therefore flagged
-    conditional: quadrature picks one representing measure among possibly
-    many.
+    A true leaf receives the point mass at zero with deficit one.  A
+    frontier vertex receives the quadrature measure of its sequence and that
+    sequence's Carleman diagnostic; the system is conditional on them.  Any
+    other vertex receives the measure and deficit that close the identity
+    over its children, or, where no probability measure does, the
+    quadrature measure of its own sequence, which the identity then refutes.
     """
     tree = shift.tree
     mu: dict = {}
     eps: dict = {}
     diagnostics: dict = {}
-    needs_measure = [
-        v
-        for v in tree.sorted_vertices
-        if tree.children(v) or v in tree.frontier
-    ]
-    for v in needs_measure:
+    for v in tree.bottom_up:
+        children = tree.children(v)
+        if not children and v not in tree.frontier:
+            mu[v], eps[v] = AtomicMeasure.delta(0.0), 1.0
+            continue
         if v not in sequences:
             raise ValueError(f"no moment sequence supplied for vertex {v!r}")
+        if v not in tree.frontier:
+            try:
+                mu[v], eps[v] = parent_from_children(
+                    shift, v, {c: mu[c] for c in children}, tol=tol
+                )
+                continue
+            except ConsistencySumError:
+                pass
         values = as_values(sequences[v])
-        result = quadrature_from_moments(values, tol=tol)
-        mu[v] = result.measure
-        if len(values) >= 3:
+        mu[v] = quadrature_from_moments(values, tol=tol).measure
+        eps[v] = mu[v].mass_at_zero
+        if v in tree.frontier and len(values) >= 3:
             diagnostics[v] = carleman_diagnostic(values[1:])
-    for v in tree.sorted_vertices:
-        if v not in mu:
-            mu[v] = AtomicMeasure.delta(0.0)
-            eps[v] = 1.0
-    for v in tree.sorted_vertices:
-        if v in eps:
-            continue
-        children = tree.children(v)
-        if children:
-            total = math.fsum(
-                scaled_inverse_integral(shift.modulus_sq(c), mu[c])
-                for c in children
-            )
-            eps[v] = max(0.0, 1.0 - total)
-        else:
-            eps[v] = mu[v].mass_at_zero
     return MeasureSystem(mu=mu, eps=eps, determinacy=diagnostics)
+
+
+def _sequence_witness(system, sequences: Mapping, tol: float) -> dict | None:
+    """Witness of the first supplied moment, in vertex order, that the
+    system's measure at its vertex does not reproduce within tol."""
+    for v in sorted(system.mu.keys() & sequences.keys(), key=vertex_sort_key):
+        supplied = as_values(sequences[v])
+        rebuilt = system.measure(v).moments(len(supplied) - 1)
+        row = first_failing_row(supplied, rebuilt, tol)
+        if row is not None:
+            n, rel = row
+            return _witness(
+                v, "sequence-moment", rel, None,
+                "supplied moment differs from the system's measure",
+                order=n, supplied=supplied[n], reconstructed=rebuilt[n],
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -445,11 +449,12 @@ def certify_subnormal(
     """Run the full per-vertex verification of a measure system.
 
     Either a system or per-vertex moment sequences must be given; sequences
-    are turned into a system first (conditionally, via quadrature).  The
-    identity is checked at every vertex whose children are inside the
-    window, measure moments are compared with power norms, structural
-    obstructions are reported, and with nonzero weights the zero masses on
-    non-root vertices must vanish.
+    are turned into a system first (conditionally, via quadrature at the
+    frontier), and every supplied moment must be reproduced by the measure
+    built at its vertex.  The identity is checked at every vertex whose
+    children are inside the window, measure moments are compared with power
+    norms, structural obstructions are reported, and with nonzero weights
+    the zero masses on non-root vertices must vanish.
     """
     if (system is None) == (sequences is None):
         raise ValueError("supply exactly one of system= or sequences=")
@@ -472,27 +477,20 @@ def certify_subnormal(
 
     consistency_reports = identity_reports(system, shift, tol=tol)
     witness = identity_witness(consistency_reports)
+    if sequences is not None and witness is None:
+        witness = _sequence_witness(system, sequences, tol)
     moment_reports = tuple(
         moments_match(system, shift, u, horizon, tol=tol) for u in tree.sorted_vertices
     )
     bad = next((r for r in moment_reports if not r.ok), None)
     if bad is not None and witness is None:
-        witness = {
-            "vertex": vertex_to_key(bad.vertex),
-            "check": "moment-identity",
-            "discrepancy": bad.max_rel_err,
-            "position": None,
-            "reason": "measure moments disagree with power norms",
-        }
+        witness = _witness(
+            bad.vertex, "moment-identity", bad.max_rel_err, None,
+            "measure moments disagree with power norms",
+        )
     structural = shift.structural_checks()
     if structural.not_hyponormal and witness is None:
-        witness = {
-            "vertex": None,
-            "check": "structural",
-            "discrepancy": None,
-            "position": None,
-            "reason": structural.verdict,
-        }
+        witness = _witness(None, "structural", None, None, structural.verdict)
     eps_violations = ()
     if shift.has_nonzero_weights:
         eps_violations = tuple(
@@ -501,13 +499,10 @@ def certify_subnormal(
             if v in tree.parent and system.eps_at(v) > tol
         )
         if eps_violations and witness is None:
-            witness = {
-                "vertex": vertex_to_key(eps_violations[0]),
-                "check": "zero-mass-on-nonroot",
-                "discrepancy": system.eps_at(eps_violations[0]),
-                "position": 0.0,
-                "reason": "nonzero weights force vanishing zero masses off the root",
-            }
+            witness = _witness(
+                eps_violations[0], "zero-mass-on-nonroot", system.eps_at(eps_violations[0]),
+                0.0, "nonzero weights force vanishing zero masses off the root",
+            )
     if witness is not None:
         status = REFUTED
     elif system.conditional:

@@ -22,6 +22,7 @@ from .consistency import (
     Certificate,
     MeasureSystem,
     certify_subnormal,
+    first_failing_row,
     measure_discrepancy,
     relative_errors,
 )
@@ -871,9 +872,9 @@ def extract_branch_data(
         values = as_values(sequences[v])
         top = int(min(len(values) - 1, tree.available_depth(v)))
         norms = shift.moment_values(v, top)
-        rels, worst = relative_errors(values, norms)
-        if worst > tol:
-            n = next(n for n, rel in enumerate(rels) if not rel <= tol)
+        row = first_failing_row(values, norms, tol)
+        if row is not None:
+            n = row[0]
             raise ValueError(
                 f"sequence at {v!r} disagrees with the shift at order {n}: "
                 f"{values[n]} vs {norms[n]}"

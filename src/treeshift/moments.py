@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 
 MERGE_TOL = 1e-12
+RANK_TOL = 1e-12
 
 MEASURE_DERIVED = "measure-derived"
 WEIGHT_DERIVED = "weight-derived"
@@ -422,8 +423,8 @@ def _as_float(q) -> float:
     """The rational q as a float, or the infinity of its sign past the largest float."""
     try:
         return float(q)
-    except OverflowError:
-        return math.copysign(math.inf, q)
+    except OverflowError:  # copysign would convert q to a float again
+        return math.inf if q > 0 else -math.inf
 
 
 def _unit(x) -> list:
@@ -609,13 +610,11 @@ class DeterminacyDiagnostic:
 DIVERGENCE = "divergence-trend"
 CONVERGENCE = "convergence-trend"
 INCONCLUSIVE = "inconclusive"
+DIVERGENCE_THRESHOLD = 1.05
+CONVERGENCE_THRESHOLD = 1.3
 
 
-def carleman_diagnostic(
-    seq,
-    divergence_threshold: float = 1.05,
-    convergence_threshold: float = 1.3,
-) -> DeterminacyDiagnostic:
+def carleman_diagnostic(seq) -> DeterminacyDiagnostic:
     """Evaluate the Carleman partial sums for a positive sequence.
 
     A zero entry makes a term infinite and settles divergence outright.  The
@@ -662,9 +661,9 @@ def carleman_diagnostic(
     mean_y = math.fsum(ys) / len(ys)
     dx = [x - mean_x for x in xs]
     slope = math.fsum(a * (y - mean_y) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
-    if slope <= divergence_threshold:
+    if slope <= DIVERGENCE_THRESHOLD:
         label = DIVERGENCE
-    elif slope >= convergence_threshold:
+    elif slope >= CONVERGENCE_THRESHOLD:
         label = CONVERGENCE
     else:
         label = INCONCLUSIVE
@@ -694,7 +693,7 @@ class QuadratureResult:
         }
 
 
-def _recurrence_from_moments(m: tuple, k: int, rank_tol: float):
+def _recurrence_from_moments(m: tuple, k: int):
     """Three-term recurrence coefficients of the orthogonal polynomials of a
     moment sequence (classical moment-to-recurrence elimination), truncated
     at the numerical rank."""
@@ -711,7 +710,7 @@ def _recurrence_from_moments(m: tuple, k: int, rank_tol: float):
                 - betas[j - 1] * sigma_prev[ell]
             )
         b = sigma_next[j] / sigma_curr[j - 1]
-        if b <= rank_tol * (1.0 + alphas[j - 1] ** 2):
+        if b <= RANK_TOL * (1.0 + alphas[j - 1] ** 2):
             return alphas[:j], betas[1:j]
         a = sigma_next[j + 1] / sigma_next[j] - sigma_curr[j] / sigma_curr[j - 1]
         alphas.append(a)
@@ -837,7 +836,7 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
         return [float(v) for v in x], [float(v) for v in w]
 
 
-def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> QuadratureResult:
+def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     """Reconstruct an atomic measure from the leading 2k moments.
 
     The recurrence coefficients feed a symmetric tridiagonal (Jacobi) matrix
@@ -861,7 +860,7 @@ def quadrature_from_moments(seq, rank_tol: float = 1e-12, tol: float = 1e-9) -> 
             f"two-moment prefix ({values[0]}, {values[1]}) admits no measure", None
         )
     k = len(values) // 2
-    alphas, betas = _recurrence_from_moments(values, k, rank_tol)
+    alphas, betas = _recurrence_from_moments(values, k)
     rank = len(alphas)
     nodes, first_components_sq = _jacobi_eigen(alphas, betas)
     masses = [values[0] * w for w in first_components_sq]

@@ -175,13 +175,18 @@ class DirectedTree:
 
     # -- horizon bookkeeping ---------------------------------------------
 
+    @property
+    def bottom_up(self) -> tuple:
+        """The vertices deepest level first, so each comes after all of its
+        children; the levels are read from the cached depth table."""
+        depth = self._depth_from_roots()
+        return tuple(sorted(self.sorted_vertices, key=lambda v: -depth.get(v, 0)))
+
     def _distances_to_frontier(self) -> dict:
         cached = self._frontier_distance
         if cached is None:
-            depth = self._depth_from_roots()
             cached = {v: math.inf for v in self.vertices}
-            order = sorted(self.vertices, key=lambda v: -depth.get(v, 0))
-            for v in order:
+            for v in self.bottom_up:
                 if v in self.frontier:
                     cached[v] = 0
                 for c in self._children[v]:

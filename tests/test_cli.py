@@ -372,6 +372,26 @@ def test_certify_general_with_sequences_is_conditional(tmp_path, capsys):
     assert json.loads(out)["status"] == "conditional"
 
 
+def test_certify_general_with_two_atom_sequences_is_conditional(tmp_path, capsys):
+    # the half line carrying s^n (0.4 d_0.5 + 0.6 d_2), normalized, at vertex n
+    depth = 6
+    base = [(0.5, 0.4), (2.0, 0.6)]
+    t = [math.fsum(w * x**n for x, w in base) for n in range(depth + 5)]
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": depth}})
+    weights = write(
+        tmp_path, "w.json", {"weights": [math.sqrt(t[n + 1] / t[n]) for n in range(depth)]}
+    )
+    seqs = write(
+        tmp_path,
+        "seqs.json",
+        {"sequences": {str(v): [t[v + k] / t[v] for k in range(5)] for v in range(depth + 1)}},
+    )
+    args = ["certify", "--family", "general", "--tree", tree, "--weights", weights]
+    code, out = run_cli(args + ["--sequences", seqs], capsys)
+    assert code == 2, json.loads(out)["witness"]
+    assert json.loads(out)["status"] == "conditional"
+
+
 def test_env_tolerance_override(unilateral_inputs, capsys, monkeypatch):
     tree, weights, system = unilateral_inputs
     monkeypatch.setenv("TREESHIFT_TOL", "1e-3")

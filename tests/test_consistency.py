@@ -22,6 +22,7 @@ from treeshift import (
     parent_from_children,
     propagate_check,
     system_from_json,
+    truncated_tree,
 )
 from treeshift.consistency import identity_reports, measure_discrepancy, relative_errors
 from treeshift.tree import HorizonError
@@ -380,6 +381,91 @@ def test_build_system_leaves_get_zero_mass():
     system = build_system_from_sequences(shift, {0: (1.0, 0.0, 0.0)})
     assert system.mu[1].atoms == ((0.0, 1.0),)
     assert system.eps_at(1) == 1.0
+
+
+# the 9-vertex path and a branching window: trunk 0 -> 1, two branches of
+# depth 3 below vertex 1
+SEQUENCE_WINDOWS = {
+    "path": (range(9), {k: k - 1 for k in range(1, 9)}),
+    "branching": (range(8), {1: 0, 2: 1, 3: 2, 4: 3, 5: 1, 6: 5, 7: 6}),
+}
+
+
+def genuine_sequences(rng, window):
+    """Weights and per-vertex moment sequences of a consistent system with
+    multi-atom measures: 2r + 1 moments for an r-atom measure, so every
+    measure is determined by its sequence."""
+    tree = truncated_tree(*SEQUENCE_WINDOWS[window])
+    shift, system = random_consistent_system(
+        rng, tree=tree, max_atoms=3, support_hi=3.0, zero_weight_prob=0.0
+    )
+    sequences = {
+        v: list(m.moments(2 * len(m.atoms))) for v, m in system.mu.items()
+    }
+    return shift, sequences
+
+
+@pytest.mark.parametrize("window", sorted(SEQUENCE_WINDOWS))
+def test_genuine_sequences_are_conditional(rng, window):
+    for _ in range(12):
+        shift, sequences = genuine_sequences(rng, window)
+        system = build_system_from_sequences(shift, sequences)
+        assert set(system.determinacy) <= shift.tree.frontier
+        cert = certify_subnormal(shift, sequences=sequences)
+        assert cert.status == CONDITIONAL, cert.witness
+
+
+@pytest.mark.parametrize("window", sorted(SEQUENCE_WINDOWS))
+def test_perturbed_sequences_or_weights_are_refuted(rng, window):
+    for _ in range(4):
+        shift, sequences = genuine_sequences(rng, window)
+        tree = shift.tree
+        interior = min(v for v in tree.sorted_vertices if v in tree.parent and tree.children(v))
+        frontier = min(tree.frontier)
+        # an interior sequence, at its second moment
+        bad = {**sequences, interior: list(sequences[interior])}
+        bad[interior][2] *= 1.01
+        cert = certify_subnormal(shift, sequences=bad)
+        assert cert.status == REFUTED
+        assert cert.witness["check"] == "sequence-moment"
+        assert cert.witness["vertex"] == str(interior)
+        assert cert.witness["order"] == 2
+        assert cert.witness["supplied"] == bad[interior][2]
+        assert abs(cert.witness["reconstructed"] - sequences[interior][2]) <= 1e-9 * bad[interior][2]
+        # a frontier sequence, at the top moment the quadrature does not use
+        bad = {**sequences, frontier: list(sequences[frontier])}
+        bad[frontier][-1] *= 1.01
+        cert = certify_subnormal(shift, sequences=bad)
+        assert cert.status == REFUTED
+        assert cert.witness["check"] == "sequence-moment"
+        assert cert.witness["vertex"] == str(frontier)
+        assert cert.witness["order"] == len(bad[frontier]) - 1
+        # one weight, up or down
+        for factor in (1.01, 0.99):
+            weights = {**shift.weights, interior: shift.weight(interior) * factor}
+            cert = certify_subnormal(WeightedShift(tree, weights), sequences=sequences)
+            assert cert.status == REFUTED
+            assert cert.witness["vertex"] in {str(v) for v in tree.sorted_vertices}
+
+
+def test_true_leaf_under_a_nonzero_weight_is_refuted_at_its_parent():
+    from treeshift import explicit_tree
+
+    shift = WeightedShift(explicit_tree([0, 1], {1: 0}), {1: 1.0})
+    cert = certify_subnormal(shift, sequences={0: (1.0, 1.0, 1.0)})
+    assert cert.status == REFUTED
+    assert cert.witness["check"] == "consistency-identity"
+    assert cert.witness["vertex"] == "0"
+    assert "carries mass 1.0 at zero" in cert.witness["reason"]
+
+
+def test_parent_from_children_drops_a_deficit_at_the_tolerance():
+    tree = make_family("unilateral", 1)
+    for deficit, kept in ((0.5e-9, 0.0), (2e-9, 2e-9)):
+        shift = WeightedShift(tree, {1: math.sqrt(1.0 - deficit)})
+        mu, eps = parent_from_children(shift, 0, {1: AtomicMeasure.delta(1.0)})
+        assert eps == pytest.approx(kept, abs=1e-15)
+        assert mu.mass_at_zero == eps
 
 
 def test_certified_systems_restrict_to_subtrees(rng):

@@ -1,11 +1,11 @@
 """Pinned report digests.
 
 Each case builds its inputs from fixed formulas and the standard library's
-Mersenne Twister, runs a certifier whose path calls no numpy routine (no
-Hankel eigenvalues, no quadrature), and pins the sha256 of the report's
-``canonical_json``.  The digests therefore do not depend on the LAPACK
-build, and a refactor that is meant to keep reports byte-identical must
-keep every one of them.
+Mersenne Twister, runs a certifier, and pins the sha256 of the report's
+``canonical_json`` (or of the CLI's stdout).  The whole runtime is pure
+Python, the Hankel test and quadrature included, so the digests do not
+depend on a linear-algebra build, and a refactor that is meant to keep
+reports byte-identical must keep every one of them.
 """
 
 from __future__ import annotations
@@ -160,18 +160,31 @@ GOLDEN = {
     "teta-kappa2-nu": "ddd88c8352d626ad0335f9c9eaf7ad4e0268e69fe28f811efb4f606f2dcab282",
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
+    "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
+    "cli-certify-sequences": "c4072d34a5487d70d3835d9125e070450fc48c86eb9295f680a4584afaba2cc3",
 }
 
 
-@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"cli-check-consistency"}))
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if not name.startswith("cli-")))
 def test_library_report_digests(name):
     assert _digest(canonical_json(_library_reports()[name])) == GOLDEN[name]
 
 
-def test_check_consistency_report_digest(tmp_path, capsys):
+def _cli_digest(tmp_path, capsys, args, docs, exit_code=0):
+    """Write each document to a file passed as ``--<name>``, run the CLI,
+    check its exit code and return the digest of its stdout."""
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        args = args + [f"--{name}", str(path)]
+    assert main(args) == exit_code
+    return _digest(capsys.readouterr().out)
+
+
+def _branching_documents():
     data = branch_data(2, 2, 5)
     system, shift = branching_tree_system(data, 5)
-    docs = {
+    return {
         "tree": {"family": "t-eta-kappa", "params": {"eta": 2, "kappa": 2, "depth": 5}},
         "weights": {
             "weights": [
@@ -181,10 +194,27 @@ def test_check_consistency_report_digest(tmp_path, capsys):
         },
         "system": system.as_dict(),
     }
+
+
+def test_check_consistency_report_digest(tmp_path, capsys):
     args = ["check-consistency", "--depth", "1"]
-    for name, doc in docs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        args += [f"--{name}", str(path)]
-    assert main(args) == 0
-    assert _digest(capsys.readouterr().out) == GOLDEN["cli-check-consistency"]
+    digest = _cli_digest(tmp_path, capsys, args, _branching_documents())
+    assert digest == GOLDEN["cli-check-consistency"]
+
+
+def test_check_consistency_depth_two_report_digest(tmp_path, capsys):
+    args = ["check-consistency", "--depth", "2"]
+    digest = _cli_digest(tmp_path, capsys, args, _branching_documents())
+    assert digest == GOLDEN["cli-check-consistency-depth-2"]
+
+
+def test_certify_sequences_report_digest(tmp_path, capsys):
+    """The half line of depth 3 with unit weights and the constant sequence
+    1 at every vertex: the conditional report built from sequences."""
+    docs = {
+        "tree": {"family": "unilateral", "params": {"depth": 3}},
+        "weights": {"weights": [1.0, 1.0, 1.0]},
+        "sequences": {"sequences": {str(k): [1.0] * 8 for k in range(4)}},
+    }
+    digest = _cli_digest(tmp_path, capsys, ["certify", "--family", "general"], docs, 2)
+    assert digest == GOLDEN["cli-certify-sequences"]

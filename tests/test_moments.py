@@ -334,6 +334,14 @@ def test_a_refuted_prefix_stays_refuted_when_extended(t, cut, extra):
     assert not check_stieltjes(prefix + extra).consistent
 
 
+def test_an_exact_pivot_past_the_largest_float_reads_as_minus_infinity():
+    # an example of the property above: the exact fallback's smallest scaled
+    # pivot is a Fraction below -max_float
+    v = check_stieltjes([1.0, 5.69772716207243e-157, 3.24640948133e-313, 0.0, 1.0, 0.0, 0.0])
+    assert not v.consistent
+    assert v.min_pivot_hankel == -math.inf
+
+
 def _scaled_min_eig(t, size, offset):
     H = np.array([[t[i + j + offset] for j in range(size)] for i in range(size)])
     scale = 1.0 / np.sqrt(np.diag(H))
