@@ -4,6 +4,11 @@ Subcommands ingest JSON documents (validated against the schemas shipped
 under ``schemas/``), run the library certifiers, and emit deterministic
 reports: byte-identical for identical inputs, no timestamps.  Exit codes:
 0 certified/consistent, 1 refuted, 2 conditional, 3 input error.
+
+Only the input layer (``report``, ``tree``, ``shift``) is imported with this
+module.  Each handler imports the certifier modules it calls once its input
+documents are parsed and checked, so a process pays for the moment engine and
+the certifiers only when its subcommand runs them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from . import consistency, models, moments, truncation
 from .report import (
     CERTIFIED,
     CONDITIONAL,
@@ -393,7 +397,10 @@ def _load_shift(args):
 
 
 def _load_system(path: str):
-    return consistency.system_from_json(load_document(path, "system"))
+    doc = load_document(path, "system")
+    from . import consistency
+
+    return consistency.system_from_json(doc)
 
 
 def _load_sequences(path: str):
@@ -481,6 +488,8 @@ def _cmd_check_stieltjes(args, config: RunConfig) -> int:
         doc = load_document(args.input, "moments")
     else:
         raise InputError("supply --t or --input")
+    from . import moments
+
     verdict = moments.check_stieltjes(doc["t"], tol=config.tol)
     return _emit(
         {
@@ -496,7 +505,10 @@ def _cmd_check_stieltjes(args, config: RunConfig) -> int:
 def _cmd_backward_extend(args, config: RunConfig) -> int:
     if not math.isfinite(args.theta):
         raise InputError(f"--theta must be finite, got {args.theta}")
-    mu = moments.measure_from_json(load_document(args.measure, "measure"))
+    doc = load_document(args.measure, "measure")
+    from . import moments
+
+    mu = moments.measure_from_json(doc)
     try:
         nu = moments.backward_extend(mu, args.theta)
     except moments.NoBackwardExtensionError as exc:
@@ -537,6 +549,8 @@ def _cmd_backward_extend(args, config: RunConfig) -> int:
 def _cmd_check_consistency(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
+    from . import consistency
+
     depth = args.depth
     if args.vertex:
         u = vertex_from_key(args.vertex)
@@ -564,6 +578,8 @@ def _cmd_check_consistency(args, config: RunConfig) -> int:
 def _cmd_truncate(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
+    from . import truncation
+
     entry = truncation.truncate(system, shift, args.window)
     report = truncation.verify_truncated_consistency(entry, tol=config.tol)
     witness = None
@@ -591,6 +607,8 @@ def _cmd_truncate(args, config: RunConfig) -> int:
 def _cmd_converge(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
+    from . import truncation
+
     u = vertex_from_key(args.vertex)
     table = truncation.convergence_report(system, shift, u, args.power, config.i_list)
     payload = {
@@ -612,6 +630,8 @@ def _cmd_certify(args, config: RunConfig) -> int:
         entries = doc["weights"]
         if entries and vertex_keyed(entries):
             raise InputError("unilateral certification expects a bare weight list")
+        from . import models
+
         cert = models.certify_unilateral(entries, tol=config.tol)
         payload = cert.as_dict()
     elif family == "bilateral":
@@ -627,10 +647,14 @@ def _cmd_certify(args, config: RunConfig) -> int:
             if not isinstance(v, int):
                 raise InputError("bilateral vertices are integers")
             weights[v] = complex(item.get("re", 0.0), item.get("im", 0.0))
+        from . import models
+
         cert = models.certify_bilateral(weights, tol=config.tol)
         payload = cert.as_dict()
     elif family == "t-eta-kappa":
         doc = load_document(args.input, "branch")
+        from . import models
+
         data = models.branch_data_from_json(doc)
         depth = min(config.horizon, 8)
         cert = models.certify_t_eta_kappa(
@@ -644,34 +668,28 @@ def _cmd_certify(args, config: RunConfig) -> int:
         shift = _load_shift(args)
         if (args.system is None) == (args.sequences is None):
             raise InputError("supply exactly one of --system or --sequences")
-        if args.system is not None:
-            system = _load_system(args.system)
+        system = _load_system(args.system) if args.system is not None else None
+        sequences = _load_sequences(args.sequences) if args.sequences is not None else None
+        from . import consistency, moments
+
+        try:
             cert = consistency.certify_subnormal(
-                shift, system, horizon=config.horizon, tol=config.tol
+                shift, system, sequences, horizon=config.horizon, tol=config.tol
             )
-        else:
-            sequences = _load_sequences(args.sequences)
-            try:
-                cert = consistency.certify_subnormal(
-                    shift,
-                    sequences=sequences,
-                    horizon=config.horizon,
-                    tol=config.tol,
-                )
-            except moments.RefutedSequenceError as exc:
-                verdict = exc.verdict
-                payload = {
-                    "command": "certify",
-                    "family_mode": family,
-                    "status": REFUTED,
-                    "exit_code": EXIT_REFUTED,
-                    "witness": {
-                        "check": "hankel",
-                        "reason": str(exc),
-                        "verdict": verdict.as_dict() if verdict else None,
-                    },
-                }
-                return _emit(payload, config)
+        except moments.RefutedSequenceError as exc:
+            verdict = exc.verdict
+            payload = {
+                "command": "certify",
+                "family_mode": family,
+                "status": REFUTED,
+                "exit_code": EXIT_REFUTED,
+                "witness": {
+                    "check": "hankel",
+                    "reason": str(exc),
+                    "verdict": verdict.as_dict() if verdict else None,
+                },
+            }
+            return _emit(payload, config)
         payload = cert.as_dict()
     else:
         raise InputError(f"unknown family {family!r}")

@@ -35,6 +35,13 @@ class ConsistencySumError(ValueError):
     probability measure at the parent can close the identity."""
 
 
+class MissingMeasureError(KeyError):
+    """A vertex for which a measure system stores no measure."""
+
+    def __str__(self):
+        return f"no measure stored for vertex {self.args[0]!r}"
+
+
 @dataclass(frozen=True)
 class MeasureSystem:
     """Per-vertex probability measures plus per-vertex point masses at zero."""
@@ -58,7 +65,7 @@ class MeasureSystem:
 
     def measure(self, u) -> AtomicMeasure:
         if u not in self.mu:
-            raise KeyError(f"no measure stored for vertex {u!r}")
+            raise MissingMeasureError(u)
         return self.mu[u]
 
     def eps_at(self, u) -> float:
@@ -157,12 +164,15 @@ class ConsistencyReport:
 def _generation_terms(shift, u, n, measure_of) -> dict:
     """The terms of the depth-n identity at u: each vertex of the n-th
     generation below u under a nonzero path weight, in vertex order, mapped
-    to its squared path weight and its measure."""
-    return {
-        v: (c, measure_of(v))
-        for v, pw in shift.power_coefficients(u, n).items()
-        if (c := _mod_sq(pw)) != 0.0
-    }
+    to its squared path weight and its measure.  At n = 1 the generation is
+    u's child tuple, already in vertex order, under the children's own
+    weights."""
+    tree = shift.tree
+    if n == 1 and tree.available_depth(u) >= 1:
+        level = ((v, shift.weights[v]) for v in tree.children(u))
+    else:
+        level = shift.power_coefficients(u, n).items()
+    return {v: (c, measure_of(v)) for v, pw in level if (c := _mod_sq(pw)) != 0.0}
 
 
 def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyReport:

@@ -27,6 +27,9 @@ FAMILIES = (EXPLICIT, UNILATERAL, BILATERAL_WINDOW, T_ETA_KAPPA)
 class UnknownVertexError(KeyError):
     """A vertex id that does not belong to the tree."""
 
+    def __str__(self):
+        return f"vertex {self.args[0]!r} is not in the tree"
+
 
 class HorizonError(ValueError):
     """Query requires levels of a generated family beyond the window depth."""

@@ -164,6 +164,45 @@ def test_check_consistency_depth_past_the_window_is_an_input_error(
     assert "--depth 5 exceeds the window height 4" in captured.err
 
 
+@pytest.fixture
+def depth_six_path(tmp_path):
+    """A depth-6 path with unit weights, a full system and one that stores no
+    measure at vertex 3."""
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 6}})
+    weights = write(tmp_path, "weights.json", {"weights": [1.0] * 6})
+    delta = {"atoms": [{"x": 1.0, "w": 1.0}]}
+    eps = {str(k): 0.0 for k in range(7)}
+    full = write(
+        tmp_path, "full.json", {"measures": {str(k): delta for k in range(7)}, "eps": eps}
+    )
+    holed = write(
+        tmp_path,
+        "holed.json",
+        {"measures": {str(k): delta for k in range(7) if k != 3}, "eps": eps},
+    )
+    return tree, weights, full, holed
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--vertex", "9"], "vertex 9 is not in the tree"),
+        (
+            ["converge", "--system", "full", "--vertex", "9", "--power", "1"],
+            "vertex 9 is not in the tree",
+        ),
+        (["check-consistency", "--system", "holed"], "no measure stored for vertex 3"),
+    ],
+)
+def test_missing_vertices_are_named_in_a_sentence(depth_six_path, capsys, argv, message):
+    tree, weights, full, holed = depth_six_path
+    argv = [{"full": full, "holed": holed}.get(a, a) for a in argv]
+    code = main(argv[:1] + ["--tree", tree, "--weights", weights] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_converge_table(unilateral_inputs, capsys):
     tree, weights, system = unilateral_inputs
     code, out = run_cli(
@@ -496,6 +535,44 @@ def test_package_import_loads_neither_numpy_nor_jsonschema():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+HEAVY_MODULES = ("moments", "consistency", "models", "truncation")
+
+
+def _heavy_modules_after_main(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and which of the
+    certifier modules it left in ``sys.modules``."""
+    code = (
+        "import json, sys; from treeshift.cli import main; code = main(%r); "
+        "print(json.dumps([code, [m for m in %r if 'treeshift.' + m in sys.modules]]))"
+        % (argv, HEAVY_MODULES)
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, unilateral_inputs):
+    tree, weights, system = unilateral_inputs
+    measure = write(tmp_path, "m.json", {"atoms": [{"x": 1.0, "w": 1.0}]})
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"weights": [1,')
+    general = ["certify", "--family", "general", "--tree", tree, "--weights", weights]
+    cases = [
+        (["validate-tree", "--tree", tree], 0, []),
+        (["certify", "--family", "unilateral", "--weights", str(broken)], 3, []),
+        (["check-stieltjes", "--t", "[1,1,0,0]"], 1, ["moments"]),
+        (["backward-extend", "--measure", measure, "--theta", "2.0"], 0, ["moments"]),
+        (["check-consistency", "--tree", tree, "--weights", weights, "--system", system],
+         0, ["moments", "consistency"]),
+        (general + ["--system", system], 0, ["moments", "consistency"]),
+        (["truncate", "--tree", tree, "--weights", weights, "--system", system,
+          "--window", "2"], 0, ["moments", "consistency", "truncation"]),
+        (["certify", "--family", "unilateral", "--weights", weights],
+         0, ["moments", "consistency", "models"]),
+    ]
+    for argv, exit_code, loaded in cases:
+        assert _heavy_modules_after_main(argv) == [exit_code, loaded], argv
 
 
 def _main_in_subprocess(argv, blocked=None):

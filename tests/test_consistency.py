@@ -24,10 +24,16 @@ from treeshift import (
     system_from_json,
     truncated_tree,
 )
-from treeshift.consistency import identity_reports, measure_discrepancy, relative_errors
+from treeshift.consistency import (
+    _generation_terms,
+    identity_reports,
+    measure_discrepancy,
+    relative_errors,
+)
+from treeshift.shift import _mod_sq
 from treeshift.tree import HorizonError
 
-from conftest import family_windows, random_consistent_system
+from conftest import family_windows, random_complex_weights, random_consistent_system
 
 
 def delta_one_system(depth=4):
@@ -263,6 +269,33 @@ def test_identity_reports_equal_the_per_vertex_loop(rng):
             assert reports == _reference_identity_reports(system, shift, n)
             assert all(r.depth == n for r in reports)
         assert certify_subnormal(shift, system).consistency == identity_reports(system, shift)
+
+
+def test_depth_one_terms_equal_the_first_power_bit_for_bit(rng):
+    """At depth one the identity reads u's child tuple directly: the same
+    vertices, in the same order, with squared weights bit-equal to those of
+    ``power_coefficients(u, 1)``; a vertex with no complete level below it
+    still raises HorizonError."""
+    for tree in family_windows():
+        shift = random_complex_weights(rng, tree)
+        weights = dict(shift.weights)
+        for v in list(weights)[::3]:
+            weights[v] = 0.0
+        for shift in (shift, WeightedShift(tree, weights)):
+            for u in tree.sorted_vertices:
+                if tree.available_depth(u) < 1:
+                    with pytest.raises(HorizonError):
+                        _generation_terms(shift, u, 1, lambda v: v)
+                    continue
+                terms = _generation_terms(shift, u, 1, lambda v: v)
+                expected = [
+                    (v, c)
+                    for v, pw in shift.power_coefficients(u, 1).items()
+                    if (c := _mod_sq(pw)) != 0.0
+                ]
+                assert [v for v, _ in expected] == list(terms)
+                assert _bits(c for _, c in expected) == _bits(c for c, _ in terms.values())
+                assert all(terms[v][1] == v for v in terms)
 
 
 def test_parent_from_children_examples():

@@ -1,0 +1,80 @@
+"""The package's lazy exports: every public name resolves to the object its
+submodule defines, and a bare ``import treeshift`` loads no submodule."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import treeshift
+
+EXPORTS = {
+    "consistency": [
+        "Certificate", "ConsistencyReport", "ConsistencySumError", "MeasureSystem",
+        "MomentsMatchReport", "build_system_from_sequences", "certify_subnormal",
+        "check_consistency_at", "child_from_parent_single", "measure_discrepancy",
+        "moments_match", "parent_from_children", "propagate_check", "system_from_json",
+    ],
+    "models": [
+        "BranchData", "BranchExtraction", "ModelCertificate", "TwoSidedSequence",
+        "branch_data_from_json", "certify_bilateral", "certify_t_eta_kappa",
+        "certify_unilateral", "extract_branch_data", "product_moments", "root_inequality",
+        "root_measure_equivalence_check", "trunk_conditions", "two_sided_from_weights",
+    ],
+    "moments": [
+        "AtomicMeasure", "DeterminacyDiagnostic", "MomentSequence",
+        "NoBackwardExtensionError", "QuadratureResult", "RefutedSequenceError",
+        "StieltjesVerdict", "backward_extend", "carleman_diagnostic", "cauchy_schwarz_bound",
+        "check_stieltjes", "forward_map", "measure_from_json", "moments_of",
+        "quadrature_from_moments", "scaled_inverse_integral", "superpose",
+    ],
+    "report": ["CERTIFIED", "CONDITIONAL", "REFUTED"],
+    "shift": ["NormBoundReport", "StructuralReport", "WeightedShift", "weights_from_json"],
+    "tree": [
+        "DirectedTree", "HorizonError", "UnknownVertexError", "ValidationReport",
+        "explicit_tree", "make_family", "tree_from_json", "truncated_tree", "validate",
+        "vertex_sort_key",
+    ],
+    "truncation": [
+        "ConvergenceTable", "TruncationEntry", "TruncationReport", "convergence_report",
+        "truncate", "truncated_path_weight", "verify_truncated_consistency",
+    ],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def test_all_lists_the_exported_names():
+    assert len(NAMES) == len(set(NAMES)) == 69
+    assert sorted(treeshift.__all__) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_its_submodules_object(module):
+    submodule = importlib.import_module(f"treeshift.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(treeshift, name) is getattr(submodule, name), name
+
+
+def test_dir_and_star_import_list_every_name():
+    assert set(NAMES) <= set(dir(treeshift))
+    namespace = {}
+    exec("from treeshift import *", namespace)
+    assert set(NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(treeshift, name) for name in NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        treeshift.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from treeshift import no_such_name", {})
+
+
+def test_bare_import_loads_no_submodule():
+    code = (
+        "import sys, treeshift; "
+        "print(sorted(m for m in sys.modules if m.startswith('treeshift')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['treeshift']"
