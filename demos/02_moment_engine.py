@@ -14,13 +14,12 @@ from treeshift import (
     cauchy_schwarz_bound,
     check_stieltjes,
     forward_map,
-    moments_of,
     quadrature_from_moments,
 )
 
 print("=== atomic measures and moments ===")
 mix = AtomicMeasure(((1.0, 0.5), (2.0, 0.5)))
-print(f"half-and-half at 1 and 2: moments {moments_of(mix, 5).values}")
+print(f"half-and-half at 1 and 2: moments {mix.moments(5)}")
 print(f"inverse moment (integral of 1/s): {mix.moment(-1)}")
 
 print()

@@ -47,7 +47,6 @@ _EXPORTS = {
     "moments": (
         "AtomicMeasure",
         "DeterminacyDiagnostic",
-        "MomentSequence",
         "NoBackwardExtensionError",
         "QuadratureResult",
         "RefutedSequenceError",
@@ -58,7 +57,6 @@ _EXPORTS = {
         "check_stieltjes",
         "forward_map",
         "measure_from_json",
-        "moments_of",
         "quadrature_from_moments",
         "scaled_inverse_integral",
         "superpose",

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .moments import (
     AtomicMeasure,
+    RefutedSequenceError,
     as_values,
     carleman_diagnostic,
     measure_from_json,
@@ -247,6 +248,21 @@ def _witness(vertex, check: str, discrepancy, position, reason: str, **extra) ->
     }
 
 
+def hankel_witness(verdict, **where) -> dict:
+    """Witness of a failed Hankel test, located by ``where`` (a vertex or a
+    shift).  A refuted two-moment prefix has no Hankel block, so its
+    ``verdict`` is None and the block, vector and form are None too."""
+    if verdict is None:
+        return {"check": "hankel", **where, "block": None, "vector": None, "quadratic_form": None}
+    return {
+        "check": "hankel",
+        **where,
+        "block": verdict.witness_block,
+        "vector": list(verdict.witness_vector),
+        "quadratic_form": verdict.witness_value,
+    }
+
+
 def identity_witness(reports, **extra) -> dict | None:
     """Witness of the first failed identity check among ``reports``, with
     ``extra`` keys added, or None when every check holds."""
@@ -364,6 +380,8 @@ def build_system_from_sequences(
     other vertex receives the measure and deficit that close the identity
     over its children, or, where no probability measure does, the
     quadrature measure of its own sequence, which the identity then refutes.
+    A sequence that quadrature refuses raises :class:`RefutedSequenceError`
+    with its vertex.
     """
     tree = shift.tree
     mu: dict = {}
@@ -385,7 +403,11 @@ def build_system_from_sequences(
             except ConsistencySumError:
                 pass
         values = as_values(sequences[v])
-        mu[v] = quadrature_from_moments(values, tol=tol).measure
+        try:
+            mu[v] = quadrature_from_moments(values, tol=tol).measure
+        except RefutedSequenceError as exc:
+            exc.vertex = v
+            raise
         eps[v] = mu[v].mass_at_zero
         if v in tree.frontier and len(values) >= 3:
             diagnostics[v] = carleman_diagnostic(values[1:])
@@ -461,16 +483,34 @@ def certify_subnormal(
     Either a system or per-vertex moment sequences must be given; sequences
     are turned into a system first (conditionally, via quadrature at the
     frontier), and every supplied moment must be reproduced by the measure
-    built at its vertex.  The identity is checked at every vertex whose
-    children are inside the window, measure moments are compared with power
-    norms, structural obstructions are reported, and with nonzero weights
-    the zero masses on non-root vertices must vanish.
+    built at its vertex; a sequence that fails the Hankel test refutes with a
+    ``hankel`` witness at its vertex, and no system is built.  The identity
+    is checked at every vertex whose children are inside the window, measure
+    moments are compared with power norms, structural obstructions are
+    reported, and with nonzero weights the zero masses on non-root vertices
+    must vanish.
     """
     if (system is None) == (sequences is None):
         raise ValueError("supply exactly one of system= or sequences=")
     notes: list[str] = []
     if system is None:
-        system = build_system_from_sequences(shift, sequences, tol=tol)
+        try:
+            system = build_system_from_sequences(shift, sequences, tol=tol)
+        except RefutedSequenceError as exc:
+            witness = hankel_witness(
+                exc.verdict, vertex=vertex_to_key(exc.vertex), reason=str(exc)
+            )
+            return Certificate(
+                status=REFUTED,
+                consistency=(),
+                moments=(),
+                structural=shift.structural_checks(),
+                eps_violations=(),
+                witness=witness,
+                notes=("a supplied sequence fails the Hankel test; no system was built",),
+                horizon=horizon,
+                tol=tol,
+            )
         notes.append("system built from moment sequences via quadrature")
     tree = shift.tree
     missing = [v for v in tree.sorted_vertices if v not in system.mu]

@@ -23,6 +23,7 @@ from .consistency import (
     MeasureSystem,
     certify_subnormal,
     first_failing_row,
+    hankel_witness,
     measure_discrepancy,
     relative_errors,
 )
@@ -97,29 +98,6 @@ def _refuted(family: str, stieltjes: dict, detail: dict, witness: dict) -> Model
     )
 
 
-def _hankel_witness(verdict, **where) -> dict:
-    """Witness of a failed Hankel test, located by ``where`` (a vertex or a
-    shift)."""
-    return {
-        "check": "hankel",
-        **where,
-        "block": verdict.witness_block,
-        "vector": list(verdict.witness_vector),
-        "quadratic_form": verdict.witness_value,
-    }
-
-
-def _fitted_length(values) -> int:
-    """Length of the longest even-length prefix of ``values``: the orders
-    0 .. _fitted_length - 1 that the representing measure reproduces."""
-    return 2 * (len(values) // 2)
-
-
-def _representing_measure(values, tol: float) -> AtomicMeasure:
-    """Quadrature measure of the longest even-length prefix of ``values``."""
-    return quadrature_from_moments(values[: _fitted_length(values)], tol=tol).measure
-
-
 def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
     """Map the k-th of ``vertices`` to the base measure reweighted by s^k and
     normalized: the proof system along a path."""
@@ -166,9 +144,10 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
     verdict = check_stieltjes(values, tol=tol)
     if not verdict.consistent:
         detail = {"sequence": list(values)}
-        return _refuted(UNILATERAL, {"0": verdict}, detail, _hankel_witness(verdict, vertex="0"))
-    base = _representing_measure(values, tol)
-    depth = _fitted_length(values) - 1
+        return _refuted(UNILATERAL, {"0": verdict}, detail, hankel_witness(verdict, vertex="0"))
+    fit = quadrature_from_moments(values, tol=tol)
+    base = fit.measure
+    depth = 2 * fit.requested - 1
     tree = make_family(UNILATERAL, depth)
     certificate = _certify_on_path(tree, 0, weights[:depth], base, tol)
     return ModelCertificate(
@@ -194,7 +173,7 @@ def _unilateral_fallback(weights, tol) -> ModelCertificate:
         v = check_stieltjes(shift.moment_values(k, len(weights) - k), tol=tol)
         verdicts[str(k)] = v
         if not v.consistent and witness is None:
-            witness = _hankel_witness(v, vertex=vertex_to_key(k))
+            witness = hankel_witness(v, vertex=vertex_to_key(k))
     status = REFUTED if witness is not None else CONDITIONAL
     return ModelCertificate(
         status=status,
@@ -281,13 +260,14 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
         v = check_stieltjes(shifted, tol=tol)
         verdicts[str(k)] = v
         if not v.consistent and witness is None:
-            witness = _hankel_witness(v, shift=k)
+            witness = hankel_witness(v, shift=k)
     if witness is not None:
         return _refuted(BILATERAL_WINDOW, verdicts, {"two_sided": seq.as_dict()}, witness)
     root = seq.k_min
     base_values = seq.left_shift(-root)
-    base = _representing_measure(base_values, tol)
-    depth = _fitted_length(base_values) - 1
+    fit = quadrature_from_moments(base_values, tol=tol)
+    base = fit.measure
+    depth = 2 * fit.requested - 1
     tree = make_family(BILATERAL_WINDOW, depth=root + depth, back=-root)
     path_weights = [weights[root + k + 1] for k in range(depth)]
     certificate = _certify_on_path(tree, root, path_weights, base, tol)
@@ -408,7 +388,7 @@ def measures_from_branch_weights(branch_weights, tol: float = 1e-9) -> tuple:
     for ws in branch_weights:
         if not ws:
             raise ValueError("need at least one branch weight per branch")
-        measures.append(_representing_measure(product_moments(ws), tol))
+        measures.append(quadrature_from_moments(product_moments(ws), tol=tol).measure)
     return tuple(measures)
 
 
@@ -865,7 +845,7 @@ def extract_branch_data(
         checks[vertex_to_key(v)] = verdict
         if not verdict.consistent:
             raise RefutedSequenceError(
-                f"sequence at {v!r} fails the Hankel test", verdict
+                f"sequence at {v!r} fails the Hankel test", verdict, vertex=v
             )
     notes = []
     for v in required:
@@ -880,7 +860,7 @@ def extract_branch_data(
                 f"{values[n]} vs {norms[n]}"
             )
     measures = [
-        _representing_measure(as_values(sequences[(i, 1)]), tol)
+        quadrature_from_moments(sequences[(i, 1)], tol=tol).measure
         for i in range(1, eta + 1)
     ]
     trunk_weights = tuple(
@@ -910,7 +890,7 @@ def extract_branch_data(
         notes.append("infinite trunk: equalities checked up to the window")
     else:
         conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        nu = _representing_measure(as_values(sequences[-kappa]), tol)
+        nu = quadrature_from_moments(sequences[-kappa], tol=tol).measure
         conditions["root_measure_form"] = root_measure_conditions(
             data, nu, tol=max(tol, 1e-8)
         )

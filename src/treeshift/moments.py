@@ -21,17 +21,17 @@ from dataclasses import dataclass
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
 
-MEASURE_DERIVED = "measure-derived"
-WEIGHT_DERIVED = "weight-derived"
-USER = "user"
-
 
 class RefutedSequenceError(ValueError):
-    """A sequence failed the Hankel positivity test where one was required."""
+    """A sequence failed the Hankel positivity test where one was required:
+    ``verdict`` is the failed test (None for a two-moment prefix, which has
+    no Hankel block) and ``vertex`` the vertex whose sequence it was, when
+    the caller knows it."""
 
-    def __init__(self, message, verdict=None):
+    def __init__(self, message, verdict=None, vertex=None):
         super().__init__(message)
         self.verdict = verdict
+        self.vertex = vertex
 
 
 class NoBackwardExtensionError(ValueError):
@@ -251,55 +251,8 @@ def scaled_inverse_integral(weight_sq: float, mu: AtomicMeasure, power: int = 1)
     return weight_sq * mu.moment(-power)
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """A finite prefix t_0..t_N of a real sequence, with its origin recorded."""
-
-    values: tuple
-    origin: str = USER
-
-    def __post_init__(self):
-        values = tuple(float(t) for t in self.values)
-        for n, t in enumerate(values):
-            if not math.isfinite(t):
-                raise ValueError(f"moment t_{n} = {t} is not finite")
-        if len(values) < 2:
-            raise ValueError("a moment sequence needs at least t_0 and t_1")
-        if self.origin == WEIGHT_DERIVED and abs(values[0] - 1.0) > 1e-9:
-            raise ValueError("weight-derived sequences start at 1")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-    def shifted(self) -> "MomentSequence":
-        return MomentSequence(self.values[1:], origin=USER)
-
-    def prepended(self, theta: float) -> "MomentSequence":
-        return MomentSequence((float(theta),) + self.values, origin=USER)
-
-    def as_dict(self) -> dict:
-        return {"t": list(self.values), "origin": self.origin}
-
-
 def as_values(seq) -> tuple:
-    if isinstance(seq, MomentSequence):
-        return seq.values
     return tuple(float(t) for t in seq)
-
-
-def moments_of(mu: AtomicMeasure, n_max: int) -> MomentSequence:
-    """Moment sequence of an atomic measure up to order n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return MomentSequence(mu.moments(n_max), origin=MEASURE_DERIVED)
 
 
 @dataclass(frozen=True)
@@ -502,7 +455,9 @@ def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
     order = len(values) - 1
     if order < 2:
         raise ValueError("the Hankel test needs t_0..t_N with N >= 2")
-    MomentSequence(values)  # refuses a moment that is not finite
+    for n, t in enumerate(values):
+        if not math.isfinite(t):
+            raise ValueError(f"moment t_{n} = {t} is not finite")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"the Hankel tolerance must be nonnegative and finite, got {tol}")
     blocks = {}

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .tree import DirectedTree, UnknownVertexError, _computed_leafless, vertex_sort_key
+from .tree import (
+    DirectedTree,
+    UnknownVertexError,
+    _computed_leafless,
+    vertex_sort_key,
+    vertex_to_key,
+)
 
 
 def _fsum_complex(terms) -> complex:
@@ -56,7 +62,7 @@ class NormBoundReport:
     def as_dict(self):
         return {
             "value": self.value,
-            "attained_at": repr(self.attained_at),
+            "attained_at": None if self.attained_at is None else vertex_to_key(self.attained_at),
             "horizon_limited": self.horizon_limited,
             "per_level_max": list(self.per_level_max),
         }
@@ -78,7 +84,7 @@ class StructuralReport:
             "leafless_source": self.leafless_source,
             "nonzero_weights": self.nonzero_weights,
             "injective": self.injective,
-            "zero_sum_vertices": [repr(v) for v in self.zero_sum_vertices],
+            "zero_sum_vertices": [vertex_to_key(v) for v in self.zero_sum_vertices],
             "not_hyponormal": self.not_hyponormal,
             "verdict": self.verdict,
         }
@@ -106,7 +112,6 @@ class WeightedShift:
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise ValueError(f"weight {w} of vertex {v!r} is not finite")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_norm_cache", {})
 
     # -- weights ----------------------------------------------------------
 
@@ -171,41 +176,20 @@ class WeightedShift:
             norms.append(math.fsum([_mod_sq(coeff) for _, coeff in level]))
         return norms, level
 
-    def _norms(self, u, n: int) -> list:
-        """The cached list of squared power norms at u, walked again (longer)
-        when it stops short of order n."""
-        norms = self._norm_cache.get(u)
-        if norms is None or not 0 <= n < len(norms):
-            norms = self._norm_cache[u] = self._walk(u, n)[0]
-        return norms
-
     def power_coefficients(self, u, n: int) -> dict:
         """Coefficient map of the n-th power applied to the basis vector at u,
-        keyed by the n-th generation below u.
-
-        The walk's norms replace the cached list at u when they reach
-        further."""
-        norms, level = self._walk(u, n)
-        if len(norms) > len(self._norm_cache.get(u, ())):
-            self._norm_cache[u] = norms
-        level = dict(level)
+        keyed by the n-th generation below u."""
+        level = dict(self._walk(u, n)[1])
         return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
 
     def power_norm_sq(self, u, n: int) -> float:
-        """Squared norm of the n-th power on the basis vector at u.
-
-        Read from the list of norms the shift keeps per vertex (see
-        :meth:`moment_values`); an order beyond that list walks again."""
-        return self._norms(u, n)[n]
+        """Squared norm of the n-th power on the basis vector at u."""
+        return self._walk(u, n)[0][n]
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
-        """The sequence of squared power norms at u, orders 0..n_max.
-
-        One walk down the tree computes every order up to n_max, and the
-        shift keeps the list of norms per vertex.  A later call for the same
-        vertex at a lower or equal order does no arithmetic; a higher order
-        walks again and replaces the list with the longer one."""
-        return tuple(self._norms(u, n_max)[: n_max + 1])
+        """The sequence of squared power norms at u, orders 0..n_max, from one
+        walk down the tree."""
+        return tuple(self._walk(u, n_max)[0])
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th

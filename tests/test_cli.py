@@ -431,6 +431,28 @@ def test_certify_general_with_two_atom_sequences_is_conditional(tmp_path, capsys
     assert json.loads(out)["status"] == "conditional"
 
 
+def test_certify_general_names_the_vertex_whose_sequence_fails_hankel(tmp_path, capsys):
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 3}})
+    weights = write(tmp_path, "w.json", {"weights": [1.0, 1.0, 1.0]})
+    sequences = {str(k): [1, 1, 1, 1] for k in range(3)}
+    sequences["3"] = [1, 2, 1, 5]
+    seqs = write(tmp_path, "seqs.json", {"sequences": sequences})
+    args = ["certify", "--family", "general", "--tree", tree, "--weights", weights]
+    code, out = run_cli(args + ["--sequences", seqs], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "refuted"
+    assert report["witness"] == {
+        "vertex": "3",
+        "check": "hankel",
+        "block": "hankel",
+        "vector": [-1.9999999979999998, 1.0],
+        "quadratic_form": -3.0,
+        "reason": "cannot reconstruct a measure from a refuted sequence",
+    }
+    assert report["consistency"] == [] and report["moments"] == []
+
+
 def test_env_tolerance_override(unilateral_inputs, capsys, monkeypatch):
     tree, weights, system = unilateral_inputs
     monkeypatch.setenv("TREESHIFT_TOL", "1e-3")

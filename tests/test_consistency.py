@@ -11,6 +11,7 @@ from treeshift import (
     ConsistencySumError,
     MeasureSystem,
     REFUTED,
+    RefutedSequenceError,
     WeightedShift,
     build_system_from_sequences,
     certify_subnormal,
@@ -490,6 +491,37 @@ def test_true_leaf_under_a_nonzero_weight_is_refuted_at_its_parent():
     assert cert.witness["check"] == "consistency-identity"
     assert cert.witness["vertex"] == "0"
     assert "carries mass 1.0 at zero" in cert.witness["reason"]
+
+
+def test_a_sequence_that_fails_the_hankel_test_is_refuted_at_its_vertex():
+    shift = WeightedShift(make_family("unilateral", 3), {k: 1.0 for k in range(1, 4)})
+    sequences = {0: (1, 1, 1, 1), 1: (1, 1, 1, 1), 2: (1, 1, 1, 1), 3: (1, 2, 1, 5)}
+    with pytest.raises(RefutedSequenceError) as caught:
+        build_system_from_sequences(shift, sequences)
+    assert caught.value.vertex == 3
+    verdict = check_stieltjes((1, 2, 1, 5))
+    cert = certify_subnormal(shift, sequences=sequences)
+    assert cert.status == REFUTED
+    assert cert.witness == {
+        "vertex": "3",
+        "check": "hankel",
+        "block": verdict.witness_block,
+        "vector": list(verdict.witness_vector),
+        "quadratic_form": verdict.witness_value,
+        "reason": "cannot reconstruct a measure from a refuted sequence",
+    }
+    assert cert.consistency == () and cert.moments == ()
+    # a two-moment prefix has no Hankel block to show
+    cert = certify_subnormal(shift, sequences={**sequences, 3: (1.0, -2.0)})
+    assert cert.status == REFUTED
+    assert cert.witness == {
+        "vertex": "3",
+        "check": "hankel",
+        "block": None,
+        "vector": None,
+        "quadratic_form": None,
+        "reason": "two-moment prefix (1.0, -2.0) admits no measure",
+    }
 
 
 def test_parent_from_children_drops_a_deficit_at_the_tolerance():

@@ -23,7 +23,11 @@ from treeshift import (
     root_measure_equivalence_check,
     two_sided_from_weights,
 )
-from treeshift.models import trunk_conditions, verify_branch_moments
+from treeshift.models import (
+    measures_from_branch_weights,
+    trunk_conditions,
+    verify_branch_moments,
+)
 
 from conftest import stratified_atoms
 
@@ -453,6 +457,14 @@ def test_extract_fast_growth_stays_conditional():
     assert ext.status == CONDITIONAL
     assert ext.diagnostic.label == "convergence-trend"
     assert any("conditional" in n for n in ext.notes)
+
+
+def test_branch_weights_whose_products_fail_the_hankel_test_are_refused():
+    # products 1, 1, 0.01: the 2 x 2 Hankel block has determinant -0.99
+    with pytest.raises(RefutedSequenceError, match="refuted sequence"):
+        measures_from_branch_weights([(1.0, 0.1)])
+    # one weight gives two products, checked as a two-moment prefix
+    assert measures_from_branch_weights([(2.0,)])[0].atoms == ((4.0, 1.0),)
 
 
 def test_extract_rejects_refuted_sequences():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from treeshift import (
     AtomicMeasure,
-    MomentSequence,
     NoBackwardExtensionError,
     RefutedSequenceError,
     backward_extend,
@@ -16,12 +15,11 @@ from treeshift import (
     cauchy_schwarz_bound,
     check_stieltjes,
     forward_map,
-    moments_of,
     quadrature_from_moments,
     superpose,
 )
 from treeshift import moments
-from treeshift.moments import MERGE_TOL, MEASURE_DERIVED, measure_from_json
+from treeshift.moments import MERGE_TOL, measure_from_json
 
 from conftest import random_probability_measure, stratified_atoms
 
@@ -55,9 +53,9 @@ def test_non_finite_atoms_are_rejected():
 
 def test_non_finite_moments_are_rejected():
     with pytest.raises(ValueError, match="t_1 = nan is not finite"):
-        MomentSequence((1.0, math.nan))
+        check_stieltjes((1.0, math.nan, 1.0))
     with pytest.raises(ValueError, match="t_2 = -inf is not finite"):
-        MomentSequence((1.0, 1.0, -math.inf))
+        check_stieltjes((1.0, 1.0, -math.inf))
 
 
 # -- the superposition kernel --------------------------------------------------
@@ -182,12 +180,11 @@ def test_moments_equal_moment_by_order_exactly(measure, n):
 
 def test_moments_of_examples():
     d0 = AtomicMeasure.delta(0.0)
-    assert moments_of(d0, 4).values == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert d0.moments(4) == (1.0, 0.0, 0.0, 0.0, 0.0)
     d1 = AtomicMeasure.delta(1.0)
-    assert moments_of(d1, 4).values == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert d1.moments(4) == (1.0, 1.0, 1.0, 1.0, 1.0)
     mix = AtomicMeasure(((1.0, 0.5), (2.0, 0.5)))
-    assert moments_of(mix, 3).values == (1.0, 1.5, 2.5, 4.5)
-    assert moments_of(mix, 3).origin == MEASURE_DERIVED
+    assert mix.moments(3) == (1.0, 1.5, 2.5, 4.5)
 
 
 def test_inverse_moments():
@@ -561,6 +558,20 @@ def test_ql_seed_agrees_with_numpy_eigh():
         assert np.abs(np.array(weights) - vectors[0] ** 2).max() <= 1e-12
 
 
+def test_odd_length_quadrature_equals_its_even_prefix_bit_for_bit():
+    # quadrature fits the leading 2k moments of a sequence of length 2k or
+    # 2k + 1, so a genuine sequence and its even prefix give the same atoms
+    rng = np.random.default_rng(818)
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        mu = AtomicMeasure(tuple(zip(rng.uniform(0.3, 3.0, k), rng.uniform(0.05, 1.0, k))))
+        values = mu.moments(2 * k)
+        odd, even = quadrature_from_moments(values), quadrature_from_moments(values[: 2 * k])
+        assert odd.measure.atoms == even.measure.atoms
+        assert odd.requested == even.requested == k
+        assert odd.rank == even.rank
+
+
 def _numpy_jacobi_eigen(alphas, betas):
     """The quadrature seed as numpy.linalg.eigh gave it, kept as the oracle."""
     if len(alphas) == 1:
@@ -760,17 +771,3 @@ def test_carleman_zero_entry_diverges():
 def test_carleman_bounded_sequence_diverges():
     d = carleman_diagnostic([1.0] * 33)
     assert d.label == "divergence-trend"
-
-
-# -- sequence type ----------------------------------------------------------------
-
-
-def test_moment_sequence_validation():
-    with pytest.raises(ValueError):
-        MomentSequence((1.0,))
-    with pytest.raises(ValueError):
-        MomentSequence((2.0, 1.0), origin="weight-derived")
-    seq = MomentSequence((1.0, 2.0, 5.0), origin="weight-derived")
-    assert seq.order == 2
-    assert seq.shifted().values == (2.0, 5.0)
-    assert seq.prepended(3.0).values == (3.0, 1.0, 2.0, 5.0)

@@ -2,8 +2,10 @@
 submodule defines, and a bare ``import treeshift`` loads no submodule."""
 
 import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +25,10 @@ EXPORTS = {
         "root_measure_equivalence_check", "trunk_conditions", "two_sided_from_weights",
     ],
     "moments": [
-        "AtomicMeasure", "DeterminacyDiagnostic", "MomentSequence",
-        "NoBackwardExtensionError", "QuadratureResult", "RefutedSequenceError",
-        "StieltjesVerdict", "backward_extend", "carleman_diagnostic", "cauchy_schwarz_bound",
-        "check_stieltjes", "forward_map", "measure_from_json", "moments_of",
-        "quadrature_from_moments", "scaled_inverse_integral", "superpose",
+        "AtomicMeasure", "DeterminacyDiagnostic", "NoBackwardExtensionError",
+        "QuadratureResult", "RefutedSequenceError", "StieltjesVerdict", "backward_extend",
+        "carleman_diagnostic", "cauchy_schwarz_bound", "check_stieltjes", "forward_map",
+        "measure_from_json", "quadrature_from_moments", "scaled_inverse_integral", "superpose",
     ],
     "report": ["CERTIFIED", "CONDITIONAL", "REFUTED"],
     "shift": ["NormBoundReport", "StructuralReport", "WeightedShift", "weights_from_json"],
@@ -45,7 +46,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_all_lists_the_exported_names():
-    assert len(NAMES) == len(set(NAMES)) == 69
+    assert len(NAMES) == len(set(NAMES)) == 67
     assert sorted(treeshift.__all__) == sorted(NAMES)
 
 
@@ -78,3 +79,24 @@ def test_bare_import_loads_no_submodule():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "['treeshift']"
+
+
+def _bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves():
+    # the benchmark's tracer wraps its targets by attribute path, and its
+    # install() raises KeyError or AttributeError for one that is gone
+    targets = _bench_tracing().TARGETS
+    for _, module_name, path, _ in targets:
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            assert callable(getattr(module, owner_name).__dict__[attr]), path
+        else:
+            assert callable(getattr(module, attr)), path

@@ -14,7 +14,7 @@ from treeshift import (
     weights_from_json,
 )
 from treeshift.shift import _mod_sq
-from treeshift.tree import vertex_sort_key
+from treeshift.tree import vertex_from_key, vertex_sort_key
 
 from conftest import (
     family_windows,
@@ -189,51 +189,10 @@ def test_walk_equals_reference_on_runs_and_branchings(rng):
         for u in tree.sorted_vertices:
             orders = _orders(tree, u)
             expect = [reference_norm_sq(s, u, n) for n in orders]
-            fresh = WeightedShift(tree, s.weights)
-            assert fresh.moment_values(u, orders[-1]) == tuple(expect)
+            assert s.moment_values(u, orders[-1]) == tuple(expect)
             for n in orders:
-                assert WeightedShift(tree, s.weights).power_norm_sq(u, n) == expect[n]
+                assert s.power_norm_sq(u, n) == expect[n]
                 assert s.power_coefficients(u, n) == reference_coefficients(s, u, n)
-
-
-def test_norm_cache_grows_per_vertex(rng):
-    # low, one higher, then high, then low again: every answer equals the
-    # reference and the shift keeps one list of norms per vertex, as long as
-    # the highest order asked for
-    for tree in _run_and_branch_trees(rng):
-        s = mixed_weights(rng, tree)
-        for u in tree.sorted_vertices:
-            top = _orders(tree, u)[-1]
-            expect = tuple(reference_norm_sq(s, u, n) for n in range(top + 1))
-            low = top // 3
-            assert s.power_norm_sq(u, low) == expect[low]
-            assert len(s._norm_cache[u]) == low + 1
-            if low < top:
-                assert s.power_norm_sq(u, low + 1) == expect[low + 1]
-                assert s.moment_values(u, low + 1) == expect[: low + 2]
-            assert s.moment_values(u, top) == expect
-            assert len(s._norm_cache[u]) == top + 1
-            assert s.moment_values(u, low) == expect[: low + 1]
-            assert s.power_norm_sq(u, low) == expect[low]
-            assert len(s._norm_cache[u]) == top + 1
-
-
-def test_power_coefficients_extends_the_norm_cache(rng):
-    # the coefficient walk leaves its norms in the cache when they reach
-    # further than the cached list, and never shortens it
-    for tree in _run_and_branch_trees(rng):
-        s = mixed_weights(rng, tree)
-        for u in tree.sorted_vertices:
-            top = _orders(tree, u)[-1]
-            expect = [reference_norm_sq(s, u, n) for n in range(top + 1)]
-            low = top // 3
-            s.power_coefficients(u, low)
-            assert s._norm_cache[u] == expect[: low + 1]
-            s.power_coefficients(u, top)
-            assert s._norm_cache[u] == expect
-            s.power_coefficients(u, low)
-            assert s._norm_cache[u] == expect
-            assert s.power_norm_sq(u, top) == expect[top]
 
 
 def _product_moments_loop(weights):
@@ -424,6 +383,19 @@ def test_structural_checks():
     assert not rep3.injective
     assert 0 in rep3.zero_sum_vertices
     assert not rep3.not_hyponormal  # zero weights escape the leaf obstruction
+
+
+def test_reports_spell_vertices_as_keys():
+    tree = make_family("t-eta-kappa", 3, eta=2, kappa=0)
+    weights = {v: 1.0 for v in tree.non_root_vertices}
+    weights[(1, 2)] = 0.0
+    weights[(2, 2)] = 3.0
+    s = WeightedShift(tree, weights)
+    zero_sum = s.structural_checks().as_dict()["zero_sum_vertices"]
+    assert zero_sum == ["1,1"]
+    assert [vertex_from_key(k) for k in zero_sum] == [(1, 1)]
+    assert s.norm_bound().as_dict()["attained_at"] == "2,1"
+    assert WeightedShift(explicit_tree([], {}), {}).norm_bound().as_dict()["attained_at"] is None
 
 
 def test_weight_key_validation():
