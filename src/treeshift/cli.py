@@ -33,8 +33,8 @@ from .report import (
     canonical_json,
     jsonable,
 )
-from .shift import vertex_keyed, weights_from_json
-from .tree import int_if_integral, tree_from_json, validate, vertex_from_key, vertex_to_key
+from .shift import keyed_weights, vertex_keyed, weights_from_json
+from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
 
 DEFAULT_HORIZON = 16
 DEFAULT_TOL = 1e-9
@@ -639,12 +639,9 @@ def _cmd_certify(args, config: RunConfig) -> int:
             raise InputError(
                 "bilateral certification expects vertex-keyed weights over a window"
             )
-        weights = {}
-        for item in entries:
-            v = int_if_integral(item["v"])
-            if not isinstance(v, int):
-                raise InputError("bilateral vertices are integers")
-            weights[v] = complex(item.get("re", 0.0), item.get("im", 0.0))
+        weights = keyed_weights(entries)
+        if not all(isinstance(v, int) for v in weights):
+            raise InputError("bilateral vertices are integers")
         from . import models
 
         cert = models.certify_bilateral(weights, tol=config.tol)
@@ -655,12 +652,7 @@ def _cmd_certify(args, config: RunConfig) -> int:
 
         data = models.branch_data_from_json(doc)
         depth = min(config.horizon, 8)
-        cert = models.certify_t_eta_kappa(
-            data,
-            depth=depth,
-            tol=config.tol,
-            conditional="branch_measures" not in doc,
-        )
+        cert = models.certify_t_eta_kappa(data, depth=depth, tol=config.tol)
         payload = cert.as_dict()
     elif family == "general":
         shift = _load_shift(args)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .consistency import (
@@ -40,7 +40,7 @@ from .moments import (
     superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED
-from .shift import WeightedShift, _mod_sq, product_moments
+from .shift import WeightedShift, _mod_sq, complex_from_json, product_moments
 from .tree import (
     BILATERAL_WINDOW,
     T_ETA_KAPPA,
@@ -72,14 +72,9 @@ class ModelCertificate:
         return {
             "status": self.status,
             "family": self.family,
-            "stieltjes": {
-                k: v.as_dict() if hasattr(v, "as_dict") else v
-                for k, v in sorted(self.stieltjes.items())
-            },
+            "stieltjes": {k: v.as_dict() for k, v in sorted(self.stieltjes.items())},
             "system_certificate": (
-                self.system_certificate.as_dict()
-                if self.system_certificate is not None
-                else None
+                None if self.system_certificate is None else self.system_certificate.as_dict()
             ),
             "detail": self.detail,
             "witness": self.witness,
@@ -125,63 +120,68 @@ def _certify_on_path(tree, first_vertex: int, weights, base: AtomicMeasure, tol:
     return certify_subnormal(shift, system, horizon=len(weights), tol=tol)
 
 
+def _fit(values, tol: float):
+    """Quadrature of ``values`` (None when refuted) and the verdict it ran."""
+    try:
+        fit = quadrature_from_moments(values, tol=tol)
+    except RefutedSequenceError as err:
+        return None, err.verdict
+    return fit, fit.verdict
+
+
+def _lambert_on_path(weights, tol: float, head=None):
+    """Hankel verdicts, by position k, of the power norms
+    ``product_moments(weights[k:])`` along a path with these weights, and
+    the first position that fails (or None).  Past a nonzero weight the
+    norms are the parent's shifted and rescaled (Lambert), so only position
+    0, whose verdict ``head`` may carry, and the positions entered by zero
+    weights are tested, each when it has at least three moments."""
+    verdicts = {}
+    for k in range(len(weights) - 1):
+        if k == 0 and head is not None:
+            verdicts[0] = head
+        elif k == 0 or weights[k - 1] == 0:
+            verdicts[k] = check_stieltjes(product_moments(weights[k:]), tol=tol)
+    return verdicts, next((k for k, v in verdicts.items() if not v.consistent), None)
+
+
 def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a unilateral classical shift from its weight list.
 
-    With nonzero weights, subnormality is equivalent to the running product
-    sequence being a halfline moment sequence; on a pass the proof system
-    (powers of the variable against one representing measure) is built and
-    cross-certified.  A zero weight falls outside the product criterion, so
-    the certifier falls back to per-vertex Hankel necessary conditions and
-    can then at best stay conditional.
+    The power norms are Hankel-tested at the root and past every zero weight;
+    a failure refutes.  With nonzero weights, subnormality is equivalent to
+    the running product sequence being a halfline moment sequence; on a pass
+    the proof system (powers of the variable against one representing
+    measure) is built and cross-certified.  A zero weight falls outside the
+    product criterion, so a pass then stays conditional.
     """
     weights = [complex(w) for w in weights]
     if len(weights) < 3:
         raise ValueError("need at least three weights")
-    if any(w == 0 for w in weights):
-        return _unilateral_fallback(weights, tol)
     values = product_moments(weights)
-    verdict = check_stieltjes(values, tol=tol)
-    if not verdict.consistent:
-        detail = {"sequence": list(values)}
-        return _refuted(UNILATERAL, {"0": verdict}, detail, hankel_witness(verdict, vertex="0"))
-    fit = quadrature_from_moments(values, tol=tol)
+    zero = 0 in weights
+    fit, head = (None, None) if zero else _fit(values, tol)
+    verdicts, failed = _lambert_on_path(weights, tol, head)
+    stieltjes = {str(k): v for k, v in verdicts.items()}
+    note = "zero weight: per-vertex necessary conditions only"
+    detail = {"note": note} if zero else {"sequence": list(values)}
+    if failed is not None:
+        witness = hankel_witness(verdicts[failed], vertex=str(failed))
+        return _refuted(UNILATERAL, stieltjes, detail, witness)
+    if zero:
+        return ModelCertificate(CONDITIONAL, UNILATERAL, stieltjes, None, detail, None)
     base = fit.measure
     depth = 2 * fit.requested - 1
     tree = make_family(UNILATERAL, depth)
     certificate = _certify_on_path(tree, 0, weights[:depth], base, tol)
+    detail.update(representing_measure=base.as_dict(), eps_root=base.mass_at_zero)
     return ModelCertificate(
         status=certificate.status,
         family=UNILATERAL,
-        stieltjes={"0": verdict},
+        stieltjes=stieltjes,
         system_certificate=certificate,
-        detail={
-            "sequence": list(values),
-            "representing_measure": base.as_dict(),
-            "eps_root": base.mass_at_zero,
-        },
+        detail=detail,
         witness=certificate.witness,
-    )
-
-
-def _unilateral_fallback(weights, tol) -> ModelCertificate:
-    tree = make_family(UNILATERAL, len(weights))
-    shift = WeightedShift(tree, {k + 1: w for k, w in enumerate(weights)})
-    verdicts = {}
-    witness = None
-    for k in range(len(weights) - 1):
-        v = check_stieltjes(shift.moment_values(k, len(weights) - k), tol=tol)
-        verdicts[str(k)] = v
-        if not v.consistent and witness is None:
-            witness = hankel_witness(v, vertex=vertex_to_key(k))
-    status = REFUTED if witness is not None else CONDITIONAL
-    return ModelCertificate(
-        status=status,
-        family=UNILATERAL,
-        stieltjes=verdicts,
-        system_certificate=None,
-        detail={"note": "zero weight: per-vertex necessary conditions only"},
-        witness=witness,
     )
 
 
@@ -289,15 +289,16 @@ class BranchData:
     """Hypotheses for the one-branching-vertex certifier.
 
     Branch i carries a probability measure whose moments must reproduce the
-    running products of the branch weights past the entry edge; the entry
-    weights scale the inverse-moment sums; the trunk weights are listed from
-    the branching vertex upward (weights of vertices 0, -1, ...); ``nu`` is
-    the optional root measure of the alternative formulation.
+    running products of the branch weights past the entry edge (None when
+    only the weights are given: the certifier rebuilds the measures); the
+    entry weights scale the inverse-moment sums; the trunk weights are
+    listed from the branching vertex upward (weights of vertices 0, -1,
+    ...); ``nu`` is the optional root measure of the alternative formulation.
     """
 
     eta: int
     kappa: object  # nonnegative int or math.inf
-    branch_measures: tuple
+    branch_measures: tuple | None
     entry_weights: tuple
     branch_weights: tuple = ()  # per branch: weights along the branch past entry
     trunk_weights: tuple = ()
@@ -316,26 +317,20 @@ class BranchData:
             if kappa < 0:
                 raise ValueError("kappa must be nonnegative or infinite")
         object.__setattr__(self, "kappa", kappa)
-        if len(self.branch_measures) != self.eta:
+        if self.branch_measures is None:
+            if len(self.branch_weights) != self.eta or not all(self.branch_weights):
+                raise ValueError("without branch measures every branch needs its weights")
+        elif len(self.branch_measures) != self.eta:
             raise ValueError("one branch measure per branch required")
         if len(self.entry_weights) != self.eta:
             raise ValueError("one entry weight per branch required")
+        object.__setattr__(self, "entry_weights", tuple(map(complex, self.entry_weights)))
         object.__setattr__(
-            self, "entry_weights", tuple(complex(w) for w in self.entry_weights)
+            self, "branch_weights", tuple(tuple(map(complex, ws)) for ws in self.branch_weights)
         )
-        object.__setattr__(
-            self,
-            "branch_weights",
-            tuple(tuple(complex(w) for w in ws) for ws in self.branch_weights),
-        )
-        object.__setattr__(
-            self, "trunk_weights", tuple(complex(w) for w in self.trunk_weights)
-        )
-        expected = len(self.trunk_weights)
-        if kappa != math.inf and expected != kappa:
-            raise ValueError(
-                f"finite trunk of length {kappa} needs exactly {kappa} trunk weights"
-            )
+        object.__setattr__(self, "trunk_weights", tuple(map(complex, self.trunk_weights)))
+        if kappa != math.inf and len(self.trunk_weights) != kappa:
+            raise ValueError(f"finite trunk of length {kappa} needs exactly {kappa} trunk weights")
 
     @property
     def trunk_window(self) -> int:
@@ -355,66 +350,42 @@ class BranchData:
         return product_moments(self.trunk_weights[start:])[-1]
 
     def as_dict(self) -> dict:
+        def parts(ws):
+            return [{"re": w.real, "im": w.imag} for w in ws]
+
         out = {
             "eta": self.eta,
             "kappa": "inf" if self.kappa == math.inf else self.kappa,
-            "branch_measures": [m.as_dict() for m in self.branch_measures],
-            "entry_weights": [{"re": w.real, "im": w.imag} for w in self.entry_weights],
-            "branch_weights": [
-                [{"re": w.real, "im": w.imag} for w in ws]
-                for ws in self.branch_weights
-            ],
-            "trunk_weights": [
-                {"re": w.real, "im": w.imag} for w in self.trunk_weights
-            ],
+            "entry_weights": parts(self.entry_weights),
+            "branch_weights": [parts(ws) for ws in self.branch_weights],
+            "trunk_weights": parts(self.trunk_weights),
         }
+        if self.branch_measures is not None:
+            out["branch_measures"] = [m.as_dict() for m in self.branch_measures]
         if self.nu is not None:
             out["nu"] = self.nu.as_dict()
         return out
 
 
-def _complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    return complex(obj.get("re", 0.0), obj.get("im", 0.0))
-
-
-def measures_from_branch_weights(branch_weights, tol: float = 1e-9) -> tuple:
-    """Quadrature measures for the running product sequences of each branch;
-    the route taken when only weights are supplied, which leaves any
-    certificate built on them conditional (one representing measure chosen
-    among possibly many)."""
-    measures = []
-    for ws in branch_weights:
-        if not ws:
-            raise ValueError("need at least one branch weight per branch")
-        measures.append(quadrature_from_moments(product_moments(ws), tol=tol).measure)
-    return tuple(measures)
-
-
 def branch_data_from_json(doc: dict) -> BranchData:
-    """Parse a branch document.  When branch measures are absent they are
-    reconstructed by quadrature from the branch weights."""
+    """Parse a branch document.  Without branch measures the branch weights
+    stand alone, and the certifier rebuilds the measures from them."""
     branch_weights = tuple(
-        tuple(_complex_from_json(w) for w in ws)
+        tuple(complex_from_json(w) for w in ws)
         for ws in doc.get("branch_weights", [])
     )
-    if "branch_measures" in doc:
-        measures = tuple(measure_from_json(m) for m in doc["branch_measures"])
-    else:
-        if not branch_weights:
-            raise ValueError(
-                "branch document needs branch_measures or branch_weights"
-            )
-        measures = measures_from_branch_weights(branch_weights)
     return BranchData(
         eta=doc["eta"],
         kappa=doc["kappa"],
-        branch_measures=measures,
-        entry_weights=tuple(_complex_from_json(w) for w in doc["entry_weights"]),
+        branch_measures=(
+            tuple(map(measure_from_json, doc["branch_measures"]))
+            if "branch_measures" in doc
+            else None
+        ),
+        entry_weights=tuple(complex_from_json(w) for w in doc["entry_weights"]),
         branch_weights=branch_weights,
         trunk_weights=tuple(
-            _complex_from_json(w) for w in doc.get("trunk_weights", [])
+            complex_from_json(w) for w in doc.get("trunk_weights", [])
         ),
         nu=measure_from_json(doc["nu"]) if doc.get("nu") else None,
     )
@@ -426,14 +397,9 @@ def derive_branch_weights(data: BranchData, depth: int) -> tuple:
     out = []
     for mu in data.branch_measures:
         mom = mu.moments(depth)
-        ws = []
-        for n in range(1, depth):
-            if mom[n - 1] <= 0.0:
-                raise ValueError(
-                    "branch measure moments vanish; cannot derive weights"
-                )
-            ws.append(math.sqrt(mom[n] / mom[n - 1]))
-        out.append(tuple(ws))
+        if any(m <= 0.0 for m in mom[: depth - 1]):
+            raise ValueError("branch measure moments vanish; cannot derive weights")
+        out.append(tuple(math.sqrt(mom[n] / mom[n - 1]) for n in range(1, depth)))
     return tuple(out)
 
 
@@ -703,8 +669,12 @@ def certify_t_eta_kappa(
 ) -> ModelCertificate:
     """Certify a shift on the one-branching-vertex tree from branch data.
 
-    The branch-measure hypothesis is verified first (or the branch weights
-    are derived from the measures when absent).  The condition set then
+    Without branch measures, each branch's power norms are Hankel-tested at
+    its head and past every zero weight (a failure refutes), and quadrature
+    rebuilds the measures, leaving the verdict conditional as ``conditional``
+    does: one representing measure among possibly many.  Otherwise the
+    branch-measure hypothesis is verified first (or the branch weights are
+    derived from the measures when absent).  The condition set then
     depends on the trunk: the root inequality for a rooted branching vertex,
     the trunk equalities (or, when a root measure is supplied, the
     root-measure form) for a finite trunk, and the windowed equalities for
@@ -712,12 +682,23 @@ def certify_t_eta_kappa(
     and cross-certified.
     """
     kappa = data.kappa
-    if any(w == 0 for w in data.entry_weights) or any(
-        w == 0 for w in data.trunk_weights
-    ):
+    if 0 in data.entry_weights + data.trunk_weights:
         raise ValueError("the branching certifier requires nonzero weights")
     if kappa == math.inf:
         depth = data.trunk_window
+    if data.branch_measures is None:
+        measures = []
+        for i, ws in enumerate(data.branch_weights, start=1):
+            fit, head = _fit(product_moments(ws), tol)
+            verdicts, failed = _lambert_on_path(ws, tol, head)
+            if failed is not None:
+                key = vertex_to_key((i, failed + 1))
+                detail = {"sequence": list(product_moments(ws[failed:]))}
+                witness = hankel_witness(verdicts[failed], vertex=key)
+                return _refuted(T_ETA_KAPPA, {key: verdicts[failed]}, detail, witness)
+            measures.append(fit.measure)
+        data = replace(data, branch_measures=tuple(measures))
+        conditional = True
     detail: dict = {}
     if data.branch_weights:
         hypothesis = verify_branch_moments(data, tol=tol)
@@ -727,22 +708,23 @@ def certify_t_eta_kappa(
                 "branch measures do not represent branch weights "
                 f"(max relative error {hypothesis['max_rel_err']})"
             )
-    witness = None
     if kappa == 0:
         cond = root_inequality(data, tol=tol)
-        detail["condition"] = cond
-        if not cond["ok"]:
+    elif kappa != math.inf and data.nu is not None:
+        cond = root_measure_conditions(data, data.nu, tol=tol)
+    else:
+        cond = trunk_conditions(data, tol=tol)
+    detail["condition"] = cond
+    if not cond["ok"]:
+        bad = next((c for c in cond.get("checks", ()) if not c["ok"]), {})
+        if kappa == 0:
             witness = {
                 "check": "entry-inverse-sum",
                 "vertex": "0",
                 "value": cond["sum"],
                 "reason": f"entry-weighted inverse moment sum {cond['sum']} > 1",
             }
-    elif kappa != math.inf and data.nu is not None:
-        cond = root_measure_conditions(data, data.nu, tol=tol)
-        detail["condition"] = cond
-        if not cond["ok"]:
-            bad = next(c for c in cond["checks"] if not c["ok"])
+        elif "item" in bad:
             witness = {
                 "check": "root-measure-form",
                 "vertex": vertex_to_key(-kappa),
@@ -750,11 +732,7 @@ def certify_t_eta_kappa(
                 "value": bad.get("value"),
                 "reason": f"root-measure condition {bad['item']} fails",
             }
-    else:
-        cond = trunk_conditions(data, tol=tol)
-        detail["condition"] = cond
-        if not cond["ok"]:
-            bad = next(c for c in cond["checks"] if not c["ok"])
+        else:
             witness = {
                 "check": "trunk-conditions",
                 "vertex": vertex_to_key(-bad["level"]),
@@ -765,7 +743,6 @@ def certify_t_eta_kappa(
                     f"{bad['value']} (target {bad['target']})"
                 ),
             }
-    if witness is not None:
         return _refuted(T_ETA_KAPPA, {}, detail, witness)
     if kappa == math.inf:
         detail["window_note"] = (
@@ -837,10 +814,11 @@ def extract_branch_data(
         (i, 1) for i in range(1, eta + 1)
     ]
     checks = {}
+    supplied = {}
     for v in required:
         if v not in sequences:
             raise ValueError(f"no moment sequence supplied for vertex {v!r}")
-        values = as_values(sequences[v])
+        supplied[v] = values = as_values(sequences[v])
         verdict = check_stieltjes(values, tol=tol)
         checks[vertex_to_key(v)] = verdict
         if not verdict.consistent:
@@ -848,8 +826,7 @@ def extract_branch_data(
                 f"sequence at {v!r} fails the Hankel test", verdict, vertex=v
             )
     notes = []
-    for v in required:
-        values = as_values(sequences[v])
+    for v, values in supplied.items():
         top = int(min(len(values) - 1, tree.available_depth(v)))
         norms = shift.moment_values(v, top)
         row = first_failing_row(values, norms, tol)
@@ -860,7 +837,7 @@ def extract_branch_data(
                 f"{values[n]} vs {norms[n]}"
             )
     measures = [
-        quadrature_from_moments(sequences[(i, 1)], tol=tol).measure
+        quadrature_from_moments(supplied[(i, 1)], tol=tol).measure
         for i in range(1, eta + 1)
     ]
     trunk_weights = tuple(
@@ -880,7 +857,6 @@ def extract_branch_data(
         trunk_weights=trunk_weights,
     )
     conditions: dict = {}
-    usable_zero = as_values(sequences[0])
     moment_check = verify_branch_moments(data, tol=max(tol, 1e-8))
     conditions["branch_moment_check"] = moment_check
     if kappa == 0:
@@ -890,11 +866,11 @@ def extract_branch_data(
         notes.append("infinite trunk: equalities checked up to the window")
     else:
         conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        nu = quadrature_from_moments(sequences[-kappa], tol=tol).measure
+        nu = quadrature_from_moments(supplied[-kappa], tol=tol).measure
         conditions["root_measure_form"] = root_measure_conditions(
             data, nu, tol=max(tol, 1e-8)
         )
-    diagnostic = carleman_diagnostic(usable_zero[1:])
+    diagnostic = carleman_diagnostic(supplied[0][1:])
     all_ok = conditions["condition"]["ok"] and moment_check["ok"]
     if "root_measure_form" in conditions:
         all_ok = all_ok and conditions["root_measure_form"]["ok"]

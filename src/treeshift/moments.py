@@ -634,11 +634,13 @@ def carleman_diagnostic(seq) -> DeterminacyDiagnostic:
 class QuadratureResult:
     """Measure reconstructed from moments, with the numerical rank that was
     actually used (fewer atoms than requested when the Hankel data is
-    singular)."""
+    singular) and the Hankel verdict of the input (None for a two-moment
+    prefix)."""
 
     measure: AtomicMeasure
     requested: int
     rank: int
+    verdict: StieltjesVerdict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -804,6 +806,7 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     values = as_values(seq)
     if len(values) < 2:
         raise ValueError("need at least two moments")
+    verdict = None
     if len(values) >= 3:
         verdict = check_stieltjes(values, tol=tol)
         if not verdict.consistent:
@@ -828,5 +831,5 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
         if w > 0.0:
             atoms.append((max(x, 0.0), w))
     return QuadratureResult(
-        measure=AtomicMeasure(tuple(atoms)), requested=k, rank=rank
+        measure=AtomicMeasure(tuple(atoms)), requested=k, rank=rank, verdict=verdict
     )

@@ -18,6 +18,7 @@ from .tree import (
     DirectedTree,
     UnknownVertexError,
     _computed_leafless,
+    as_vertex,
     vertex_sort_key,
     vertex_to_key,
 )
@@ -293,8 +294,6 @@ def weights_from_json(doc: dict, tree: DirectedTree) -> WeightedShift:
     classical path families, a bare list of numbers assigned to the non-root
     vertices in sorted order.
     """
-    from .tree import as_vertex
-
     entries = doc["weights"]
     if not vertex_keyed(entries):
         targets = sorted(tree.non_root_vertices, key=vertex_sort_key)
@@ -304,10 +303,24 @@ def weights_from_json(doc: dict, tree: DirectedTree) -> WeightedShift:
             )
         weights = {v: complex(x) for v, x in zip(targets, entries)}
         return WeightedShift(tree, weights)
+    return WeightedShift(tree, keyed_weights(entries))
+
+
+def complex_from_json(obj) -> complex:
+    """A JSON weight: a bare number, or an object with optional ``re`` and
+    ``im`` parts."""
+    if isinstance(obj, (int, float)):
+        return complex(obj)
+    return complex(obj.get("re", 0.0), obj.get("im", 0.0))
+
+
+def keyed_weights(entries) -> dict:
+    """Vertex -> weight of a vertex-keyed weights list; a vertex listed
+    twice raises ``ValueError``."""
     weights = {}
     for item in entries:
         v = as_vertex(item["v"])
         if v in weights:
             raise ValueError(f"duplicate weight for vertex {v!r}")
-        weights[v] = complex(item.get("re", 0.0), item.get("im", 0.0))
-    return WeightedShift(tree, weights)
+        weights[v] = complex_from_json(item)
+    return weights

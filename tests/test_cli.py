@@ -385,6 +385,40 @@ def test_certify_branching_fixture(tmp_path, capsys):
     assert json.loads(out2)["witness"]["value"] == pytest.approx(1.5)
 
 
+def test_certify_bilateral_refuses_a_vertex_listed_twice(tmp_path, capsys):
+    entries = [{"v": 0, "re": 1.0}, {"v": 0, "re": 5.0}, {"v": 1, "re": 1.0}, {"v": 2, "re": 1.0}]
+    weights = write(tmp_path, "w.json", {"weights": entries})
+    code = main(["certify", "--family", "bilateral", "--weights", weights])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "duplicate weight for vertex 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "branch_one, vertex",
+    [([1.0, 0.1, 5.0, 0.1, 5.0], "1,1"), ([0.0, 1.0, 0.1, 5.0, 0.1, 5.0], "1,2")],
+    ids=["head", "past-zero"],
+)
+def test_certify_refutes_a_branch_whose_power_norms_fail(tmp_path, capsys, branch_one, vertex):
+    # the power norms 1, 1, 0.01, 0.25, ... fail the Hankel test, which by
+    # Lambert's necessity is a verdict, not an input error
+    doc = {
+        "eta": 2,
+        "kappa": 0,
+        "entry_weights": [0.5, 0.5],
+        "branch_weights": [branch_one, [1.0, 1.0, 1.0]],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    code = main(["certify", "--family", "t-eta-kappa", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "refuted"
+    assert report["witness"]["check"] == "hankel"
+    assert report["witness"]["vertex"] == vertex
+    assert report["witness"]["vector"] == [-1.24999999875, 1.25, 0.0]
+
+
 def test_certify_general_with_sequences_is_conditional(tmp_path, capsys):
     tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 3}})
     weights = write(tmp_path, "w.json", {"weights": [1.0, 1.0, 1.0]})

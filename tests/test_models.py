@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,8 @@ from treeshift import (
     root_measure_equivalence_check,
     two_sided_from_weights,
 )
-from treeshift.models import (
-    measures_from_branch_weights,
-    trunk_conditions,
-    verify_branch_moments,
-)
+from treeshift.consistency import hankel_witness
+from treeshift.models import trunk_conditions, verify_branch_moments
 
 from conftest import stratified_atoms
 
@@ -65,9 +63,56 @@ def test_unilateral_zero_weight_falls_back():
     cert = certify_unilateral([0.0, 1.0, 1.0, 1.0])
     assert cert.status == CONDITIONAL
     assert "necessary" in cert.detail["note"]
+    # only the root and the vertex past the zero weight are tested: every
+    # other vertex has its parent's norms shifted and rescaled
+    assert sorted(cert.as_dict()["stieltjes"]) == ["0", "1"]
     # a zero in the middle refutes outright: {1, 1, 0, 0, ...} at the origin
     cert2 = certify_unilateral([1.0, 0.0, 1.0, 1.0])
     assert cert2.status == REFUTED
+    assert sorted(cert2.as_dict()["stieltjes"]) == ["0", "2"]
+
+
+def _every_vertex_verdict(weights, tol=1e-9):
+    """Status and witness of Hankel-testing the power norms at every vertex
+    of a path, the first failing vertex supplying the witness."""
+    for k in range(len(weights) - 1):
+        verdict = check_stieltjes(product_moments(weights[k:]), tol=tol)
+        if not verdict.consistent:
+            return REFUTED, hankel_witness(verdict, vertex=str(k))
+    return CONDITIONAL, None
+
+
+def _zero_weight_path(rng):
+    """Moment ratios of a measure with 1 to 3 atoms, so the Hankel blocks
+    past the atom count are singular; one or two weights set to zero, and
+    half the time one other weight perturbed by a relative 1e-12 to 1e-2."""
+    n = int(rng.integers(3, 10))
+    atoms = AtomicMeasure(
+        tuple(zip(rng.uniform(0.2, 3.0, size=int(rng.integers(1, 4))), rng.uniform(0.1, 1.0, size=3)))
+    )
+    mom = atoms.moments(n)
+    weights = [math.sqrt(mom[j] / mom[j - 1]) for j in range(1, n + 1)]
+    zeros = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+    for k in zeros:
+        weights[k] = 0.0
+    if rng.random() < 0.5:
+        k = int(rng.integers(n))
+        if k not in zeros:
+            weights[k] *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
+    return weights
+
+
+def test_unilateral_zero_weight_paths_match_the_every_vertex_test():
+    # Lambert's reduction tests only the root and the vertices past a zero
+    # weight; the verdict and the witness must be those of testing all
+    rng = np.random.default_rng(1414)
+    statuses = set()
+    for _ in range(5000):
+        weights = _zero_weight_path(rng)
+        cert = certify_unilateral(weights)
+        assert (cert.status, cert.witness) == _every_vertex_verdict(weights), weights
+        statuses.add(cert.status)
+    assert statuses == {CONDITIONAL, REFUTED}
 
 
 def test_unilateral_matches_general_certifier_on_random_weights(rng):
@@ -400,9 +445,18 @@ def test_branch_json_roundtrip_and_quadrature_route():
         "branch_weights": [[1.0] * 7, [math.sqrt(2)] * 7],
         "entry_weights": [math.sqrt(0.5), math.sqrt(0.5)],
     }
+    # parsing solves nothing, and a weights-only document round-trips
     derived = branch_data_from_json(weights_only)
-    assert derived.branch_measures[0].atoms[0][0] == pytest.approx(1.0)
-    assert derived.branch_measures[1].atoms[0][0] == pytest.approx(2.0, rel=1e-9)
+    assert derived.branch_measures is None
+    assert "branch_measures" not in derived.as_dict()
+    assert branch_data_from_json(derived.as_dict()) == derived
+    # the certifier rebuilds the measures by quadrature, so it stays conditional
+    cert = certify_t_eta_kappa(derived, depth=6)
+    assert cert.status == CONDITIONAL
+    rows = cert.detail["branch_moment_check"]["rows"]
+    first = {r["branch"]: r["moment"] for r in rows if r["n"] == 1}
+    assert first[1] == pytest.approx(1.0)
+    assert first[2] == pytest.approx(2.0, rel=1e-9)
 
 
 # -- extraction -------------------------------------------------------------------
@@ -459,12 +513,72 @@ def test_extract_fast_growth_stays_conditional():
     assert any("conditional" in n for n in ext.notes)
 
 
-def test_branch_weights_whose_products_fail_the_hankel_test_are_refused():
+def _weights_only(*branch_weights):
+    return BranchData(
+        eta=len(branch_weights),
+        kappa=0,
+        branch_measures=None,
+        entry_weights=(0.5,) * len(branch_weights),
+        branch_weights=branch_weights,
+    )
+
+
+def test_branch_weights_whose_products_fail_the_hankel_test_are_refuted():
     # products 1, 1, 0.01: the 2 x 2 Hankel block has determinant -0.99
-    with pytest.raises(RefutedSequenceError, match="refuted sequence"):
-        measures_from_branch_weights([(1.0, 0.1)])
-    # one weight gives two products, checked as a two-moment prefix
-    assert measures_from_branch_weights([(2.0,)])[0].atoms == ((4.0, 1.0),)
+    cert = certify_t_eta_kappa(_weights_only((1.0, 0.1), (1.0, 1.0)), depth=2)
+    assert cert.status == REFUTED
+    assert cert.witness["check"] == "hankel" and cert.witness["vertex"] == "1,1"
+    assert list(cert.stieltjes) == ["1,1"]
+    # one weight gives two products, checked as a two-moment prefix: the
+    # branch measure is the point mass at 4
+    cert = certify_t_eta_kappa(_weights_only((2.0,), (1.0,)), depth=2)
+    assert cert.status == CONDITIONAL
+    row = cert.detail["branch_moment_check"]["rows"][0]
+    assert row == {"branch": 1, "n": 1, "moment": 4.0, "product": 4.0}
+
+
+def _exact_forms(values, witness, tol=1e-9):
+    """x^T H x and x^T (H + tol * diag(H)) x for the witness x and the
+    Hankel block H it names, in Fractions."""
+    offset = 0 if witness["block"] == "hankel" else 1
+    t = [Fraction(v) for v in values]
+    x = [Fraction(a) for a in witness["vector"]]
+    form = sum(a * b * t[i + j + offset] for i, a in enumerate(x) for j, b in enumerate(x))
+    diagonal = sum(a * a * t[2 * i + offset] for i, a in enumerate(x))
+    return form, form + Fraction(tol) * diagonal
+
+
+# The power norms at vertex "1,1" are 1, 1, 0.01, 0.25, 0.0025, 0.0625, which
+# fail the Hankel test: by Lambert's necessity no subnormal shift has them.
+REFUTED_BRANCH = {
+    "eta": 2,
+    "kappa": 0,
+    "entry_weights": [0.5, 0.5],
+    "branch_weights": [[1.0, 0.1, 5.0, 0.1, 5.0], [1.0, 1.0, 1.0]],
+}
+# The same norms one vertex down, past a zero weight: the head passes (its
+# norms are those of a point mass at zero), vertex "1,2" fails.
+REFUTED_PAST_ZERO = dict(
+    REFUTED_BRANCH, branch_weights=[[0.0, 1.0, 0.1, 5.0, 0.1, 5.0], [1.0, 1.0, 1.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "doc, vertex, start",
+    [(REFUTED_BRANCH, "1,1", 0), (REFUTED_PAST_ZERO, "1,2", 1)],
+    ids=["head", "past-zero"],
+)
+def test_a_branch_whose_power_norms_fail_is_refuted(doc, vertex, start):
+    cert = certify_t_eta_kappa(branch_data_from_json(doc))
+    assert cert.status == REFUTED and cert.system_certificate is None
+    witness = cert.witness
+    assert witness["check"] == "hankel" and witness["vertex"] == vertex
+    assert witness["vector"] == [-1.24999999875, 1.25, 0.0]
+    assert witness["quadratic_form"] == -1.546875
+    values = product_moments(doc["branch_weights"][0][start:])
+    assert cert.detail["sequence"] == list(values)
+    form, with_tol = _exact_forms(values, witness)
+    assert with_tol < 0 and float(form) == witness["quadratic_form"]
 
 
 def test_extract_rejects_refuted_sequences():
