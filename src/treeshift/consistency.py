@@ -299,8 +299,13 @@ class MomentsMatchReport:
 def relative_errors(lhs, rhs) -> tuple:
     """Row by row |a - b| / max(1, |a|, |b|) of two value sequences, and the
     largest row.  A non-finite value makes its row NaN, which max() would
-    drop, so any NaN row makes the largest inf."""
-    rels = [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lhs, rhs)]
+    drop, so any NaN row makes the largest inf.  The floor at 1 is a
+    comparison rather than a third argument to max(), which is cheaper and
+    gives the same floats, NaN rows included."""
+    rels = [
+        abs(a - b) / (m if (m := max(abs(a), abs(b))) > 1.0 else 1.0)
+        for a, b in zip(lhs, rhs)
+    ]
     worst = math.inf if any(map(math.isnan, rels)) else max(rels, default=0.0)
     return rels, worst
 

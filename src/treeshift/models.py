@@ -251,21 +251,22 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
             f"bilateral certification needs nonzero weights, got zero at {zero}"
         )
     seq = two_sided_from_weights(weights)
+    root = seq.k_min
     verdicts = {}
     witness = None
-    for k in range(0, -seq.k_min + 1):
+    for k in range(0, -root + 1):
         shifted = seq.left_shift(k)
         if len(shifted) < 3:
             continue
-        v = check_stieltjes(shifted, tol=tol)
+        if k == -root and witness is None:  # the deepest shift: fit it, reusing its test
+            fit, v = _fit(shifted, tol)
+        else:
+            v = check_stieltjes(shifted, tol=tol)
         verdicts[str(k)] = v
         if not v.consistent and witness is None:
             witness = hankel_witness(v, shift=k)
     if witness is not None:
         return _refuted(BILATERAL_WINDOW, verdicts, {"two_sided": seq.as_dict()}, witness)
-    root = seq.k_min
-    base_values = seq.left_shift(-root)
-    fit = quadrature_from_moments(base_values, tol=tol)
     base = fit.measure
     depth = 2 * fit.requested - 1
     tree = make_family(BILATERAL_WINDOW, depth=root + depth, back=-root)
@@ -810,16 +811,22 @@ def extract_branch_data(
     eta = tree.params["eta"]
     kappa = tree.params["kappa"]
     trunk_len = tree.params["depth"] if kappa == math.inf else kappa
-    required = [-ell for ell in range(trunk_len + 1)] + [
-        (i, 1) for i in range(1, eta + 1)
-    ]
+    heads = [(i, 1) for i in range(1, eta + 1)]
+    required = [-ell for ell in range(trunk_len + 1)] + heads
+    # quadrature rebuilds the branch measures and, on a finite trunk, the
+    # root measure; it runs the Hankel test of those sequences itself
+    fitted = set(heads) | ({-kappa} if 0 < kappa < math.inf else set())
     checks = {}
     supplied = {}
+    fits = {}
     for v in required:
         if v not in sequences:
             raise ValueError(f"no moment sequence supplied for vertex {v!r}")
         supplied[v] = values = as_values(sequences[v])
-        verdict = check_stieltjes(values, tol=tol)
+        if v in fitted and len(values) >= 3:
+            fits[v], verdict = _fit(values, tol)
+        else:
+            verdict = check_stieltjes(values, tol=tol)
         checks[vertex_to_key(v)] = verdict
         if not verdict.consistent:
             raise RefutedSequenceError(
@@ -836,10 +843,7 @@ def extract_branch_data(
                 f"sequence at {v!r} disagrees with the shift at order {n}: "
                 f"{values[n]} vs {norms[n]}"
             )
-    measures = [
-        quadrature_from_moments(supplied[(i, 1)], tol=tol).measure
-        for i in range(1, eta + 1)
-    ]
+    measures = [fits[v].measure for v in heads]
     trunk_weights = tuple(
         shift.weight(-ell) for ell in range(trunk_len)
     )
@@ -866,7 +870,7 @@ def extract_branch_data(
         notes.append("infinite trunk: equalities checked up to the window")
     else:
         conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        nu = quadrature_from_moments(supplied[-kappa], tol=tol).measure
+        nu = fits[-kappa].measure
         conditions["root_measure_form"] = root_measure_conditions(
             data, nu, tol=max(tol, 1e-8)
         )

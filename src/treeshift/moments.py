@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
@@ -128,9 +129,24 @@ class AtomicMeasure:
             raise _moment_overflow(self.atoms, n) from None
 
     def moments(self, n_max: int) -> tuple:
-        """Moments of orders 0..n_max, computed together and each summed
-        exactly as :meth:`moment` sums it."""
+        """Moments of orders 0..n_max, each summed exactly as :meth:`moment`
+        sums it: ``fsum`` rounds the exact sum of the products w * x**n, so
+        the order in which they are formed changes no bit.  When the orders
+        outnumber the atoms more than four to one, each atom's column of
+        products is formed in C and the columns are summed row by row;
+        otherwise, and after an overflow (whose error names the order and the
+        atom), order by order."""
         atoms = self.atoms
+        if atoms and n_max > 4 * len(atoms):
+            orders = range(1, n_max + 1)
+            try:
+                columns = [
+                    (w, *map(operator.mul, repeat(w), map(pow, repeat(x), orders)))
+                    for x, w in atoms
+                ]
+                return tuple(map(math.fsum, zip(*columns)))
+            except OverflowError:
+                pass
         out = []
         for n in range(n_max + 1):
             try:
@@ -401,8 +417,6 @@ def _decide_block(block: list, tol: float):
     confirmed, hands the block to an exact LDL^T of H + tol * diag(H) in
     Fractions, which decides it.
     """
-    from fractions import Fraction
-
     m = len(block)
     diag = [block[i][i] for i in range(m)]
     negative = next((i for i, h in enumerate(diag) if h < 0), None)
@@ -425,6 +439,8 @@ def _decide_block(block: list, tol: float):
             form = _confirmed_form(block, x, tol)
             if form is not None:
                 return min(pivots), x, form
+    from fractions import Fraction
+
     exact = [[Fraction(h) for h in row] for row in block]
     for i in range(m):
         exact[i][i] *= 1 + Fraction(tol)

@@ -35,6 +35,12 @@ def _mod_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def _mod_sq_list(zs) -> list:
+    """:func:`_mod_sq` of each of ``zs``, bit for bit: the real part of
+    z * conj(z) is x * x - y * (-y), the same sum, and C forms it."""
+    return [(z * z.conjugate()).real for z in zs]
+
+
 def _running_products(weights):
     """1, w1, w1 w2, ...: the left-to-right products of complex weights,
     accumulated in C."""
@@ -43,7 +49,7 @@ def _running_products(weights):
 
 def product_moments(weights: Sequence[complex]) -> tuple:
     """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list."""
-    return tuple(map(_mod_sq, _running_products(map(complex, weights))))
+    return tuple(_mod_sq_list(_running_products(map(complex, weights))))
 
 
 @dataclass(frozen=True)
@@ -170,11 +176,11 @@ class WeightedShift:
             run.append(weights[v])
             below = children[v]
         products = list(_running_products(run))
-        norms = list(map(_mod_sq, products))
+        norms = _mod_sq_list(products)
         level = [(v, products[-1])]
         for _ in range(len(run), n):
             level = [(c, coeff * weights[c]) for p, coeff in level for c in children[p]]
-            norms.append(math.fsum([_mod_sq(coeff) for _, coeff in level]))
+            norms.append(math.fsum(_mod_sq_list(coeff for _, coeff in level)))
         return norms, level
 
     def power_coefficients(self, u, n: int) -> dict:

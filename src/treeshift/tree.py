@@ -131,6 +131,7 @@ class DirectedTree:
             sorted((v for v in self.vertices if v not in self.parent), key=vertex_sort_key)
         )
         object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_frontier_distance", None)
 
@@ -147,7 +148,13 @@ class DirectedTree:
 
     @property
     def sorted_vertices(self) -> tuple:
-        return tuple(sorted(self.vertices, key=vertex_sort_key))
+        """The vertices in :func:`vertex_sort_key` order, sorted once per tree
+        and then cached."""
+        order = self._sorted
+        if order is None:
+            order = tuple(sorted(self.vertices, key=vertex_sort_key))
+            object.__setattr__(self, "_sorted", order)
+        return order
 
     def __contains__(self, v) -> bool:
         return v in self.vertices
@@ -404,14 +411,14 @@ def validate(tree: DirectedTree) -> ValidationReport:
             violations.append(f"parent map keyed by unknown vertex {child!r}")
         if par not in vertices:
             violations.append(f"vertex {child!r} has unknown parent {par!r}")
-    roots = [v for v in sorted(vertices, key=vertex_sort_key) if v not in tree.parent]
+    roots = [v for v in tree.sorted_vertices if v not in tree.parent]
     if len(roots) > 1:
         violations.append(
             "more than one root: " + ", ".join(repr(r) for r in roots)
         )
     # cycle detection by walking the parent map with three-color marking
     state: dict = {}
-    for start in sorted(vertices, key=vertex_sort_key):
+    for start in tree.sorted_vertices:
         if state.get(start):
             continue
         path = []

@@ -27,6 +27,7 @@ from treeshift import (
     WeightedShift,
     certify_subnormal,
     certify_t_eta_kappa,
+    make_family,
     root_measure_equivalence_check,
     superpose,
     truncated_tree,
@@ -74,6 +75,25 @@ def bary_pair(b=2, depth=4, seed=7):
         eps[u] = 1.0 - budget if u == 0 else 0.0
         mu[u] = superpose(terms, -1, eps[u])
     return WeightedShift(tree, weights), MeasureSystem(mu=mu, eps=eps)
+
+
+def power_path(length=128, seed=11):
+    """The path 0..length with the proof system of a three-atom measure: the
+    measure at n is s^n times the base, normalized, and the weight into n is
+    the square root of the n-th moment ratio turned by a random phase."""
+    rng = random.Random(seed)
+    base = _measure(rng, 3)
+    mom = [base.moment(n) for n in range(length + 1)]
+    weights = {
+        n: math.sqrt(mom[n] / mom[n - 1]) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        for n in range(1, length + 1)
+    }
+    mu = {
+        n: AtomicMeasure(tuple((x, w * x**n / mom[n]) for x, w in base.atoms))
+        for n in range(length + 1)
+    }
+    shift = WeightedShift(make_family("unilateral", length), weights)
+    return shift, MeasureSystem(mu=mu, eps={n: 0.0 for n in mu})
 
 
 _MEASURES = (
@@ -146,6 +166,8 @@ def _library_reports():
             _with_root_measure(branch_data(2, 2, 5)), depth=5
         ),
         "equivalence-kappa3": root_measure_equivalence_check(branch_data(2, 3, 5)),
+        "power-path-128": certify_subnormal(*power_path(), horizon=128),
+        "teta-eta3-depth48": certify_t_eta_kappa(branch_data(3, 2, 48), depth=48),
     }
 
 
@@ -159,6 +181,8 @@ GOLDEN = {
     "teta-kappa-inf": "c7b193ebacda2e25b1613e0ead8139c8993f63129a002f2ef43982302e441f97",
     "teta-kappa2-nu": "ddd88c8352d626ad0335f9c9eaf7ad4e0268e69fe28f811efb4f606f2dcab282",
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
+    "power-path-128": "a0cde2f86894be354ed4aae828ef77d1b0152eb584f1771c8f276ae4827b40e2",
+    "teta-eta3-depth48": "8a940c02836a11d64ad7fdfe79738526b57022c3dc4b19faa7003c6155a005e5",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
     "cli-certify-sequences": "c4072d34a5487d70d3835d9125e070450fc48c86eb9295f680a4584afaba2cc3",

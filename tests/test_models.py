@@ -617,6 +617,42 @@ def test_extract_finite_trunk_checks_root_measure_form():
     assert m2.atoms[0][0] == pytest.approx(4.0, rel=1e-9)
 
 
+def _count_hankel_tests(monkeypatch):
+    """Record the sequence of every Hankel test, whether the certifier runs
+    it or quadrature does."""
+    from treeshift import models, moments
+
+    seen = []
+    test = moments.check_stieltjes
+
+    def counted(seq, tol=1e-9):
+        seen.append(tuple(seq))
+        return test(seq, tol=tol)
+
+    monkeypatch.setattr(moments, "check_stieltjes", counted)
+    monkeypatch.setattr(models, "check_stieltjes", counted)
+    return seen
+
+
+def test_each_sequence_is_hankel_tested_once(monkeypatch):
+    # quadrature's own test is the verdict of the sequence it fits: the
+    # deepest left shift of a bilateral window, and the branch heads and the
+    # root -kappa of an extraction
+    seen = _count_hankel_tests(monkeypatch)
+    cert = certify_bilateral({k: math.sqrt(2) for k in range(-3, 5)})
+    assert cert.status == CERTIFIED and sorted(cert.stieltjes) == ["0", "1", "2", "3", "4"]
+    assert len(seen) == len(set(seen)) == 5
+    seen.clear()
+    tree = make_family("t-eta-kappa", 6, eta=2, kappa=1)
+    weights = {(1, 1): math.sqrt(0.5), (2, 1): math.sqrt(2.0), 0: math.sqrt(1.28)}
+    for j in range(2, 7):
+        weights[(1, j)], weights[(2, j)] = 1.0, 2.0
+    shift = WeightedShift(tree, weights)
+    seqs = {v: shift.moment_values(v, 5) for v in (-1, 0, (1, 1), (2, 1))}
+    assert extract_branch_data(shift, seqs).status == CONDITIONAL
+    assert len(seen) == len(set(seen)) == 4
+
+
 def test_extract_rejects_a_sequence_against_an_overflowing_norm():
     # |w_(1,1)|^2 = 1e320 overflows, so the norms at 0 are (1, inf, inf);
     # the supplied 1 at order 1 must be caught, not pass as a NaN row

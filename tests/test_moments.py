@@ -160,14 +160,16 @@ def test_superpose_refuses_masses_that_overflow():
 def test_moments_that_overflow_name_order_and_atom():
     mu = AtomicMeasure(((1.0, 0.5), (1e200, 0.5)))
     assert mu.moments(1) == (1.0, 0.5 + 0.5e200)
-    for call in (lambda: mu.moments(3), lambda: mu.moment(2)):
+    # moments(3) takes the orders one by one, moments(20) forms columns first
+    for call in (lambda: mu.moments(3), lambda: mu.moments(20), lambda: mu.moment(2)):
         with pytest.raises(ValueError, match=r"moment of order 2 overflows: .* x = 1e\+200, w = 0.5"):
             call()
     with pytest.raises(ValueError, match="moment of order -2 overflows"):
         AtomicMeasure.delta(1e-200).moment(-2)
     # no single power overflows, but the sum does
-    with pytest.raises(ValueError, match="moment of order 0 overflows$"):
-        AtomicMeasure(((1.0, 1e308), (2.0, 1e308))).moments(0)
+    for n_max in (0, 20):
+        with pytest.raises(ValueError, match="moment of order 0 overflows$"):
+            AtomicMeasure(((1.0, 1e308), (2.0, 1e308))).moments(n_max)
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,6 +178,42 @@ def test_moments_equal_moment_by_order_exactly(measure, n):
     with_zero = measure.plus(AtomicMeasure.delta(0.0, 0.5))
     for mu in (measure, with_zero):
         assert mu.moments(n) == tuple(mu.moment(k) for k in range(n + 1))
+
+
+def _moments_one_by_one(mu, n_max):
+    """mu.moment(k) for k = 0..n_max, or the message of the first that raises."""
+    out = []
+    for k in range(n_max + 1):
+        try:
+            out.append(mu.moment(k))
+        except ValueError as err:
+            return str(err)
+    return tuple(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+            st.floats(min_value=1e-300, max_value=1e3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    n_max=st.integers(min_value=0, max_value=200),
+)
+def test_moments_equal_moment_by_order_on_both_orientations(atoms, n_max):
+    # n_max up to 200 on one to four atoms takes both the per-order loop and
+    # the per-atom columns, and positions up to 1e3 overflow on either
+    mu = AtomicMeasure(tuple(atoms))
+    expected = _moments_one_by_one(mu, n_max)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            mu.moments(n_max)
+        assert str(raised.value) == expected
+    else:
+        assert mu.moments(n_max) == expected
 
 
 def test_moments_of_examples():

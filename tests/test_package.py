@@ -81,6 +81,27 @@ def test_bare_import_loads_no_submodule():
     assert out.stdout.strip() == "['treeshift']"
 
 
+STDLIB_ONLY = """
+import pkgutil, sys
+before = set(sys.modules)
+import treeshift
+for module in pkgutil.iter_modules(treeshift.__path__):
+    __import__("treeshift." + module.name)
+# quadrature's polish and the exact Hankel witness import inside functions
+treeshift.quadrature_from_moments([1.0, 2.0, 5.0, 14.0])
+treeshift.check_stieltjes([1.0, 1.0, 0.0, 0.0])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"treeshift"}))
+"""
+
+
+def test_the_runtime_loads_only_the_standard_library():
+    out = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def _bench_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)

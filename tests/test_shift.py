@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     HorizonError,
@@ -218,6 +220,38 @@ def test_product_moments_equals_the_running_loop(rng):
     got = product_moments([1e160, 1e160, 1.0])
     want = _product_moments_loop([1e160, 1e160, 1.0])
     assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+# weight parts: signed zeros, subnormals, ordinary values and values near
+# 1e154, whose running products overflow after two or three steps
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=0.5e154, max_value=4e154).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=30))
+def test_walk_norms_equal_mod_sq_of_the_running_products(weights):
+    # compared by repr: the same floats, with -0.0, inf and NaN spelled out
+    want = [repr(x) for x in _product_moments_loop(weights)]
+    shift = unilateral_shift(weights)
+    assert [repr(x) for x in shift.moment_values(0, len(weights))] == want
+    assert [repr(x) for x in product_moments(weights)] == want
+    # a branching vertex sums its children's squared moduli, or overflows alike
+    tree = explicit_tree([0, 1, 2], {1: 0, 2: 0})
+    star = WeightedShift(tree, {1: weights[0], 2: weights[-1]})
+    assert _repr_or_error(lambda: star.power_norm_sq(0, 1)) == _repr_or_error(
+        lambda: math.fsum([_mod_sq(weights[0]), _mod_sq(weights[-1])])
+    )
+
+
+def _repr_or_error(call):
+    try:
+        return repr(call())
+    except OverflowError as err:
+        return str(err)
 
 
 def test_power_norm_horizon_error_unchanged(rng):
