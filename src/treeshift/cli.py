@@ -576,19 +576,17 @@ def _cmd_check_consistency(args, config: RunConfig) -> int:
 def _cmd_truncate(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
-    from . import truncation
+    from . import consistency, truncation
 
     entry = truncation.truncate(system, shift, args.window)
     report = truncation.verify_truncated_consistency(entry, tol=config.tol)
-    witness = None
-    if not report.ok:
-        bad = next((r for r in report.consistency if not r.ok), None)
-        witness = {
-            "vertex": bad.as_dict()["vertex"] if bad else None,
-            "check": "truncated-consistency",
-            "discrepancy": bad.max_discrepancy if bad else None,
-            "reason": bad.reason if bad else "support or norm bound violation",
-        }
+    witness = consistency.identity_witness(report.consistency)
+    if witness is None and report.stieltjes_failures:
+        u = report.stieltjes_failures[0]
+        witness = consistency.hankel_witness(report.stieltjes[u], vertex=vertex_to_key(u))
+    if witness is None and not report.ok:
+        reason = "max_support or norm_bound exceeds the window height"
+        witness = {"vertex": None, "check": "truncation-bound", "reason": reason}
     return _emit(
         {
             "command": "truncate",

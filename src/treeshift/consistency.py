@@ -19,6 +19,7 @@ from .moments import (
     RefutedSequenceError,
     as_values,
     carleman_diagnostic,
+    check_stieltjes,
     measure_from_json,
     quadrature_from_moments,
     scaled_inverse_integral,
@@ -261,6 +262,27 @@ def hankel_witness(verdict, **where) -> dict:
         "vector": list(verdict.witness_vector),
         "quadratic_form": verdict.witness_value,
     }
+
+
+def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None) -> tuple:
+    """Lambert's test: Hankel verdicts, in vertex order, of the power norms
+    t_u(0..top(u)), top(u) = int(min(horizon, available_depth(u))), and the
+    first that fails (or None); the horizon must be finite where no frontier
+    lies below.  It skips u when top(u) < 2, or when a nonzero weight enters
+    u from a parent p with no other child and top(p) > top(u), as u's blocks
+    are then scaled principal submatrices of p's.  ``known`` maps vertices
+    to verdicts already run on their norms."""
+    tree = shift.tree
+    top = {u: int(min(horizon, tree.available_depth(u))) for u in tree.sorted_vertices}
+    verdicts = {}
+    for u, n in top.items():
+        p = tree.parent.get(u)
+        if n < 2 or (
+            p in top and len(tree.children(p)) == 1 and shift.weights[u] != 0 and top[p] > n
+        ):
+            continue
+        verdicts[u] = (known or {}).get(u) or check_stieltjes(shift.moment_values(u, n), tol=tol)
+    return verdicts, next((u for u, v in verdicts.items() if not v.consistent), None)
 
 
 def identity_witness(reports, **extra) -> dict | None:

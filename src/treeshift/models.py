@@ -3,10 +3,10 @@ bilateral shifts, and the leafless trees with a single branching vertex.
 
 The unilateral certifier reduces to one Hankel test on the running product
 sequence of squared weights and then materializes the certificate system by
-reweighting a quadrature measure.  The bilateral certifier tests every
-left-shift of a two-sided product sequence inside the window.  The branching
-certifier dispatches on the trunk length: a single inequality when the
-branching vertex is the root, trunk-product equalities plus one terminal
+reweighting a quadrature measure.  The bilateral certifier tests the deepest
+left-shift of a two-sided product sequence, which implies the others.  The
+branching certifier dispatches on the trunk length: a single inequality when
+the branching vertex is the root, trunk-product equalities plus one terminal
 inequality for a finite trunk, an equivalent root-measure formulation, and
 the windowed variant of the equalities for an infinite trunk.
 """
@@ -24,6 +24,7 @@ from .consistency import (
     certify_subnormal,
     first_failing_row,
     hankel_witness,
+    lambert_sweep,
     measure_discrepancy,
     relative_errors,
 )
@@ -105,19 +106,15 @@ def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
     return mu
 
 
-def _certify_on_path(tree, first_vertex: int, weights, base: AtomicMeasure, tol: float):
-    """Cross-certify the proof system on an integer path, up to its length:
-    the measure at step n is the base measure reweighted by s^n and
+def _certify_on_path(shift, base: AtomicMeasure, tol: float):
+    """Cross-certify the proof system on an integer path shift, up to its
+    length: the measure at step n is the base measure reweighted by s^n and
     normalized; any base mass at zero becomes the path root's point mass."""
-    shift = WeightedShift(
-        tree, {first_vertex + k + 1: w for k, w in enumerate(weights)}
-    )
-    path = range(first_vertex, first_vertex + len(weights) + 1)
-    mu = _normalized_powers(base, path)
+    root, depth = shift.tree.root, len(shift.weights)
+    mu = _normalized_powers(base, range(root, root + depth + 1))
     eps = {v: 0.0 for v in mu}
-    eps[first_vertex] = base.mass_at_zero / base.total_mass
-    system = MeasureSystem(mu=mu, eps=eps)
-    return certify_subnormal(shift, system, horizon=len(weights), tol=tol)
+    eps[root] = base.mass_at_zero / base.total_mass
+    return certify_subnormal(shift, MeasureSystem(mu=mu, eps=eps), horizon=depth, tol=tol)
 
 
 def _fit(values, tol: float):
@@ -129,51 +126,38 @@ def _fit(values, tol: float):
     return fit, fit.verdict
 
 
-def _lambert_on_path(weights, tol: float, head=None):
-    """Hankel verdicts, by position k, of the power norms
-    ``product_moments(weights[k:])`` along a path with these weights, and
-    the first position that fails (or None).  Past a nonzero weight the
-    norms are the parent's shifted and rescaled (Lambert), so only position
-    0, whose verdict ``head`` may carry, and the positions entered by zero
-    weights are tested, each when it has at least three moments."""
-    verdicts = {}
-    for k in range(len(weights) - 1):
-        if k == 0 and head is not None:
-            verdicts[0] = head
-        elif k == 0 or weights[k - 1] == 0:
-            verdicts[k] = check_stieltjes(product_moments(weights[k:]), tol=tol)
-    return verdicts, next((k for k, v in verdicts.items() if not v.consistent), None)
-
-
 def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a unilateral classical shift from its weight list.
 
-    The power norms are Hankel-tested at the root and past every zero weight;
-    a failure refutes.  With nonzero weights, subnormality is equivalent to
-    the running product sequence being a halfline moment sequence; on a pass
-    the proof system (powers of the variable against one representing
-    measure) is built and cross-certified.  A zero weight falls outside the
-    product criterion, so a pass then stays conditional.
+    The power norms are Hankel-tested at the root and past every zero weight
+    (:func:`lambert_sweep`); a failure refutes.  With nonzero weights,
+    subnormality is equivalent to the running product sequence being a
+    halfline moment sequence; on a pass the proof system (powers of the
+    variable against one representing measure) is built and cross-certified.
+    A zero weight falls outside the product criterion, so a pass then stays
+    conditional.
     """
     weights = [complex(w) for w in weights]
     if len(weights) < 3:
         raise ValueError("need at least three weights")
+    shift = WeightedShift(make_family(UNILATERAL, len(weights)), dict(enumerate(weights, 1)))
     values = product_moments(weights)
     zero = 0 in weights
     fit, head = (None, None) if zero else _fit(values, tol)
-    verdicts, failed = _lambert_on_path(weights, tol, head)
-    stieltjes = {str(k): v for k, v in verdicts.items()}
+    verdicts, failed = lambert_sweep(shift, tol, known={0: head})
+    stieltjes = {vertex_to_key(k): v for k, v in verdicts.items()}
     note = "zero weight: per-vertex necessary conditions only"
     detail = {"note": note} if zero else {"sequence": list(values)}
     if failed is not None:
-        witness = hankel_witness(verdicts[failed], vertex=str(failed))
+        witness = hankel_witness(verdicts[failed], vertex=vertex_to_key(failed))
         return _refuted(UNILATERAL, stieltjes, detail, witness)
     if zero:
         return ModelCertificate(CONDITIONAL, UNILATERAL, stieltjes, None, detail, None)
     base = fit.measure
     depth = 2 * fit.requested - 1
-    tree = make_family(UNILATERAL, depth)
-    certificate = _certify_on_path(tree, 0, weights[:depth], base, tol)
+    if depth < len(weights):
+        shift = WeightedShift(make_family(UNILATERAL, depth), dict(enumerate(weights[:depth], 1)))
+    certificate = _certify_on_path(shift, base, tol)
     detail.update(representing_measure=base.as_dict(), eps_root=base.mass_at_zero)
     return ModelCertificate(
         status=certificate.status,
@@ -238,11 +222,12 @@ def two_sided_from_weights(weights: Mapping[int, complex]) -> TwoSidedSequence:
 def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a bilateral classical shift over a contiguous weight window.
 
-    Every left-shift of the two-sided product sequence that fits in the
-    window must pass the Hankel test; on a pass the proof system is built
-    from a quadrature measure for the deepest shift and cross-certified on
-    the window tree.  Zero weights are rejected (backward products need
-    inverses).
+    The deepest left-shift of the two-sided product sequence (the power norms
+    of the window root) must pass the Hankel test; each shallower one is a
+    suffix, whose Hankel blocks are principal submatrices of its blocks.  On
+    a pass the proof system is built from a quadrature measure for the
+    deepest shift and cross-certified on the window tree.  Zero weights are
+    rejected (backward products need inverses).
     """
     weights = {int(k): complex(w) for k, w in weights.items()}
     zero = [k for k, w in sorted(weights.items()) if w == 0]
@@ -252,26 +237,16 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
         )
     seq = two_sided_from_weights(weights)
     root = seq.k_min
-    verdicts = {}
-    witness = None
-    for k in range(0, -root + 1):
-        shifted = seq.left_shift(k)
-        if len(shifted) < 3:
-            continue
-        if k == -root and witness is None:  # the deepest shift: fit it, reusing its test
-            fit, v = _fit(shifted, tol)
-        else:
-            v = check_stieltjes(shifted, tol=tol)
-        verdicts[str(k)] = v
-        if not v.consistent and witness is None:
-            witness = hankel_witness(v, shift=k)
-    if witness is not None:
+    fit, verdict = _fit(seq.values, tol)  # the deepest left-shift
+    verdicts = {str(-root): verdict}
+    if fit is None:
+        witness = hankel_witness(verdict, shift=-root)
         return _refuted(BILATERAL_WINDOW, verdicts, {"two_sided": seq.as_dict()}, witness)
     base = fit.measure
     depth = 2 * fit.requested - 1
     tree = make_family(BILATERAL_WINDOW, depth=root + depth, back=-root)
-    path_weights = [weights[root + k + 1] for k in range(depth)]
-    certificate = _certify_on_path(tree, root, path_weights, base, tol)
+    shift = WeightedShift(tree, {k: weights[k] for k in range(root + 1, root + depth + 1)})
+    certificate = _certify_on_path(shift, base, tol)
     return ModelCertificate(
         status=certificate.status,
         family=BILATERAL_WINDOW,
@@ -690,8 +665,10 @@ def certify_t_eta_kappa(
     if data.branch_measures is None:
         measures = []
         for i, ws in enumerate(data.branch_weights, start=1):
+            # branch i as a path shift: its vertex k is the tree's (i, k + 1)
+            path = WeightedShift(make_family(UNILATERAL, len(ws)), dict(enumerate(ws, 1)))
             fit, head = _fit(product_moments(ws), tol)
-            verdicts, failed = _lambert_on_path(ws, tol, head)
+            verdicts, failed = lambert_sweep(path, tol, known={0: head})
             if failed is not None:
                 key = vertex_to_key((i, failed + 1))
                 detail = {"sequence": list(product_moments(ws[failed:]))}

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .consistency import MeasureSystem, identity_reports
-from .moments import AtomicMeasure, check_stieltjes
+from .consistency import MeasureSystem, identity_reports, lambert_sweep
+from .moments import AtomicMeasure
 from .shift import WeightedShift, _fsum_complex
 from .tree import vertex_sort_key, vertex_to_key
 
@@ -112,7 +112,8 @@ def truncate(system: MeasureSystem, shift: WeightedShift, i: int) -> TruncationE
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Verification record for one truncation entry."""
+    """Verification record for one truncation entry; ``stieltjes`` maps each
+    vertex the Lambert sweep tested to its Hankel verdict."""
 
     index: int
     ok: bool
@@ -121,8 +122,15 @@ class TruncationReport:
     max_support: float
     norm_bound: float
     norm_bound_ok: bool
-    stieltjes_ok: bool
-    stieltjes_failures: tuple
+    stieltjes: dict
+
+    @property
+    def stieltjes_failures(self) -> tuple:
+        return tuple(u for u, v in self.stieltjes.items() if not v.consistent)
+
+    @property
+    def stieltjes_ok(self) -> bool:
+        return not self.stieltjes_failures
 
     def as_dict(self) -> dict:
         return {
@@ -142,7 +150,9 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     """Check the truncated identity at every vertex, confirm all supports sit
     inside the window (hence the truncated shift is bounded with squared norm
     at most the window height), and run the bounded-case Hankel test on the
-    truncated power norms at every vertex."""
+    truncated power norms up to order 8 (a window may have no frontier below
+    a vertex) through :func:`lambert_sweep`, so ``stieltjes_failures`` lists
+    the failing tested vertices only."""
     tree = entry.shift.tree
     reports = identity_reports(entry.system, entry.shift, tol=tol)
     ok = all(r.ok for r in reports)
@@ -153,25 +163,16 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     supports_ok = max_support <= entry.index
     bound = entry.shift.norm_bound().value
     norm_bound_ok = bound <= entry.index + tol
-    stieltjes_failures = []
-    for u in tree.sorted_vertices:
-        top = int(min(8, tree.available_depth(u)))
-        if top < 2:
-            continue
-        values = entry.shift.moment_values(u, top)
-        if not check_stieltjes(values, tol=tol).consistent:
-            stieltjes_failures.append(u)
-    stieltjes_ok = not stieltjes_failures
+    stieltjes, failed = lambert_sweep(entry.shift, tol, horizon=8)
     return TruncationReport(
         index=entry.index,
-        ok=ok and supports_ok and norm_bound_ok and stieltjes_ok,
+        ok=ok and supports_ok and norm_bound_ok and failed is None,
         consistency=reports,
         supports_ok=supports_ok,
         max_support=max_support,
         norm_bound=bound,
         norm_bound_ok=norm_bound_ok,
-        stieltjes_ok=stieltjes_ok,
-        stieltjes_failures=tuple(stieltjes_failures),
+        stieltjes=stieltjes,
     )
 
 

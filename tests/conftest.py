@@ -19,6 +19,7 @@ from treeshift import (
     AtomicMeasure,
     MeasureSystem,
     WeightedShift,
+    check_stieltjes,
     explicit_tree,
     make_family,
     parent_from_children,
@@ -48,6 +49,38 @@ def random_truncated_tree(rng, max_vertices=40, max_depth=5):
             parent[v] = u
             frontier_queue.append((v, depth + 1))
     return truncated_tree(vertices, parent)
+
+
+def random_chain_tree(rng, explicit=False, max_vertices=60):
+    """Random tree, branching factor 0..3 below the root, in which about a
+    third of the edges are chains of 9 to 14 vertices, longer than the
+    truncation sweep's cap of 8.  ``explicit`` makes every childless vertex
+    a true leaf (no frontier); otherwise it is a frontier vertex."""
+    vertices, parent, queue = [0], {}, [(0, 0)]
+    while queue and len(vertices) < max_vertices:
+        u, depth = queue.pop(0)
+        if depth >= 5:
+            continue
+        for _ in range(int(rng.integers(1, 4)) if depth == 0 else int(rng.integers(0, 4))):
+            chain = int(rng.integers(9, 15)) if rng.random() < 0.3 else 1
+            for _ in range(chain):
+                parent[len(vertices)] = u
+                u = len(vertices)
+                vertices.append(u)
+            queue.append((u, depth + 1))
+    return (explicit_tree if explicit else truncated_tree)(vertices, parent)
+
+
+def every_vertex_failures(shift, horizon, tol=1e-9):
+    """The vertices whose power norms, up to the clamped horizon, fail the
+    Hankel test: the Lambert test run at every vertex with three norms."""
+    tree = shift.tree
+    failures = []
+    for u in tree.sorted_vertices:
+        top = int(min(horizon, tree.available_depth(u)))
+        if top >= 2 and not check_stieltjes(shift.moment_values(u, top), tol=tol).consistent:
+            failures.append(u)
+    return failures
 
 
 def family_windows():

@@ -135,6 +135,47 @@ def test_check_consistency_and_truncate(unilateral_inputs, capsys):
     assert entry["index"] == 2
 
 
+def _truncate(tree, weights, system, capsys):
+    args = ["truncate", "--tree", tree, "--weights", weights, "--system", system, "--window", "2"]
+    return run_cli(args, capsys)
+
+
+def test_truncate_refutes_a_tampered_system_at_its_vertex(unilateral_inputs, tmp_path, capsys):
+    tree, weights, _ = unilateral_inputs
+    measures = {str(k): {"atoms": [{"x": 1.0, "w": 1.0}]} for k in range(5)}
+    measures["2"] = {"atoms": [{"x": 2.0, "w": 1.0}]}
+    system = write(tmp_path, "tampered.json", {"measures": measures, "eps": {}})
+    code, out = _truncate(tree, weights, system, capsys)
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "refuted"
+    witness = report["witness"]
+    assert witness["check"] == "consistency-identity" and witness["vertex"] == "1"
+    bad = next(r for r in report["verification"]["consistency"] if not r["ok"])
+    assert bad["vertex"] == "1" and witness["discrepancy"] == bad["max_discrepancy"]
+
+
+def test_truncate_names_the_vertex_whose_power_norms_fail(unilateral_inputs, monkeypatch, capsys):
+    # a consistent system passes the Hankel test, so the sweep is handed a
+    # shift with a broken weight to stand for a failure that only it sees
+    from treeshift import WeightedShift, truncation
+
+    sweep = truncation.lambert_sweep
+
+    def broken(shift, tol, horizon):
+        weights = dict(shift.weights)
+        weights[2] = 0.5
+        return sweep(WeightedShift(shift.tree, weights), tol, horizon=horizon)
+
+    monkeypatch.setattr(truncation, "lambert_sweep", broken)
+    code, out = _truncate(*unilateral_inputs, capsys)
+    report = json.loads(out)
+    assert code == 1 and report["verification"]["stieltjes_failures"] == ["0"]
+    assert all(r["ok"] for r in report["verification"]["consistency"])
+    witness = report["witness"]
+    assert witness["check"] == "hankel" and witness["vertex"] == "0"
+    assert witness["quadratic_form"] < 0
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_check_consistency_depth_checks_vertices_with_that_many_levels(
     unilateral_inputs, capsys, depth

@@ -2,6 +2,7 @@ import math
 import struct
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from treeshift import (
@@ -18,6 +19,7 @@ from treeshift import (
     check_consistency_at,
     check_stieltjes,
     child_from_parent_single,
+    explicit_tree,
     make_family,
     moments_match,
     parent_from_children,
@@ -28,13 +30,20 @@ from treeshift import (
 from treeshift.consistency import (
     _generation_terms,
     identity_reports,
+    lambert_sweep,
     measure_discrepancy,
     relative_errors,
 )
 from treeshift.shift import _mod_sq
 from treeshift.tree import HorizonError
 
-from conftest import family_windows, random_complex_weights, random_consistent_system
+from conftest import (
+    every_vertex_failures,
+    family_windows,
+    random_chain_tree,
+    random_complex_weights,
+    random_consistent_system,
+)
 
 
 def delta_one_system(depth=4):
@@ -605,3 +614,89 @@ def test_non_finite_zero_masses_are_rejected():
             MeasureSystem(mu=mu, eps={0: bad})
     with pytest.raises(ValueError, match="nonnegative"):
         MeasureSystem(mu=mu, eps={0: -0.5})
+
+
+# -- the Lambert sweep ------------------------------------------------------------
+
+
+def _sweep_sample(rng, i):
+    """The i-th shift of the sweep sample: explicit and truncated chain
+    trees, with consistent systems' weights (which pass), constant moduli or
+    random complex weights, and about 5% zero weights."""
+    tree = random_chain_tree(rng, explicit=i % 2 == 1)
+    if i % 4 == 0:
+        return random_consistent_system(rng, tree=tree)[0]
+    scale = rng.uniform(0.5, 1.5)
+    weights = {}
+    for v in tree.non_root_vertices:
+        phase = rng.uniform(0.0, 2.0 * math.pi) if i % 4 == 1 else 0.0
+        r = scale if i % 4 == 2 else rng.uniform(0.5, 1.5)
+        weights[v] = 0.0 if rng.random() < 0.05 else r * complex(math.cos(phase), math.sin(phase))
+    return WeightedShift(tree, weights)
+
+
+def test_lambert_sweep_agrees_with_testing_every_vertex():
+    # a vertex is skipped only where its parent's blocks contain its own,
+    # so refuting and passing trees come out alike, with fewer tests
+    rng = np.random.default_rng(1616)
+    outcomes, tested, eligible = set(), 0, 0
+    for i in range(240):
+        shift = _sweep_sample(rng, i)
+        verdicts, failed = lambert_sweep(shift, horizon=8)
+        every = every_vertex_failures(shift, 8)
+        assert (failed is None) == (not every), i
+        assert {u for u, v in verdicts.items() if not v.consistent} <= set(every)
+        outcomes.add(failed is None)
+        tested += len(verdicts)
+        depths = map(shift.tree.available_depth, shift.tree.vertices)
+        eligible += sum(min(8, d) >= 2 for d in depths)
+    assert outcomes == {True, False}
+    assert tested < 0.9 * eligible
+
+
+def test_lambert_sweep_tests_below_a_parent_whose_prefix_the_cap_cuts():
+    # four atoms make the order-8 Hankel block singular; lowering the last of
+    # 12 weights by 2^-22 breaks the capped norms of vertex 4 alone, which
+    # has 8 levels below it.  Its parent's capped prefix stops one weight
+    # short, so vertex 4 must be tested although its parent has one child.
+    mom = AtomicMeasure(tuple((x, 0.25) for x in (1.0, 2.0, 3.0, 3.5))).moments(12)
+    weights = [math.sqrt(mom[n] / mom[n - 1]) for n in range(1, 13)]
+    weights[-1] *= 1.0 - 2.0**-22
+    shift = WeightedShift(make_family("unilateral", 12), dict(enumerate(weights, start=1)))
+    assert every_vertex_failures(shift, 8) == [4]
+    verdicts, failed = lambert_sweep(shift, horizon=8)
+    assert sorted(verdicts) == [0, 1, 2, 3, 4] and failed == 4
+    # uncapped, the root's norms reach the last weight and stand for the path
+    verdicts, failed = lambert_sweep(shift)
+    assert sorted(verdicts) == [0] and failed == 0
+
+
+def test_lambert_sweep_tests_each_child_of_a_branching_vertex():
+    # two chains below the root: a genuine one of five atoms and, under a
+    # light entry weight, one whose norms fail; their sum at the root passes
+    parent = {1: 0, 7: 0, **{k: k - 1 for k in (*range(2, 7), *range(8, 13))}}
+    mom = AtomicMeasure(tuple((x, 0.2) for x in (0.5, 1.0, 1.5, 2.0, 3.0))).moments(6)
+    weights = {1: 0.1, 2: 1.0, 3: 0.5, 4: 1.0, 5: 1.0, 6: 1.0, 7: math.sqrt(0.99 * mom[1])}
+    weights.update({k: math.sqrt(mom[k - 6] / mom[k - 7]) for k in range(8, 13)})
+    shift = WeightedShift(truncated_tree(range(13), parent), weights)
+    assert every_vertex_failures(shift, math.inf) == [1]
+    verdicts, failed = lambert_sweep(shift)
+    assert sorted(verdicts) == [0, 1, 7] and failed == 1
+
+
+def test_lambert_sweep_tests_past_zero_weights_and_reuses_known_verdicts():
+    weights = {1: 1.0, 2: 0.0, 3: 1.0, 4: 2.0, 5: 1.0, 6: 1.0}
+    shift = WeightedShift(make_family("unilateral", 6), weights)
+    verdicts, failed = lambert_sweep(shift)
+    assert sorted(verdicts) == [0, 2] and failed == 0
+    passing = check_stieltjes([1.0, 1.0, 1.0])
+    verdicts, failed = lambert_sweep(shift, known={0: passing})
+    assert verdicts[0] is passing and failed == 2
+
+
+def test_lambert_sweep_tests_every_vertex_where_the_cap_binds_everywhere():
+    # no frontier: every prefix is capped to the same length, so no parent's
+    # prefix contains its child's
+    shift = WeightedShift(explicit_tree(range(3), {1: 0, 2: 1}), {1: 1.0, 2: 1.0})
+    verdicts, failed = lambert_sweep(shift, horizon=8)
+    assert sorted(verdicts) == [0, 1, 2] and failed == 0

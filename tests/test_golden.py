@@ -25,6 +25,7 @@ from treeshift import (
     BranchData,
     MeasureSystem,
     WeightedShift,
+    certify_bilateral,
     certify_subnormal,
     certify_t_eta_kappa,
     make_family,
@@ -94,6 +95,22 @@ def power_path(length=128, seed=11):
     }
     shift = WeightedShift(make_family("unilateral", length), weights)
     return shift, MeasureSystem(mu=mu, eps={n: 0.0 for n in mu})
+
+
+def bilateral_weights(lo=-3, hi=4, seed=13, moved=None):
+    """Two-sided moment ratios of a three-atom measure over [lo, hi], each
+    weight turned by a random phase; ``moved`` scales the weight into that
+    vertex by 1.01."""
+    rng = random.Random(seed)
+    base = _measure(rng, 3)
+    weights = {
+        n: math.sqrt(base.moment(n) / base.moment(n - 1))
+        * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        for n in range(lo, hi + 1)
+    }
+    if moved is not None:
+        weights[moved] *= 1.01
+    return weights
 
 
 _MEASURES = (
@@ -168,6 +185,8 @@ def _library_reports():
         "equivalence-kappa3": root_measure_equivalence_check(branch_data(2, 3, 5)),
         "power-path-128": certify_subnormal(*power_path(), horizon=128),
         "teta-eta3-depth48": certify_t_eta_kappa(branch_data(3, 2, 48), depth=48),
+        "bilateral": certify_bilateral(bilateral_weights()),
+        "bilateral-refuted": certify_bilateral(bilateral_weights(moved=1)),
     }
 
 
@@ -183,9 +202,12 @@ GOLDEN = {
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
     "power-path-128": "a0cde2f86894be354ed4aae828ef77d1b0152eb584f1771c8f276ae4827b40e2",
     "teta-eta3-depth48": "8a940c02836a11d64ad7fdfe79738526b57022c3dc4b19faa7003c6155a005e5",
+    "bilateral": "174ee0af10b12c74c73a70a91072d82c6bdbf6bc6cf070aff4241ecbe7e4455a",
+    "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
     "cli-certify-sequences": "c4072d34a5487d70d3835d9125e070450fc48c86eb9295f680a4584afaba2cc3",
+    "cli-truncate-path": "6b047b6c4599cf88a30374186a46a0b1d3f072649f7992b875c998c5742f0276",
 }
 
 
@@ -242,3 +264,18 @@ def test_certify_sequences_report_digest(tmp_path, capsys):
     }
     digest = _cli_digest(tmp_path, capsys, ["certify", "--family", "general"], docs, 2)
     assert digest == GOLDEN["cli-certify-sequences"]
+
+
+def test_truncate_report_digest(tmp_path, capsys):
+    """The window of height 6 over the H = 12 power path: two of its three
+    atoms lie inside, the third (at 9.25) is cut away."""
+    shift, system = power_path(length=12)
+    docs = {
+        "tree": {"family": "unilateral", "params": {"depth": 12}},
+        "weights": {
+            "weights": [{"v": v, "re": w.real, "im": w.imag} for v, w in shift.weights.items()]
+        },
+        "system": system.as_dict(),
+    }
+    digest = _cli_digest(tmp_path, capsys, ["truncate", "--window", "6"], docs)
+    assert digest == GOLDEN["cli-truncate-path"]

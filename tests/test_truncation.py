@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from treeshift import (
@@ -14,7 +15,7 @@ from treeshift import (
     verify_truncated_consistency,
 )
 
-from conftest import random_consistent_system
+from conftest import every_vertex_failures, random_chain_tree, random_consistent_system
 
 
 def mixed_pair_system(positions=(1.0, 2.0), depth=4):
@@ -238,3 +239,19 @@ def test_convergence_residuals_decay_on_spread_system(rng):
     residuals = [r.residual_sq for r in table.rows]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] == 0.0
+
+
+def test_truncations_of_consistent_systems_pass_the_lambert_sweep():
+    # chains longer than the order-8 cap and zero weights: every truncation
+    # of a consistent system passes, as it does when every vertex is tested
+    rng = np.random.default_rng(1617)
+    tested = 0
+    for _ in range(30):
+        shift, system = random_consistent_system(rng, tree=random_chain_tree(rng))
+        for i in (2, 4, 8):
+            entry = truncate(system, shift, i)
+            report = verify_truncated_consistency(entry)
+            assert report.ok and report.stieltjes_ok and report.stieltjes_failures == ()
+            assert every_vertex_failures(entry.shift, 8) == []
+            tested += len(report.stieltjes)
+    assert tested > 0
