@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from .report import (
@@ -30,8 +29,10 @@ from .report import (
     EXIT_OK,
     EXIT_REFUTED,
     REFUTED,
+    Record,
     canonical_json,
     jsonable,
+    set_field,
 )
 from .shift import keyed_weights, vertex_keyed, weights_from_json
 from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
@@ -47,15 +48,20 @@ class InputError(Exception):
     """Anything wrong with the inputs; mapped to exit code 3."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One structure holding every knob, echoed into every report."""
 
-    subcommand: str
-    horizon: int = DEFAULT_HORIZON
-    tol: float = DEFAULT_TOL
-    fmt: str = "json"
-    i_list: tuple = DEFAULT_I_LIST
+    __slots__ = ("subcommand", "horizon", "tol", "fmt", "i_list")
+
+    def __init__(
+        self, subcommand: str, horizon: int = DEFAULT_HORIZON, tol: float = DEFAULT_TOL,
+        fmt: str = "json", i_list: tuple = DEFAULT_I_LIST,
+    ):
+        set_field(self, "subcommand", subcommand)
+        set_field(self, "horizon", horizon)
+        set_field(self, "tol", tol)
+        set_field(self, "fmt", fmt)
+        set_field(self, "i_list", i_list)
 
     def as_dict(self) -> dict:
         return {
@@ -466,7 +472,7 @@ def _cmd_moments(args, config: RunConfig) -> int:
     )
     table = {}
     for u in targets:
-        top = int(min(config.horizon, tree.available_depth(u)))
+        top = tree.clamp_order(u, config.horizon)
         table[vertex_to_key(u)] = list(shift.moment_values(u, top))
     return _emit(
         {

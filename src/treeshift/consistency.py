@@ -11,7 +11,6 @@ shift, up to the window horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .moments import (
@@ -25,7 +24,7 @@ from .moments import (
     scaled_inverse_integral,
     superpose,
 )
-from .report import CERTIFIED, CONDITIONAL, REFUTED
+from .report import CERTIFIED, CONDITIONAL, REFUTED, Record, set_field
 from .shift import _mod_sq
 from .tree import vertex_from_key, vertex_sort_key, vertex_to_key
 
@@ -44,22 +43,21 @@ class MissingMeasureError(KeyError):
         return f"no measure stored for vertex {self.args[0]!r}"
 
 
-@dataclass(frozen=True)
-class MeasureSystem:
+class MeasureSystem(Record):
     """Per-vertex probability measures plus per-vertex point masses at zero."""
 
-    mu: Mapping
-    eps: Mapping
-    determinacy: Mapping | None = None
+    __slots__ = ("mu", "eps", "determinacy")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", dict(self.mu))
-        object.__setattr__(self, "eps", {v: float(e) for v, e in self.eps.items()})
-        for v, e in self.eps.items():
+    def __init__(self, mu: Mapping, eps: Mapping, determinacy: Mapping | None = None):
+        eps = {v: float(e) for v, e in eps.items()}
+        for v, e in eps.items():
             if not math.isfinite(e):
                 raise ValueError(f"point mass {e} at zero of {v!r} is not finite")
-        if any(e < 0 for e in self.eps.values()):
+        if any(e < 0 for e in eps.values()):
             raise ValueError("point masses at zero must be nonnegative")
+        set_field(self, "mu", dict(mu))
+        set_field(self, "eps", eps)
+        set_field(self, "determinacy", determinacy)
 
     @property
     def conditional(self) -> bool:
@@ -137,18 +135,27 @@ def measure_discrepancy(actual: AtomicMeasure, expected: AtomicMeasure):
     return worst, worst_at
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Outcome of checking the defining identity at one vertex."""
 
-    vertex: object
-    depth: int
-    ok: bool
-    max_discrepancy: float
-    discrepancy_position: float | None
-    eps_stored: float
-    eps_computed: float | None
-    reason: str = ""
+    __slots__ = (
+        "vertex", "depth", "ok", "max_discrepancy", "discrepancy_position", "eps_stored",
+        "eps_computed", "reason",
+    )
+
+    def __init__(
+        self, vertex, depth: int, ok: bool, max_discrepancy: float,
+        discrepancy_position: float | None, eps_stored: float, eps_computed: float | None,
+        reason: str = "",
+    ):
+        set_field(self, "vertex", vertex)
+        set_field(self, "depth", depth)
+        set_field(self, "ok", ok)
+        set_field(self, "max_discrepancy", max_discrepancy)
+        set_field(self, "discrepancy_position", discrepancy_position)
+        set_field(self, "eps_stored", eps_stored)
+        set_field(self, "eps_computed", eps_computed)
+        set_field(self, "reason", reason)
 
     def as_dict(self) -> dict:
         return {
@@ -266,14 +273,14 @@ def hankel_witness(verdict, **where) -> dict:
 
 def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None) -> tuple:
     """Lambert's test: Hankel verdicts, in vertex order, of the power norms
-    t_u(0..top(u)), top(u) = int(min(horizon, available_depth(u))), and the
-    first that fails (or None); the horizon must be finite where no frontier
-    lies below.  It skips u when top(u) < 2, or when a nonzero weight enters
-    u from a parent p with no other child and top(p) > top(u), as u's blocks
-    are then scaled principal submatrices of p's.  ``known`` maps vertices
+    t_u(0..top(u)), top(u) = ``tree.clamp_order(u, horizon)``, and the first
+    that fails (or None); an infinite horizon raises ``ValueError`` where no
+    frontier lies below.  It skips u when top(u) < 2, or when a nonzero
+    weight enters u from a parent p with no other child and top(p) > top(u),
+    as u's blocks are then scaled principal submatrices of p's.  ``known`` maps vertices
     to verdicts already run on their norms."""
     tree = shift.tree
-    top = {u: int(min(horizon, tree.available_depth(u))) for u in tree.sorted_vertices}
+    top = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
     verdicts = {}
     for u, n in top.items():
         p = tree.parent.get(u)
@@ -297,14 +304,16 @@ def identity_witness(reports, **extra) -> dict | None:
     )
 
 
-@dataclass(frozen=True)
-class MomentsMatchReport:
+class MomentsMatchReport(Record):
     """Comparison of measure moments against squared power norms at a vertex."""
 
-    vertex: object
-    rows: tuple  # (n, measure_moment, shift_norm_sq, rel_err)
-    ok: bool
-    max_rel_err: float
+    __slots__ = ("vertex", "rows", "ok", "max_rel_err")
+
+    def __init__(self, vertex, rows: tuple, ok: bool, max_rel_err: float):
+        set_field(self, "vertex", vertex)
+        set_field(self, "rows", rows)  # (n, measure_moment, shift_norm_sq, rel_err)
+        set_field(self, "ok", ok)
+        set_field(self, "max_rel_err", max_rel_err)
 
     def as_dict(self) -> dict:
         return {
@@ -342,7 +351,7 @@ def first_failing_row(lhs, rhs, tol: float):
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
     """Verify that the moments of the measure at u reproduce the squared
     power norms of the shift at u, up to n_max or the window horizon."""
-    top = int(min(n_max, shift.tree.available_depth(u)))
+    top = shift.tree.clamp_order(u, n_max)
     lhs = system.measure(u).moments(top)
     rhs = shift.moment_values(u, top)
     rels, worst = relative_errors(lhs, rhs)
@@ -458,8 +467,7 @@ def _sequence_witness(system, sequences: Mapping, tol: float) -> dict | None:
     return None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Aggregated verdict for a shift/system pair.
 
     ``certified-up-to-horizon`` means every reachable check passed;
@@ -470,15 +478,24 @@ class Certificate:
     choices that rest on determinacy diagnostics.
     """
 
-    status: str
-    consistency: tuple
-    moments: tuple
-    structural: object
-    eps_violations: tuple
-    witness: dict | None
-    notes: tuple
-    horizon: int
-    tol: float
+    __slots__ = (
+        "status", "consistency", "moments", "structural", "eps_violations", "witness", "notes",
+        "horizon", "tol",
+    )
+
+    def __init__(
+        self, status: str, consistency: tuple, moments: tuple, structural, eps_violations: tuple,
+        witness: dict | None, notes: tuple, horizon: int, tol: float,
+    ):
+        set_field(self, "status", status)
+        set_field(self, "consistency", consistency)
+        set_field(self, "moments", moments)
+        set_field(self, "structural", structural)
+        set_field(self, "eps_violations", eps_violations)
+        set_field(self, "witness", witness)
+        set_field(self, "notes", notes)
+        set_field(self, "horizon", horizon)
+        set_field(self, "tol", tol)
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .consistency import (
@@ -40,7 +39,7 @@ from .moments import (
     scaled_inverse_integral,
     superpose,
 )
-from .report import CERTIFIED, CONDITIONAL, REFUTED
+from .report import CERTIFIED, CONDITIONAL, REFUTED, Record, set_field
 from .shift import WeightedShift, _mod_sq, complex_from_json, product_moments
 from .tree import (
     BILATERAL_WINDOW,
@@ -53,17 +52,22 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class ModelCertificate:
+class ModelCertificate(Record):
     """Verdict of a closed-form certifier, with its Hankel or condition
     evidence and the cross-certification of the materialized system."""
 
-    status: str
-    family: str
-    stieltjes: dict
-    system_certificate: Certificate | None
-    detail: dict
-    witness: dict | None
+    __slots__ = ("status", "family", "stieltjes", "system_certificate", "detail", "witness")
+
+    def __init__(
+        self, status: str, family: str, stieltjes: dict, system_certificate: Certificate | None,
+        detail: dict, witness: dict | None,
+    ):
+        set_field(self, "status", status)
+        set_field(self, "family", family)
+        set_field(self, "stieltjes", stieltjes)
+        set_field(self, "system_certificate", system_certificate)
+        set_field(self, "detail", detail)
+        set_field(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -169,19 +173,19 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
     )
 
 
-@dataclass(frozen=True)
-class TwoSidedSequence:
+class TwoSidedSequence(Record):
     """Real values t_n indexed over a window [k_min, k_max] containing 0."""
 
-    values: tuple
-    k_min: int
+    __slots__ = ("values", "k_min")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(t) for t in self.values))
-        if not self.values:
+    def __init__(self, values: tuple, k_min: int):
+        values = tuple(float(t) for t in values)
+        if not values:
             raise ValueError("empty two-sided sequence")
-        if self.k_min > 0 or self.k_min + len(self.values) - 1 < 0:
+        if k_min > 0 or k_min + len(values) - 1 < 0:
             raise ValueError("the window must contain index zero")
+        set_field(self, "values", values)
+        set_field(self, "k_min", k_min)
 
     @property
     def k_max(self) -> int:
@@ -260,8 +264,7 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
     )
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Record):
     """Hypotheses for the one-branching-vertex certifier.
 
     Branch i carries a probability measure whose moments must reproduce the
@@ -272,41 +275,46 @@ class BranchData:
     ...); ``nu`` is the optional root measure of the alternative formulation.
     """
 
-    eta: int
-    kappa: object  # nonnegative int or math.inf
-    branch_measures: tuple | None
-    entry_weights: tuple
-    branch_weights: tuple = ()  # per branch: weights along the branch past entry
-    trunk_weights: tuple = ()
-    nu: AtomicMeasure | None = None
+    __slots__ = (
+        "eta", "kappa", "branch_measures", "entry_weights", "branch_weights", "trunk_weights",
+        "nu",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", int_if_integral(self.eta))
-        if self.eta < 2:
+    def __init__(
+        self, eta: int, kappa, branch_measures: tuple | None, entry_weights: tuple,
+        branch_weights: tuple = (), trunk_weights: tuple = (), nu: AtomicMeasure | None = None,
+    ):
+        eta = int_if_integral(eta)
+        if eta < 2:
             raise ValueError("the branching family requires eta >= 2")
-        kappa = math.inf
-        if self.kappa not in ("inf", math.inf):
+        given, kappa = kappa, math.inf
+        if given not in ("inf", math.inf):
             try:
-                kappa = operator.index(int_if_integral(self.kappa))
+                kappa = operator.index(int_if_integral(given))
             except TypeError:
-                raise ValueError(f"kappa must be an integer or infinite, got {self.kappa!r}") from None
+                raise ValueError(f"kappa must be an integer or infinite, got {given!r}") from None
             if kappa < 0:
                 raise ValueError("kappa must be nonnegative or infinite")
-        object.__setattr__(self, "kappa", kappa)
-        if self.branch_measures is None:
-            if len(self.branch_weights) != self.eta or not all(self.branch_weights):
+        if branch_measures is None:
+            if len(branch_weights) != eta or not all(branch_weights):
                 raise ValueError("without branch measures every branch needs its weights")
-        elif len(self.branch_measures) != self.eta:
+        elif len(branch_measures) != eta:
             raise ValueError("one branch measure per branch required")
-        if len(self.entry_weights) != self.eta:
+        if len(entry_weights) != eta:
             raise ValueError("one entry weight per branch required")
-        object.__setattr__(self, "entry_weights", tuple(map(complex, self.entry_weights)))
-        object.__setattr__(
-            self, "branch_weights", tuple(tuple(map(complex, ws)) for ws in self.branch_weights)
-        )
-        object.__setattr__(self, "trunk_weights", tuple(map(complex, self.trunk_weights)))
+        set_field(self, "entry_weights", tuple(map(complex, entry_weights)))
+        set_field(self, "branch_weights", tuple(tuple(map(complex, ws)) for ws in branch_weights))
+        set_field(self, "trunk_weights", tuple(map(complex, trunk_weights)))
         if kappa != math.inf and len(self.trunk_weights) != kappa:
             raise ValueError(f"finite trunk of length {kappa} needs exactly {kappa} trunk weights")
+        set_field(self, "eta", eta)
+        set_field(self, "kappa", kappa)  # a nonnegative int or math.inf
+        set_field(self, "branch_measures", branch_measures)
+        set_field(self, "nu", nu)
+
+    def replace(self, **changes) -> "BranchData":
+        """A copy with the named fields changed, validated again."""
+        return BranchData(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
     @property
     def trunk_window(self) -> int:
@@ -675,7 +683,7 @@ def certify_t_eta_kappa(
                 witness = hankel_witness(verdicts[failed], vertex=key)
                 return _refuted(T_ETA_KAPPA, {key: verdicts[failed]}, detail, witness)
             measures.append(fit.measure)
-        data = replace(data, branch_measures=tuple(measures))
+        data = data.replace(branch_measures=tuple(measures))
         conditional = True
     detail: dict = {}
     if data.branch_weights:
@@ -746,17 +754,22 @@ def certify_t_eta_kappa(
     )
 
 
-@dataclass(frozen=True)
-class BranchExtraction:
+class BranchExtraction(Record):
     """Branch data recovered from per-vertex moment sequences, with the
     condition verdicts and the determinacy diagnostic that qualifies them."""
 
-    data: BranchData
-    status: str
-    conditions: dict
-    diagnostic: DeterminacyDiagnostic
-    sequence_checks: dict
-    notes: tuple
+    __slots__ = ("data", "status", "conditions", "diagnostic", "sequence_checks", "notes")
+
+    def __init__(
+        self, data: BranchData, status: str, conditions: dict, diagnostic: DeterminacyDiagnostic,
+        sequence_checks: dict, notes: tuple,
+    ):
+        set_field(self, "data", data)
+        set_field(self, "status", status)
+        set_field(self, "conditions", conditions)
+        set_field(self, "diagnostic", diagnostic)
+        set_field(self, "sequence_checks", sequence_checks)
+        set_field(self, "notes", notes)
 
     def as_dict(self) -> dict:
         return {
@@ -811,7 +824,7 @@ def extract_branch_data(
             )
     notes = []
     for v, values in supplied.items():
-        top = int(min(len(values) - 1, tree.available_depth(v)))
+        top = tree.clamp_order(v, len(values) - 1)
         norms = shift.moment_values(v, top)
         row = first_failing_row(values, norms, tol)
         if row is not None:

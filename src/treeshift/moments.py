@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import repeat
+
+from .report import Record, set_field
 
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
@@ -45,8 +46,7 @@ class NoBackwardExtensionError(ValueError):
         self.given = given
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Record):
     """Finitely many point masses on [0, inf).
 
     Atoms are kept in canonical form: positions strictly increasing, masses
@@ -55,7 +55,11 @@ class AtomicMeasure:
     canonicalizes automatically.
     """
 
-    atoms: tuple = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple = ()):
+        set_field(self, "atoms", atoms)
+        self.__post_init__()
 
     def __post_init__(self):
         pairs = []
@@ -71,13 +75,13 @@ class AtomicMeasure:
             if w == 0.0:
                 continue
             pairs.append((max(x, 0.0), w))
-        object.__setattr__(self, "atoms", _canonical(pairs))
+        set_field(self, "atoms", _canonical(pairs))
 
     @classmethod
     def _of_canonical(cls, atoms: tuple) -> "AtomicMeasure":
         """Wrap an atom tuple that is already canonical and checked."""
         measure = object.__new__(cls)
-        object.__setattr__(measure, "atoms", atoms)
+        set_field(measure, "atoms", atoms)
         return measure
 
     @classmethod
@@ -271,8 +275,7 @@ def as_values(seq) -> tuple:
     return tuple(float(t) for t in seq)
 
 
-@dataclass(frozen=True)
-class StieltjesVerdict:
+class StieltjesVerdict(Record):
     """Outcome of the two-Hankel positivity test.
 
     ``consistent-up-to-order-N`` is the strongest claim finite data allows;
@@ -284,13 +287,22 @@ class StieltjesVerdict:
     D = diag(H); a factorization that fails stops at its first failing pivot.
     """
 
-    status: str
-    order: int
-    min_pivot_hankel: float
-    min_pivot_shifted: float
-    witness_block: str | None = None
-    witness_vector: tuple = ()
-    witness_value: float = 0.0
+    __slots__ = (
+        "status", "order", "min_pivot_hankel", "min_pivot_shifted", "witness_block",
+        "witness_vector", "witness_value",
+    )
+
+    def __init__(
+        self, status: str, order: int, min_pivot_hankel: float, min_pivot_shifted: float,
+        witness_block: str | None = None, witness_vector: tuple = (), witness_value: float = 0.0,
+    ):
+        set_field(self, "status", status)
+        set_field(self, "order", order)
+        set_field(self, "min_pivot_hankel", min_pivot_hankel)
+        set_field(self, "min_pivot_shifted", min_pivot_shifted)
+        set_field(self, "witness_block", witness_block)
+        set_field(self, "witness_vector", witness_vector)
+        set_field(self, "witness_value", witness_value)
 
     @property
     def consistent(self) -> bool:
@@ -555,8 +567,7 @@ def cauchy_schwarz_bound(seq) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class DeterminacyDiagnostic:
+class DeterminacyDiagnostic(Record):
     """Finite-data Carleman diagnostic.
 
     ``partial_sums`` are the partial sums of t_n^(-1/(2n)); the label is a
@@ -564,10 +575,15 @@ class DeterminacyDiagnostic:
     certificate leaning on it must stay conditional.
     """
 
-    label: str
-    growth_exponent: float | None
-    partial_sums: tuple
-    terms: tuple
+    __slots__ = ("label", "growth_exponent", "partial_sums", "terms")
+
+    def __init__(
+        self, label: str, growth_exponent: float | None, partial_sums: tuple, terms: tuple
+    ):
+        set_field(self, "label", label)
+        set_field(self, "growth_exponent", growth_exponent)
+        set_field(self, "partial_sums", partial_sums)
+        set_field(self, "terms", terms)
 
     def as_dict(self) -> dict:
         return {
@@ -646,17 +662,22 @@ def carleman_diagnostic(seq) -> DeterminacyDiagnostic:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Measure reconstructed from moments, with the numerical rank that was
     actually used (fewer atoms than requested when the Hankel data is
     singular) and the Hankel verdict of the input (None for a two-moment
     prefix)."""
 
-    measure: AtomicMeasure
-    requested: int
-    rank: int
-    verdict: StieltjesVerdict | None = None
+    __slots__ = ("measure", "requested", "rank", "verdict")
+
+    def __init__(
+        self, measure: AtomicMeasure, requested: int, rank: int,
+        verdict: StieltjesVerdict | None = None,
+    ):
+        set_field(self, "measure", measure)
+        set_field(self, "requested", requested)
+        set_field(self, "rank", rank)
+        set_field(self, "verdict", verdict)
 
     def as_dict(self) -> dict:
         return {

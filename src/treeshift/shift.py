@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+from .report import Record, set_field
 from .tree import (
     DirectedTree,
     UnknownVertexError,
@@ -52,8 +52,7 @@ def product_moments(weights: Sequence[complex]) -> tuple:
     return tuple(_mod_sq_list(_running_products(map(complex, weights))))
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(Record):
     """Supremum over vertices of the outgoing squared-weight sums.
 
     When the window covers the whole tree this equals the squared operator
@@ -61,10 +60,13 @@ class NormBoundReport:
     ``horizon_limited``.
     """
 
-    value: float
-    attained_at: object
-    horizon_limited: bool
-    per_level_max: tuple[float, ...]
+    __slots__ = ("value", "attained_at", "horizon_limited", "per_level_max")
+
+    def __init__(self, value: float, attained_at, horizon_limited: bool, per_level_max: tuple):
+        set_field(self, "value", value)
+        set_field(self, "attained_at", attained_at)
+        set_field(self, "horizon_limited", horizon_limited)
+        set_field(self, "per_level_max", per_level_max)
 
     def as_dict(self):
         return {
@@ -75,15 +77,23 @@ class NormBoundReport:
         }
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    leafless: bool
-    leafless_source: str  # "family" or "computed"
-    nonzero_weights: bool
-    injective: bool
-    zero_sum_vertices: tuple
-    not_hyponormal: bool
-    verdict: str
+class StructuralReport(Record):
+    __slots__ = (
+        "leafless", "leafless_source", "nonzero_weights", "injective", "zero_sum_vertices",
+        "not_hyponormal", "verdict",
+    )
+
+    def __init__(
+        self, leafless: bool, leafless_source: str, nonzero_weights: bool, injective: bool,
+        zero_sum_vertices: tuple, not_hyponormal: bool, verdict: str,
+    ):
+        set_field(self, "leafless", leafless)
+        set_field(self, "leafless_source", leafless_source)  # "family" or "computed"
+        set_field(self, "nonzero_weights", nonzero_weights)
+        set_field(self, "injective", injective)
+        set_field(self, "zero_sum_vertices", zero_sum_vertices)
+        set_field(self, "not_hyponormal", not_hyponormal)
+        set_field(self, "verdict", verdict)
 
     def as_dict(self):
         return {
@@ -97,12 +107,15 @@ class StructuralReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedShift:
+class WeightedShift(Record, eq=False):
     """A directed tree together with one complex weight per non-root vertex."""
 
-    tree: DirectedTree
-    weights: Mapping
+    __slots__ = ("tree", "weights")
+
+    def __init__(self, tree: DirectedTree, weights: Mapping):
+        set_field(self, "tree", tree)
+        set_field(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         weights = {v: complex(w) for v, w in self.weights.items()}
@@ -118,7 +131,7 @@ class WeightedShift:
         for v, w in weights.items():
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise ValueError(f"weight {w} of vertex {v!r} is not finite")
-        object.__setattr__(self, "weights", weights)
+        set_field(self, "weights", weights)
 
     # -- weights ----------------------------------------------------------
 

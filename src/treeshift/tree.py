@@ -11,8 +11,9 @@ truncated tree is faithful to the infinite family it stands for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+from .report import Record, set_field
 
 VertexId = int | tuple
 
@@ -83,11 +84,13 @@ def vertex_to_json(v):
     return v if isinstance(v, int) else [v[0], v[1]]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Catalog of structural violations; an empty catalog means a valid tree."""
 
-    violations: tuple[str, ...]
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...]):
+        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -97,8 +100,7 @@ class ValidationReport:
         return {"ok": self.ok, "violations": list(self.violations)}
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedTree:
+class DirectedTree(Record, eq=False):
     """A finite directed tree given by a vertex set and a parent map.
 
     ``family`` records how the instance was generated; ``frontier`` marks
@@ -107,18 +109,26 @@ class DirectedTree:
     answered from the construction, not from the truncated vertex set).
     """
 
-    vertices: frozenset
-    parent: Mapping
-    family: str = EXPLICIT
-    params: Mapping = field(default_factory=dict)
-    leafless: bool = False
-    rootless_family: bool = False
-    frontier: frozenset = frozenset()
+    __slots__ = (
+        "vertices", "parent", "family", "params", "leafless", "rootless_family", "frontier",
+        "_children", "_roots", "_sorted", "_depth", "_frontier_distance",
+    )
+
+    def __init__(
+        self, vertices: frozenset, parent: Mapping, family: str = EXPLICIT,
+        params: Mapping | None = None, leafless: bool = False, rootless_family: bool = False,
+        frontier: frozenset = frozenset(),
+    ):
+        set_field(self, "vertices", frozenset(vertices))
+        set_field(self, "parent", dict(parent))
+        set_field(self, "family", family)
+        set_field(self, "params", {} if params is None else params)
+        set_field(self, "leafless", leafless)
+        set_field(self, "rootless_family", rootless_family)
+        set_field(self, "frontier", frozenset(frontier))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "parent", dict(self.parent))
-        object.__setattr__(self, "frontier", frozenset(self.frontier))
         children: dict = {v: [] for v in self.vertices}
         for child, par in self.parent.items():
             if par in children and child in self.vertices:
@@ -126,14 +136,14 @@ class DirectedTree:
         for v in children:
             children[v].sort(key=vertex_sort_key)
             children[v] = tuple(children[v])
-        object.__setattr__(self, "_children", children)
+        set_field(self, "_children", children)
         roots = tuple(
             sorted((v for v in self.vertices if v not in self.parent), key=vertex_sort_key)
         )
-        object.__setattr__(self, "_roots", roots)
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_depth", None)
-        object.__setattr__(self, "_frontier_distance", None)
+        set_field(self, "_roots", roots)
+        set_field(self, "_sorted", None)
+        set_field(self, "_depth", None)
+        set_field(self, "_frontier_distance", None)
 
     # -- basic structure ------------------------------------------------
 
@@ -153,7 +163,7 @@ class DirectedTree:
         order = self._sorted
         if order is None:
             order = tuple(sorted(self.vertices, key=vertex_sort_key))
-            object.__setattr__(self, "_sorted", order)
+            set_field(self, "_sorted", order)
         return order
 
     def __contains__(self, v) -> bool:
@@ -201,7 +211,7 @@ class DirectedTree:
                     cached[v] = 0
                 for c in self._children[v]:
                     cached[v] = min(cached[v], cached[c] + 1)
-            object.__setattr__(self, "_frontier_distance", cached)
+            set_field(self, "_frontier_distance", cached)
         return cached
 
     def _depth_from_roots(self) -> dict:
@@ -218,7 +228,7 @@ class DirectedTree:
                 depth[v] = d
                 for c in self._children[v]:
                     stack.append((c, d + 1))
-            object.__setattr__(self, "_depth", depth)
+            set_field(self, "_depth", depth)
         return depth
 
     def available_depth(self, u) -> float:
@@ -228,6 +238,13 @@ class DirectedTree:
         time any vertex is asked for, and then cached on the tree."""
         self._require(u)
         return self._distances_to_frontier()[u]
+
+    def clamp_order(self, u, n) -> int:
+        """int(min(n, available_depth(u))); ``ValueError`` naming u if both are inf."""
+        top = min(n, self.available_depth(u))
+        if top == math.inf:
+            raise ValueError(f"no finite order at {u!r}: no frontier lies below it")
+        return int(top)
 
     # -- level combinatorics ----------------------------------------------
 

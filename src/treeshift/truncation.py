@@ -11,16 +11,15 @@ convergence report tabulates that decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .consistency import MeasureSystem, identity_reports, lambert_sweep
 from .moments import AtomicMeasure
+from .report import Record, set_field
 from .shift import WeightedShift, _fsum_complex
 from .tree import vertex_sort_key, vertex_to_key
 
 
-@dataclass(frozen=True, eq=False)
-class TruncationEntry:
+class TruncationEntry(Record, eq=False):
     """One member of the truncation family.
 
     ``kappas`` holds, per vertex, the smallest window height with positive
@@ -28,13 +27,22 @@ class TruncationEntry:
     the norm identity) require the index to be at least that height.
     """
 
-    index: int
-    shift: WeightedShift
-    system: MeasureSystem
-    original_shift: WeightedShift
-    original_system: MeasureSystem
-    kappas: dict
-    window_mass: dict
+    __slots__ = (
+        "index", "shift", "system", "original_shift", "original_system", "kappas", "window_mass",
+    )
+
+    def __init__(
+        self, index: int, shift: WeightedShift, system: MeasureSystem,
+        original_shift: WeightedShift, original_system: MeasureSystem, kappas: dict,
+        window_mass: dict,
+    ):
+        set_field(self, "index", index)
+        set_field(self, "shift", shift)
+        set_field(self, "system", system)
+        set_field(self, "original_shift", original_shift)
+        set_field(self, "original_system", original_system)
+        set_field(self, "kappas", kappas)
+        set_field(self, "window_mass", window_mass)
 
     def as_dict(self) -> dict:
         return {
@@ -110,19 +118,27 @@ def truncate(system: MeasureSystem, shift: WeightedShift, i: int) -> TruncationE
     )
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(Record):
     """Verification record for one truncation entry; ``stieltjes`` maps each
     vertex the Lambert sweep tested to its Hankel verdict."""
 
-    index: int
-    ok: bool
-    consistency: tuple
-    supports_ok: bool
-    max_support: float
-    norm_bound: float
-    norm_bound_ok: bool
-    stieltjes: dict
+    __slots__ = (
+        "index", "ok", "consistency", "supports_ok", "max_support", "norm_bound", "norm_bound_ok",
+        "stieltjes",
+    )
+
+    def __init__(
+        self, index: int, ok: bool, consistency: tuple, supports_ok: bool, max_support: float,
+        norm_bound: float, norm_bound_ok: bool, stieltjes: dict,
+    ):
+        set_field(self, "index", index)
+        set_field(self, "ok", ok)
+        set_field(self, "consistency", consistency)
+        set_field(self, "supports_ok", supports_ok)
+        set_field(self, "max_support", max_support)
+        set_field(self, "norm_bound", norm_bound)
+        set_field(self, "norm_bound_ok", norm_bound_ok)
+        set_field(self, "stieltjes", stieltjes)
 
     @property
     def stieltjes_failures(self) -> tuple:
@@ -191,12 +207,16 @@ def truncated_path_weight(entry: TruncationEntry, u, v) -> complex:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    index: int
-    truncated_norm_sq: float
-    cross_inner: complex
-    residual_sq: float
+class ConvergenceRow(Record):
+    __slots__ = ("index", "truncated_norm_sq", "cross_inner", "residual_sq")
+
+    def __init__(
+        self, index: int, truncated_norm_sq: float, cross_inner: complex, residual_sq: float
+    ):
+        set_field(self, "index", index)
+        set_field(self, "truncated_norm_sq", truncated_norm_sq)
+        set_field(self, "cross_inner", cross_inner)
+        set_field(self, "residual_sq", residual_sq)
 
     def as_dict(self) -> dict:
         return {
@@ -208,12 +228,14 @@ class ConvergenceRow:
         }
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    vertex: object
-    power: int
-    original_norm_sq: float
-    rows: tuple
+class ConvergenceTable(Record):
+    __slots__ = ("vertex", "power", "original_norm_sq", "rows")
+
+    def __init__(self, vertex, power: int, original_norm_sq: float, rows: tuple):
+        set_field(self, "vertex", vertex)
+        set_field(self, "power", power)
+        set_field(self, "original_norm_sq", original_norm_sq)
+        set_field(self, "rows", rows)
 
     def as_dict(self) -> dict:
         return {

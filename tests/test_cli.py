@@ -634,10 +634,11 @@ def test_package_import_loads_neither_numpy_nor_jsonschema():
     assert out.stdout.strip() == "[]"
 
 
-# the certifier modules, and the one standard module that only the exact
-# arithmetic of the Hankel test needs
+# the certifier modules, the one standard module that only the exact
+# arithmetic of the Hankel test needs, and the standard modules that no
+# subcommand may load (see tests/test_package.py's AVOIDED)
 HEAVY_MODULES = ("treeshift.moments", "treeshift.consistency", "treeshift.models",
-                 "treeshift.truncation", "fractions")
+                 "treeshift.truncation", "fractions", "dataclasses", "inspect")
 
 
 def _heavy_modules_after_main(argv):

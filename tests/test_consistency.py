@@ -671,6 +671,19 @@ def test_lambert_sweep_tests_below_a_parent_whose_prefix_the_cap_cuts():
     assert sorted(verdicts) == [0] and failed == 0
 
 
+def test_an_unbounded_order_on_a_tree_without_frontier_is_refused_naming_the_vertex():
+    # an explicit tree has no frontier, so an infinite horizon or order
+    # leaves every vertex's power norms without a last order
+    shift = WeightedShift(explicit_tree([0, 1, 2], {1: 0, 2: 1}), {1: 1.0, 2: 1.0})
+    system = MeasureSystem(mu={v: AtomicMeasure.delta(1.0) for v in range(3)}, eps={})
+    with pytest.raises(ValueError, match="no finite order at 0"):
+        lambert_sweep(shift)
+    with pytest.raises(ValueError, match="no finite order at 0"):
+        moments_match(system, shift, 0, math.inf)
+    assert sorted(lambert_sweep(shift, horizon=4)[0]) == [0, 1, 2]
+    assert [row[0] for row in moments_match(system, shift, 0, 4).rows] == [0, 1, 2, 3, 4]
+
+
 def test_lambert_sweep_tests_each_child_of_a_branching_vertex():
     # two chains below the root: a genuine one of five atoms and, under a
     # light entry weight, one whose norms fail; their sum at the root passes

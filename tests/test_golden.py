@@ -11,7 +11,6 @@ reports byte-identical must keep every one of them.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import hashlib
 import json
@@ -157,7 +156,7 @@ def branch_data(eta, kappa, depth, entry_budget=1.0, terminal=0.8):
 
 def _with_root_measure(data):
     nu, _ = construct_root_measure(data)
-    return dataclasses.replace(data, nu=nu)
+    return data.replace(nu=nu)
 
 
 def _perturbed(shift, vertex, factor):

@@ -81,25 +81,35 @@ def test_bare_import_loads_no_submodule():
     assert out.stdout.strip() == "['treeshift']"
 
 
+# standard modules the runtime does without: ``dataclasses`` generates code
+# at import and brings in ``inspect``, which CLI processes would pay for
+AVOIDED = ("dataclasses", "inspect")
+
+# modules are listed from the directory: pkgutil.iter_modules loads inspect
 STDLIB_ONLY = """
-import pkgutil, sys
+import os, sys
 before = set(sys.modules)
 import treeshift
-for module in pkgutil.iter_modules(treeshift.__path__):
-    __import__("treeshift." + module.name)
+for name in os.listdir(treeshift.__path__[0]):
+    if name.endswith(".py") and name != "__init__.py":
+        __import__("treeshift." + name.removesuffix(".py"))
 # quadrature's polish and the exact Hankel witness import inside functions
 treeshift.quadrature_from_moments([1.0, 2.0, 5.0, 14.0])
 treeshift.check_stieltjes([1.0, 1.0, 0.0, 0.0])
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {"treeshift"}))
-"""
+print(sorted(set(sys.modules) & set(%r)))
+""" % (AVOIDED,)
 
 
 def test_the_runtime_loads_only_the_standard_library():
+    # every module imported, and the functions that import more run: no
+    # third-party module (numpy, scipy, jsonschema, mpmath are test oracles)
+    # and none of the avoided standard modules
     out = subprocess.run(
         [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def _bench_tracing():

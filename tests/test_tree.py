@@ -54,6 +54,15 @@ def test_children_n_unilateral():
         t.children_n(99, 1)
 
 
+def test_clamp_order_cuts_to_the_window_and_refuses_an_unbounded_order():
+    window = make_family("unilateral", 3)
+    assert [window.clamp_order(0, n) for n in (1, 3, 5, math.inf)] == [1, 3, 3, 3]
+    path = explicit_tree([0, 1, 2], {1: 0, 2: 1})
+    assert path.clamp_order(2, 7) == 7
+    with pytest.raises(ValueError, match="at 2"):
+        path.clamp_order(2, math.inf)
+
+
 def test_descendants():
     t = make_family("t-eta-kappa", 3, eta=2, kappa=1)
     branch = t.descendants((1, 1))
