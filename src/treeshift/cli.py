@@ -3,7 +3,8 @@
 Subcommands ingest JSON documents (validated against the schemas shipped
 under ``schemas/``), run the library certifiers, and emit deterministic
 reports: byte-identical for identical inputs, no timestamps.  Exit codes:
-0 certified/consistent, 1 refuted, 2 conditional, 3 input error.
+``report.EXIT_CODE`` maps each reported status to 0 (certified, consistent),
+1 (refuted) or 2 (conditional); an input error exits 3.
 
 Only the input layer (``report``, ``tree``, ``shift``) is imported with this
 module.  Each handler imports the certifier modules it calls once its input
@@ -22,12 +23,8 @@ import sys
 from importlib import resources
 
 from .report import (
-    CERTIFIED,
-    CONDITIONAL,
-    EXIT_CONDITIONAL,
+    EXIT_CODE,
     EXIT_INPUT_ERROR,
-    EXIT_OK,
-    EXIT_REFUTED,
     REFUTED,
     Record,
     canonical_json,
@@ -40,9 +37,6 @@ from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
 DEFAULT_HORIZON = 16
 DEFAULT_TOL = 1e-9
 DEFAULT_I_LIST = (2, 4, 8, 16)
-
-_STATUS_EXIT = {CERTIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, CONDITIONAL: EXIT_CONDITIONAL}
-
 
 class InputError(Exception):
     """Anything wrong with the inputs; mapped to exit code 3."""
@@ -414,15 +408,19 @@ def _load_sequences(path: str):
     }
 
 
-def _emit(report: dict, config: RunConfig) -> int:
-    report = dict(report)
-    report["config"] = config.as_dict()
-    exit_code = report.get("exit_code", EXIT_OK)
+def _emit(config: RunConfig, status: str, text: str | None = None, **fields) -> int:
+    """Write the report of a run that reached ``status`` and return the
+    status's exit code; ``text``, if given, is the report under ``--format
+    text``."""
+    report = {
+        "command": config.subcommand, "status": status, "exit_code": EXIT_CODE[status],
+        **fields, "config": config.as_dict(),
+    }
     if config.fmt == "json":
         sys.stdout.write(canonical_json(report))
     else:
-        sys.stdout.write(_render_text(report))
-    return exit_code
+        sys.stdout.write(_render_text(report) if text is None else text + "\n")
+    return report["exit_code"]
 
 
 def _render_text(obj, indent: str = "") -> str:
@@ -452,16 +450,8 @@ def _render_text(obj, indent: str = "") -> str:
 def _cmd_validate_tree(args, config: RunConfig) -> int:
     tree = tree_from_json(load_document(args.tree, "tree"))
     report = validate(tree)
-    return _emit(
-        {
-            "command": "validate-tree",
-            "status": "valid" if report.ok else "invalid",
-            "exit_code": EXIT_OK if report.ok else EXIT_REFUTED,
-            "report": report.as_dict(),
-            "vertex_count": len(tree),
-        },
-        config,
-    )
+    status = "valid" if report.ok else "invalid"
+    return _emit(config, status, report=report.as_dict(), vertex_count=len(tree))
 
 
 def _cmd_moments(args, config: RunConfig) -> int:
@@ -474,15 +464,7 @@ def _cmd_moments(args, config: RunConfig) -> int:
     for u in targets:
         top = tree.clamp_order(u, config.horizon)
         table[vertex_to_key(u)] = list(shift.moment_values(u, top))
-    return _emit(
-        {
-            "command": "moments",
-            "status": "ok",
-            "exit_code": EXIT_OK,
-            "norms_sq": table,
-        },
-        config,
-    )
+    return _emit(config, "ok", norms_sq=table)
 
 
 def _cmd_check_stieltjes(args, config: RunConfig) -> int:
@@ -495,15 +477,7 @@ def _cmd_check_stieltjes(args, config: RunConfig) -> int:
     from . import moments
 
     verdict = moments.check_stieltjes(doc["t"], tol=config.tol)
-    return _emit(
-        {
-            "command": "check-stieltjes",
-            "status": verdict.status,
-            "exit_code": EXIT_OK if verdict.consistent else EXIT_REFUTED,
-            "verdict": verdict.as_dict(),
-        },
-        config,
-    )
+    return _emit(config, verdict.status, verdict=verdict.as_dict())
 
 
 def _cmd_backward_extend(args, config: RunConfig) -> int:
@@ -516,20 +490,13 @@ def _cmd_backward_extend(args, config: RunConfig) -> int:
     try:
         nu = moments.backward_extend(mu, args.theta)
     except moments.NoBackwardExtensionError as exc:
-        return _emit(
-            {
-                "command": "backward-extend",
-                "status": REFUTED,
-                "exit_code": EXIT_REFUTED,
-                "witness": {
-                    "check": "inverse-moment-threshold",
-                    "required": exc.required,
-                    "given": exc.given,
-                    "reason": str(exc),
-                },
-            },
-            config,
-        )
+        witness = {
+            "check": "inverse-moment-threshold",
+            "required": exc.required,
+            "given": exc.given,
+            "reason": str(exc),
+        }
+        return _emit(config, REFUTED, witness=witness)
     n_max = max(2, min(config.horizon, 16))
     mu_moments = mu.moments(5)
     lower = (
@@ -538,15 +505,8 @@ def _cmd_backward_extend(args, config: RunConfig) -> int:
         else None
     )
     return _emit(
-        {
-            "command": "backward-extend",
-            "status": "ok",
-            "exit_code": EXIT_OK,
-            "measure": nu.as_dict(),
-            "moments": list(nu.moments(n_max)),
-            "lower_bound_for_theta": lower,
-        },
-        config,
+        config, "ok", measure=nu.as_dict(), moments=list(nu.moments(n_max)),
+        lower_bound_for_theta=lower,
     )
 
 
@@ -566,43 +526,20 @@ def _cmd_check_consistency(args, config: RunConfig) -> int:
             height = max((tree.available_depth(u) for u in tree.sorted_vertices), default=0)
             raise InputError(f"--depth {depth} exceeds the window height {height}")
     witness = consistency.identity_witness(reports, depth=depth)
-    ok = witness is None
-    return _emit(
-        {
-            "command": "check-consistency",
-            "status": "consistent" if ok else REFUTED,
-            "exit_code": EXIT_OK if ok else EXIT_REFUTED,
-            "reports": [r.as_dict() for r in reports],
-            "witness": witness,
-        },
-        config,
-    )
+    status = "consistent" if witness is None else REFUTED
+    return _emit(config, status, reports=[r.as_dict() for r in reports], witness=witness)
 
 
 def _cmd_truncate(args, config: RunConfig) -> int:
     shift = _load_shift(args)
     system = _load_system(args.system)
-    from . import consistency, truncation
+    from . import truncation
 
     entry = truncation.truncate(system, shift, args.window)
     report = truncation.verify_truncated_consistency(entry, tol=config.tol)
-    witness = consistency.identity_witness(report.consistency)
-    if witness is None and report.stieltjes_failures:
-        u = report.stieltjes_failures[0]
-        witness = consistency.hankel_witness(report.stieltjes[u], vertex=vertex_to_key(u))
-    if witness is None and not report.ok:
-        reason = "max_support or norm_bound exceeds the window height"
-        witness = {"vertex": None, "check": "truncation-bound", "reason": reason}
     return _emit(
-        {
-            "command": "truncate",
-            "status": "ok" if report.ok else REFUTED,
-            "exit_code": EXIT_OK if report.ok else EXIT_REFUTED,
-            "entry": entry.as_dict(),
-            "verification": report.as_dict(),
-            "witness": witness,
-        },
-        config,
+        config, "ok" if report.ok else REFUTED, entry=entry.as_dict(),
+        verification=report.as_dict(), witness=report.witness,
     )
 
 
@@ -613,32 +550,20 @@ def _cmd_converge(args, config: RunConfig) -> int:
 
     u = vertex_from_key(args.vertex)
     table = truncation.convergence_report(system, shift, u, args.power, config.i_list)
-    payload = {
-        "command": "converge",
-        "status": "ok",
-        "exit_code": EXIT_OK,
-        "table": table.as_dict(),
-    }
-    if config.fmt == "text":
-        sys.stdout.write(table.as_text() + "\n")
-        return EXIT_OK
-    return _emit(payload, config)
+    return _emit(config, "ok", text=table.as_text(), table=table.as_dict())
 
 
 def _cmd_certify(args, config: RunConfig) -> int:
     family = args.family
+    if family in ("unilateral", "bilateral"):
+        entries = load_document(args.weights, "weights")["weights"]
     if family == "unilateral":
-        doc = load_document(args.weights, "weights")
-        entries = doc["weights"]
         if entries and vertex_keyed(entries):
             raise InputError("unilateral certification expects a bare weight list")
         from . import models
 
         cert = models.certify_unilateral(entries, tol=config.tol)
-        payload = cert.as_dict()
     elif family == "bilateral":
-        doc = load_document(args.weights, "weights")
-        entries = doc["weights"]
         if not entries or not vertex_keyed(entries):
             raise InputError(
                 "bilateral certification expects vertex-keyed weights over a window"
@@ -649,7 +574,6 @@ def _cmd_certify(args, config: RunConfig) -> int:
         from . import models
 
         cert = models.certify_bilateral(weights, tol=config.tol)
-        payload = cert.as_dict()
     elif family == "t-eta-kappa":
         doc = load_document(args.input, "branch")
         from . import models
@@ -657,7 +581,6 @@ def _cmd_certify(args, config: RunConfig) -> int:
         data = models.branch_data_from_json(doc)
         depth = min(config.horizon, 8)
         cert = models.certify_t_eta_kappa(data, depth=depth, tol=config.tol)
-        payload = cert.as_dict()
     elif family == "general":
         shift = _load_shift(args)
         if (args.system is None) == (args.sequences is None):
@@ -669,18 +592,10 @@ def _cmd_certify(args, config: RunConfig) -> int:
         cert = consistency.certify_subnormal(
             shift, system, sequences, horizon=config.horizon, tol=config.tol
         )
-        payload = cert.as_dict()
     else:
         raise InputError(f"unknown family {family!r}")
-    status = payload["status"]
-    payload.update(
-        {
-            "command": "certify",
-            "family_mode": family,
-            "exit_code": _STATUS_EXIT[status],
-        }
-    )
-    return _emit(payload, config)
+    payload = cert.as_dict()
+    return _emit(config, payload.pop("status"), family_mode=family, **payload)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -813,10 +728,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return args.handler(args, config)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
 

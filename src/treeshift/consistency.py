@@ -111,7 +111,8 @@ def system_from_json(doc: dict) -> MeasureSystem:
 
 
 def measure_discrepancy(actual: AtomicMeasure, expected: AtomicMeasure):
-    """Largest atom-mass difference after aligning positions within tolerance.
+    """Largest atom-mass difference after aligning positions x and y within
+    ``POSITION_TOL * max(1, x, y)``, so rounding at large positions aligns.
 
     Returns (max difference, position where it occurs).
     """
@@ -119,17 +120,22 @@ def measure_discrepancy(actual: AtomicMeasure, expected: AtomicMeasure):
     worst = 0.0
     worst_at = None
     a, e = actual.atoms, expected.atoms
-    while ai < len(a) or ei < len(e):
-        if ei >= len(e) or (ai < len(a) and a[ai][0] < e[ei][0] - POSITION_TOL):
-            d, at = a[ai][1], a[ai][0]
+    while ai < len(a) and ei < len(e):
+        (x, m), (y, n) = a[ai], e[ei]
+        gap = x - y
+        if -POSITION_TOL <= gap <= POSITION_TOL or abs(gap) <= POSITION_TOL * max(x, y):
+            d, at = abs(m - n), x
             ai += 1
-        elif ai >= len(a) or e[ei][0] < a[ai][0] - POSITION_TOL:
-            d, at = e[ei][1], e[ei][0]
             ei += 1
+        elif gap < 0:
+            d, at = m, x
+            ai += 1
         else:
-            d, at = abs(a[ai][1] - e[ei][1]), a[ai][0]
-            ai += 1
+            d, at = n, y
             ei += 1
+        if d > worst:
+            worst, worst_at = d, at
+    for at, d in a[ai:] + e[ei:]:
         if d > worst:
             worst, worst_at = d, at
     return worst, worst_at

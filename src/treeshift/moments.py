@@ -18,7 +18,7 @@ import math
 import operator
 from itertools import repeat
 
-from .report import Record, set_field
+from .report import CONSISTENT, REFUTED, Record, set_field
 
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
@@ -306,7 +306,7 @@ class StieltjesVerdict(Record):
 
     @property
     def consistent(self) -> bool:
-        return self.status != "refuted"
+        return self.status != REFUTED
 
     def as_dict(self) -> dict:
         out = {
@@ -500,14 +500,14 @@ def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
             worst = (pivot, name, vector, form)
     if worst is None:
         return StieltjesVerdict(
-            status="consistent-up-to-order-N",
+            status=CONSISTENT,
             order=order,
             min_pivot_hankel=pivots["hankel"],
             min_pivot_shifted=pivots["shifted-hankel"],
         )
     _, name, vector, form = worst
     return StieltjesVerdict(
-        status="refuted",
+        status=REFUTED,
         order=order,
         min_pivot_hankel=pivots["hankel"],
         min_pivot_shifted=pivots["shifted-hankel"],

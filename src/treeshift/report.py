@@ -56,6 +56,13 @@ EXIT_REFUTED = 1
 EXIT_CONDITIONAL = 2
 EXIT_INPUT_ERROR = 3
 
+#: the exit code of every status a command reports
+EXIT_CODE = {
+    CERTIFIED: EXIT_OK, CONSISTENT: EXIT_OK, "consistent": EXIT_OK, "ok": EXIT_OK,
+    "valid": EXIT_OK, REFUTED: EXIT_REFUTED, "invalid": EXIT_REFUTED,
+    CONDITIONAL: EXIT_CONDITIONAL,
+}
+
 
 def jsonable(value):
     """Recursively convert report values into JSON-encodable primitives."""

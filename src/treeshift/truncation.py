@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .consistency import MeasureSystem, identity_reports, lambert_sweep
+from .consistency import (
+    MeasureSystem, hankel_witness, identity_reports, identity_witness, lambert_sweep,
+)
 from .moments import AtomicMeasure
 from .report import Record, set_field
 from .shift import WeightedShift, _fsum_complex
@@ -147,6 +149,19 @@ class TruncationReport(Record):
     @property
     def stieltjes_ok(self) -> bool:
         return not self.stieltjes_failures
+
+    @property
+    def witness(self) -> dict | None:
+        """Witness of the first failed check: the identity, then the Hankel
+        test, then the support and norm bounds; None when ``ok``."""
+        witness = identity_witness(self.consistency)
+        if witness is None and self.stieltjes_failures:
+            u = self.stieltjes_failures[0]
+            witness = hankel_witness(self.stieltjes[u], vertex=vertex_to_key(u))
+        if witness is None and not self.ok:
+            reason = "max_support or norm_bound exceeds the window height"
+            witness = {"vertex": None, "check": "truncation-bound", "reason": reason}
+        return witness
 
     def as_dict(self) -> dict:
         return {

@@ -576,6 +576,44 @@ def test_text_format(unilateral_inputs, capsys):
     assert "norms_sq" in out and "{" not in out.splitlines()[0]
 
 
+def test_every_status_exits_with_its_code_from_the_table(tmp_path, unilateral_inputs, capsys):
+    # one command per status in the table: a status missing from it would
+    # raise KeyError and exit 3 with no report
+    from treeshift.report import EXIT_CODE
+
+    tree, weights, system = unilateral_inputs
+    path = write(tmp_path, "path.json", {"vertices": [0, 1], "edges": [[0, 1]]})
+    cycle = write(tmp_path, "cycle.json", {"edges": [[0, 1], [1, 0]]})
+    seqs = write(tmp_path, "seqs.json", {"sequences": {str(k): [1.0] * 8 for k in range(5)}})
+    shift = ["--tree", tree, "--weights", weights]
+    runs = [
+        ["certify", "--family", "unilateral", "--weights", weights],
+        ["check-stieltjes", "--t", "[1,1,1,1]"],
+        ["check-consistency", *shift, "--system", system],
+        ["truncate", *shift, "--system", system, "--window", "2"],
+        ["validate-tree", "--tree", path],
+        ["check-stieltjes", "--t", "[1,1,0,0]"],
+        ["validate-tree", "--tree", cycle],
+        ["certify", "--family", "general", *shift, "--sequences", seqs],
+    ]
+    seen = set()
+    for argv in runs:
+        code, out = run_cli(argv, capsys)
+        report = json.loads(out)
+        assert code == report["exit_code"] == EXIT_CODE[report["status"]], argv
+        seen.add(report["status"])
+        code, out = run_cli(argv + ["--format", "text"], capsys)
+        lines = [line for line in out.splitlines() if line[0] != " " and ": " in line]
+        top = dict(line.split(": ", 1) for line in lines)
+        assert code == int(top["exit_code"]) == EXIT_CODE[top["status"]], argv
+    assert seen == set(EXIT_CODE)
+    # converge prints its table alone under --format text
+    converge = ["converge", *shift, "--system", system]
+    for fmt in ("json", "text"):
+        code = main(converge + ["--vertex", "0", "--power", "2", "--format", fmt])
+        assert code == EXIT_CODE["ok"]
+
+
 # -- input boundary -----------------------------------------------------------
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "treeshift" / "schemas"

@@ -607,6 +607,35 @@ def test_measure_discrepancy_alignment():
     assert d2 == pytest.approx(0.2) and at2 == 3.0
 
 
+def _nudged(x, ulps):
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("ulps", [1, 4])
+@pytest.mark.parametrize("x", [3.0, 3e3, 3e5, 3e8, 3e12])
+def test_an_atom_moved_by_a_few_ulps_still_certifies(x, ulps):
+    # weights sqrt(x) and delta_x everywhere, the root's atom rounded up: the
+    # positions align on the scale of x, not within an absolute 1e-12
+    depth = 6
+    tree = make_family("unilateral", depth)
+    shift = WeightedShift(tree, {v: math.sqrt(x) for v in range(1, depth + 1)})
+    mu = {v: AtomicMeasure.delta(_nudged(x, ulps) if v == 0 else x) for v in tree.sorted_vertices}
+    system = MeasureSystem(mu=mu, eps={v: 0.0 for v in tree.sorted_vertices})
+    cert = certify_subnormal(shift, system, horizon=depth)
+    assert cert.status == CERTIFIED, cert.witness
+
+
+def test_measure_discrepancy_aligns_positions_relative_to_their_scale():
+    x = 3e12
+    near, far = AtomicMeasure.delta(_nudged(x, 4)), AtomicMeasure.delta(x * (1 + 1e-9))
+    assert measure_discrepancy(AtomicMeasure.delta(x), near) == (0.0, None)
+    assert measure_discrepancy(AtomicMeasure.delta(x), far) == (1.0, x)
+    # below 1 the tolerance stays absolute
+    assert measure_discrepancy(AtomicMeasure.delta(0.5), AtomicMeasure.delta(0.5 + 1e-11))[0] == 1.0
+
+
 def test_non_finite_zero_masses_are_rejected():
     mu = {0: AtomicMeasure.delta(1.0)}
     for bad in (math.nan, math.inf):

@@ -112,9 +112,11 @@ def test_the_runtime_loads_only_the_standard_library():
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
-def _bench_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -123,7 +125,7 @@ def _bench_tracing():
 def test_every_tracer_target_resolves():
     # the benchmark's tracer wraps its targets by attribute path, and its
     # install() raises KeyError or AttributeError for one that is gone
-    targets = _bench_tracing().TARGETS
+    targets = _bench_module("tracing").TARGETS
     for _, module_name, path, _ in targets:
         module = importlib.import_module(module_name)
         owner_name, _, attr = path.rpartition(".")
@@ -131,3 +133,18 @@ def test_every_tracer_target_resolves():
             assert callable(getattr(module, owner_name).__dict__[attr]), path
         else:
             assert callable(getattr(module, attr)), path
+
+
+@pytest.mark.parametrize("seed", [1, 6173])
+def test_the_benchmark_cli_fixtures_pass_in_process(seed, tmp_path, monkeypatch, capsys):
+    # the benchmark runs each fixture as a process and checks its exit code
+    # and report; running them through main here catches a CLI change that
+    # breaks one
+    from treeshift.cli import main
+
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling gen
+    monkeypatch.delenv("TREESHIFT_TOL", raising=False)
+    workloads = _bench_module("workloads")
+    for fixture in workloads.cli_fixtures(seed, tmp_path):
+        code = main(fixture[1])
+        workloads.check_cli(fixture, code, capsys.readouterr().out)
