@@ -28,7 +28,6 @@ from .report import (
     REFUTED,
     Record,
     canonical_json,
-    jsonable,
     set_field,
 )
 from .shift import keyed_weights, vertex_keyed, weights_from_json
@@ -438,7 +437,8 @@ def _render_text(obj, indent: str = "") -> str:
         else:
             lines.append(f"{pad}{key}: {value}")
 
-    body = jsonable(obj)
+    # the report's own JSON text, read back: the text shows what the JSON shows
+    body = json.loads(canonical_json(obj))
     for k in sorted(body):
         walk(body[k], k, indent)
     return "\n".join(lines) + "\n"
@@ -553,8 +553,18 @@ def _cmd_converge(args, config: RunConfig) -> int:
     return _emit(config, "ok", text=table.as_text(), table=table.as_dict())
 
 
+#: the document flags that each ``certify --family`` reads
+CERTIFY_DOCUMENTS = {
+    "general": ("tree", "weights"), "unilateral": ("weights",), "bilateral": ("weights",),
+    "t-eta-kappa": ("input",),
+}
+
+
 def _cmd_certify(args, config: RunConfig) -> int:
     family = args.family
+    missing = [f"--{flag}" for flag in CERTIFY_DOCUMENTS[family] if getattr(args, flag) is None]
+    if missing:
+        raise InputError(f"--family {family} needs {' and '.join(missing)}")
     if family in ("unilateral", "bilateral"):
         entries = load_document(args.weights, "weights")["weights"]
     if family == "unilateral":
@@ -581,7 +591,7 @@ def _cmd_certify(args, config: RunConfig) -> int:
         data = models.branch_data_from_json(doc)
         depth = min(config.horizon, 8)
         cert = models.certify_t_eta_kappa(data, depth=depth, tol=config.tol)
-    elif family == "general":
+    else:
         shift = _load_shift(args)
         if (args.system is None) == (args.sequences is None):
             raise InputError("supply exactly one of --system or --sequences")
@@ -592,8 +602,6 @@ def _cmd_certify(args, config: RunConfig) -> int:
         cert = consistency.certify_subnormal(
             shift, system, sequences, horizon=config.horizon, tol=config.tol
         )
-    else:
-        raise InputError(f"unknown family {family!r}")
     payload = cert.as_dict()
     return _emit(config, payload.pop("status"), family_mode=family, **payload)
 
@@ -678,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=("general", "unilateral", "bilateral", "t-eta-kappa"),
+        choices=tuple(CERTIFY_DOCUMENTS),
     )
     p.add_argument("--tree", default=None)
     p.add_argument("--weights", default=None)

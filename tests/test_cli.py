@@ -567,6 +567,32 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
     assert first.stdout == second.stdout
 
 
+
+@pytest.mark.parametrize(
+    "family, given, missing",
+    [
+        ("unilateral", [], "--weights"),
+        ("bilateral", [], "--weights"),
+        ("general", ["--weights"], "--tree"),
+        ("general", ["--tree"], "--weights"),
+        ("t-eta-kappa", [], "--input"),
+    ],
+)
+def test_certify_without_its_document_is_an_input_error(
+    unilateral_inputs, family, given, missing
+):
+    # a missing document once reached open(None): a TypeError traceback
+    # that exited 1, the refuted code
+    tree, weights, _ = unilateral_inputs
+    paths = {"--tree": tree, "--weights": weights}
+    cmd = [sys.executable, "-m", "treeshift", "certify", "--family", family]
+    for flag in given:
+        cmd += [flag, paths[flag]]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"input error: --family {family} needs {missing}\n"
+
+
 def test_text_format(unilateral_inputs, capsys):
     tree, weights, _ = unilateral_inputs
     code, out = run_cli(

@@ -204,6 +204,7 @@ GOLDEN = {
     "bilateral": "174ee0af10b12c74c73a70a91072d82c6bdbf6bc6cf070aff4241ecbe7e4455a",
     "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
+    "cli-check-consistency-text": "a0660e0839fdb8d90c2f0750e1b266e45f1f69e7ad462fc567585e577feaaa9f",
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
     "cli-certify-sequences": "c4072d34a5487d70d3835d9125e070450fc48c86eb9295f680a4584afaba2cc3",
     "cli-truncate-path": "6b047b6c4599cf88a30374186a46a0b1d3f072649f7992b875c998c5742f0276",
@@ -245,6 +246,13 @@ def test_check_consistency_report_digest(tmp_path, capsys):
     args = ["check-consistency", "--depth", "1"]
     digest = _cli_digest(tmp_path, capsys, args, _branching_documents())
     assert digest == GOLDEN["cli-check-consistency"]
+
+
+def test_check_consistency_text_report_digest(tmp_path, capsys):
+    """The depth-1 report under ``--format text``: the only pinned text output."""
+    args = ["check-consistency", "--depth", "1", "--format", "text"]
+    digest = _cli_digest(tmp_path, capsys, args, _branching_documents())
+    assert digest == GOLDEN["cli-check-consistency-text"]
 
 
 def test_check_consistency_depth_two_report_digest(tmp_path, capsys):

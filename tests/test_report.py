@@ -1,11 +1,18 @@
 """The package's records: fields that match the constructor, read-only
 storage, value or identity equality, copy and pickle, the field-listing
-repr, and ``BranchData.replace``."""
+repr, and ``BranchData.replace``; and ``canonical_json`` against the
+two-pass encoder it replaced."""
 
 import copy
+import importlib.util
+import json
+import math
 import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 # every module that defines records, so that Record knows all its subclasses
 import treeshift.cli
@@ -22,7 +29,7 @@ from treeshift import (
     make_family,
     truncate,
 )
-from treeshift.report import Record
+from treeshift.report import Record, canonical_json
 
 
 def _path_inputs():
@@ -130,3 +137,130 @@ def test_branch_data_replace_validates_the_copy():
         data.replace(entry_weights=(0.5,))
     with pytest.raises(TypeError):
         data.replace(depth=3)
+
+
+# -- canonical_json -------------------------------------------------------------
+
+
+def jsonable(value):
+    """The former first pass: the report as JSON-encodable primitives."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return value
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if hasattr(value, "as_dict"):
+        return jsonable(value.as_dict())
+    return str(value)
+
+
+def two_pass_json(obj) -> str:
+    """The oracle: the encoder ``canonical_json`` replaced, byte for byte."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+class Real(float):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Holder:
+    """A record: encoded through ``as_dict``."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def as_dict(self):
+        return self.body
+
+
+class Opaque:
+    """No ``as_dict``: encoded as its ``str``."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def __str__(self):
+        return f"<opaque {self.label}>"
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+)
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats())
+TEXT = st.one_of(st.text(), st.text(st.characters(max_codepoint=0x1F)), st.just("ü\u2028\U0001F600"))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+    st.builds(complex, FLOATS, FLOATS),
+    FLOATS.map(Real), st.integers().map(Count), TEXT.map(Name), TEXT.map(Opaque),
+)
+# 1 and "1", 1.0 and "1.0", True and "True", (1, 2) and "(1, 2)" collide under str()
+KEYS = st.one_of(
+    st.integers(-2, 2), st.booleans(), FLOATS, TEXT,
+    st.sampled_from(["1", "-1", "0", "1.0", "True", "nan", "(1, 2)", "é"]),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+        children.map(Holder),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_canonical_json_is_byte_equal_to_the_two_pass_encoder(value):
+    assert canonical_json(value) == two_pass_json(value)
+
+
+def test_canonical_json_edge_cases():
+    cases = [
+        {}, [], (), {"": {}}, {1: "int", "1": "str"}, {"1": "str", 1: "int"},
+        {"z": complex(math.inf, math.nan), "a": [math.nan, -math.inf, -0.0]},
+        [True, 1, False, 0, None, Count(7), Real(2.5), Name("\x00é")],
+        Holder({"nested": Holder([Opaque("x"), ()])}),
+    ]
+    for value in cases:
+        assert canonical_json(value) == two_pass_json(value), value
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_canonical_json_matches_on_the_benchmark_reports(monkeypatch):
+    # the first-cycle reports of verify-deep and construct-from-moments at
+    # seed 1, and the largest verify-wide window: the reports whose digests
+    # the benchmark compares across commits
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling gen
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    program = workloads.load_program()
+    widest = max(workloads.cycle_ops("verify-wide", 1, 0), key=lambda o: o["size"])
+    ops = workloads.cycle_ops("verify-deep", 1, 0) + workloads.cycle_ops(
+        "construct-from-moments", 1, 0
+    )
+    for operation in [widest, *ops]:
+        report = workloads.run_op(program, operation)
+        assert canonical_json(report) == two_pass_json(report), operation["kind"]
