@@ -50,9 +50,9 @@ class AtomicMeasure(Record):
     """Finitely many point masses on [0, inf).
 
     Atoms are kept in canonical form: positions strictly increasing, masses
-    positive; positions closer than ``MERGE_TOL`` are merged with masses
-    added.  Construction from any iterable of (position, mass) pairs
-    canonicalizes automatically.
+    positive; positions within ``MERGE_TOL * max(1, x)`` of an atom at x
+    are merged into it with masses added.  Construction from any iterable
+    of (position, mass) pairs canonicalizes automatically.
     """
 
     __slots__ = ("atoms",)
@@ -197,19 +197,21 @@ def _moment_overflow(atoms: tuple, n: int) -> ValueError:
 
 
 def _canonical(pairs: list) -> tuple:
-    """Sort (position, mass) pairs with nonzero masses and merge positions
-    closer than ``MERGE_TOL``; a merged atom keeps the smallest position, and
-    its masses are added in sorted order."""
+    """Sort (position, mass) pairs with nonzero masses and merge each position
+    within ``MERGE_TOL * max(1, start)`` of the smallest position ``start`` of
+    its atom, so rounding at large positions merges; a merged atom keeps
+    ``start``, and its masses are added in sorted order."""
     pairs.sort()
     merged = []
     start = None
     for x, w in pairs:
-        if start is not None and x - start <= MERGE_TOL:
+        if start is not None and x - start <= limit:
             mass += w
             continue
         if start is not None:
             merged.append((start, mass))
         start, mass = x, w
+        limit = MERGE_TOL * x if x > 1.0 else MERGE_TOL
     if start is not None:
         merged.append((start, mass))
     return tuple(merged)

@@ -627,6 +627,32 @@ def test_an_atom_moved_by_a_few_ulps_still_certifies(x, ulps):
     assert cert.status == CERTIFIED, cert.witness
 
 
+@pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+@pytest.mark.parametrize("x", [1.0, 3.0, 3e3, 3e5, 3e8, 1e12, 3e12])
+def test_sibling_atoms_a_few_ulps_apart_merge_and_certify(x, ulps):
+    # 0 -> {1, 2}, weights sqrt(x/2), delta_x at 0 and 1 and delta_x rounded
+    # up at 2: the superposition at 0 merges the two children's atoms on the
+    # scale of x, not within an absolute 1e-12
+    tree = truncated_tree([0, 1, 2], {1: 0, 2: 0})
+    shift = WeightedShift(tree, {1: math.sqrt(x / 2), 2: math.sqrt(x / 2)})
+    atoms = {0: x, 1: x, 2: _nudged(x, ulps)}
+    mu = {v: AtomicMeasure.delta(a) for v, a in atoms.items()}
+    system = MeasureSystem(mu=mu, eps={0: 0.0, 1: 0.0, 2: 0.0})
+    cert = certify_subnormal(shift, system, horizon=1)
+    assert cert.status == CERTIFIED, cert.witness
+
+
+def test_atoms_merge_relative_to_their_position():
+    x = 3e12
+    assert AtomicMeasure(((x, 0.5), (_nudged(x, 4), 0.5))).atoms == ((x, 1.0),)
+    assert len(AtomicMeasure(((x, 0.5), (x * (1 + 1e-9), 0.5))).atoms) == 2
+    # below 1 the tolerance stays absolute, and a negative position within it is 0
+    assert len(AtomicMeasure(((0.5, 0.5), (0.5 + 1e-11, 0.5))).atoms) == 2
+    assert AtomicMeasure(((-1e-13, 1.0),)).atoms == ((0.0, 1.0),)
+    with pytest.raises(ValueError, match="negative"):
+        AtomicMeasure.delta(-1e-11)
+
+
 def test_measure_discrepancy_aligns_positions_relative_to_their_scale():
     x = 3e12
     near, far = AtomicMeasure.delta(_nudged(x, 4)), AtomicMeasure.delta(x * (1 + 1e-9))

@@ -62,12 +62,13 @@ def test_non_finite_moments_are_rejected():
 
 
 def _seed_canonical(atoms) -> tuple:
-    """The canonical form as the measure constructor has always built it,
-    kept here as an independent oracle for the kernel."""
+    """The canonical form, kept here as an independent oracle for the
+    kernel: each position merges into the atom it lies within
+    ``MERGE_TOL * max(1, start)`` of."""
     pairs = sorted((max(x, 0.0), w) for x, w in atoms if w != 0.0)
     merged = []
     for x, w in pairs:
-        if merged and x - merged[-1][0] <= MERGE_TOL:
+        if merged and x - merged[-1][0] <= MERGE_TOL * max(1.0, merged[-1][0]):
             merged[-1][1] += w
         else:
             merged.append([x, w])
@@ -88,10 +89,12 @@ def _seed_fold(terms, power, deficit) -> tuple:
     return acc
 
 
-# positions on a grid, plus chains whose neighbours are closer than MERGE_TOL
+# positions on a grid, plus chains whose neighbours are closer than MERGE_TOL,
+# absolute near 1 and 2 and relative near 3e5
 _POSITIONS = [0.0, 3e-13, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 10.0]
 _POSITIONS += [1.0 + k * 0.6 * MERGE_TOL for k in range(1, 5)]
 _POSITIONS += [2.0 - 0.9 * MERGE_TOL, 2.0 + 0.9 * MERGE_TOL]
+_POSITIONS += [3e5 * (1.0 + k * 0.6 * MERGE_TOL) for k in range(4)]
 _masses = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
 _measures = st.lists(
     st.tuples(st.sampled_from(_POSITIONS), _masses), min_size=0, max_size=6
