@@ -311,25 +311,27 @@ def identity_witness(reports, **extra) -> dict | None:
 
 
 class MomentsMatchReport(Record):
-    """Comparison of measure moments against squared power norms at a vertex."""
+    """Measure moments against squared power norms at a vertex, orders 0 to
+    ``top``: whether every row holds, the largest relative error, and the
+    row that has it, (n, measure_moment, shift_norm_sq, rel_err)."""
 
-    __slots__ = ("vertex", "rows", "ok", "max_rel_err")
+    __slots__ = ("vertex", "top", "ok", "max_rel_err", "worst_row")
 
-    def __init__(self, vertex, rows: tuple, ok: bool, max_rel_err: float):
+    def __init__(self, vertex, top: int, ok: bool, max_rel_err: float, worst_row: tuple):
         set_field(self, "vertex", vertex)
-        set_field(self, "rows", rows)  # (n, measure_moment, shift_norm_sq, rel_err)
+        set_field(self, "top", top)
         set_field(self, "ok", ok)
         set_field(self, "max_rel_err", max_rel_err)
+        set_field(self, "worst_row", worst_row)
 
     def as_dict(self) -> dict:
+        n, a, b, r = self.worst_row
         return {
             "vertex": vertex_to_key(self.vertex),
-            "rows": [
-                {"n": n, "measure_moment": a, "shift_norm_sq": b, "rel_err": r}
-                for n, a, b, r in self.rows
-            ],
+            "top": self.top,
             "ok": self.ok,
             "max_rel_err": self.max_rel_err,
+            "worst_row": {"n": n, "measure_moment": a, "shift_norm_sq": b, "rel_err": r},
         }
 
 
@@ -356,16 +358,19 @@ def first_failing_row(lhs, rhs, tol: float):
 
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
     """Verify that the moments of the measure at u reproduce the squared
-    power norms of the shift at u, up to n_max or the window horizon."""
+    power norms of the shift at u, up to n_max or the window horizon.  Every
+    row is compared; the report keeps the first NaN row, or else the first
+    row with the largest error."""
     top = shift.tree.clamp_order(u, n_max)
     lhs = system.measure(u).moments(top)
     rhs = shift.moment_values(u, top)
     rels, worst = relative_errors(lhs, rhs)
+    n = next((n for n, r in enumerate(rels) if r != r), None) if worst == math.inf else None
+    if n is None:
+        n = rels.index(worst)
     return MomentsMatchReport(
-        vertex=u,
-        rows=tuple(zip(range(top + 1), lhs, rhs, rels)),
-        ok=worst <= tol,
-        max_rel_err=worst,
+        vertex=u, top=top, ok=worst <= tol, max_rel_err=worst,
+        worst_row=(n, lhs[n], rhs[n], rels[n]),
     )
 
 
@@ -584,9 +589,11 @@ def certify_subnormal(
     )
     bad = next((r for r in moment_reports if not r.ok), None)
     if bad is not None and witness is None:
+        n, a, b, _ = bad.worst_row
         witness = _witness(
             bad.vertex, "moment-identity", bad.max_rel_err, None,
             "measure moments disagree with power norms",
+            order=n, measure_moment=a, shift_norm_sq=b,
         )
     structural = shift.structural_checks()
     if structural.not_hyponormal and witness is None:

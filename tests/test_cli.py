@@ -593,6 +593,22 @@ def test_certify_without_its_document_is_an_input_error(
     assert proc.stderr == f"input error: --family {family} needs {missing}\n"
 
 
+def test_certify_report_grows_with_the_window_not_with_the_horizon(tmp_path):
+    # 192 unit weights: one moment summary per vertex of the window, where
+    # the moment rows alone once took 2.7 MB
+    weights = write(tmp_path, "weights.json", {"weights": [1.0] * 192})
+    cmd = [sys.executable, "-m", "treeshift", "certify", "--family", "unilateral"]
+    proc = subprocess.run(
+        cmd + ["--weights", weights], capture_output=True, text=True, env=dict(os.environ)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.encode()) < 100_000
+    cert = json.loads(proc.stdout)["system_certificate"]
+    window = [str(v) for v in range(192)]
+    assert [m["vertex"] for m in cert["moments"]] == window
+    assert all("rows" not in m and m["worst_row"]["n"] <= m["top"] for m in cert["moments"])
+
+
 def test_text_format(unilateral_inputs, capsys):
     tree, weights, _ = unilateral_inputs
     code, out = run_cli(

@@ -1,9 +1,12 @@
+import json
 import math
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     AtomicMeasure,
@@ -34,6 +37,7 @@ from treeshift.consistency import (
     measure_discrepancy,
     relative_errors,
 )
+from treeshift.report import canonical_json
 from treeshift.shift import _mod_sq
 from treeshift.tree import HorizonError
 
@@ -127,8 +131,10 @@ def test_propagation_depths(rng):
 def test_moments_match_identity(rng):
     shift, system = mixed_pair_system()
     rep = moments_match(system, shift, 0, 3)
-    assert rep.ok
-    assert rep.rows[1][1] == pytest.approx(1.5)
+    assert rep.ok and rep.top == 3
+    _assert_same_report(rep, system, shift, 0, 3)
+    rows, _, _ = _reference_moments_match(system, shift, 0, 3)
+    assert rows[1][1] == pytest.approx(1.5)
     for _ in range(10):
         s, sys_ = random_consistent_system(rng, max_vertices=30)
         for u in s.tree.sorted_vertices:
@@ -144,8 +150,9 @@ def test_moments_match_fails_rows_that_are_not_finite():
     system = MeasureSystem(mu=mu, eps={v: 0.0 for v in tree.sorted_vertices})
     rep = moments_match(system, shift, 0, 2)
     assert not rep.ok
-    assert rep.max_rel_err == math.inf
-    assert rep.rows[1][:3] == (1, 1.0, math.inf) and math.isnan(rep.rows[1][3])
+    assert rep.max_rel_err == math.inf and rep.top == 2
+    # the first NaN row is the worst, though order 2 is NaN too
+    assert rep.worst_row[:3] == (1, 1.0, math.inf) and math.isnan(rep.worst_row[3])
 
 
 def _reference_moments_match(system, shift, u, n_max, tol=1e-9):
@@ -169,11 +176,23 @@ def _bits(values):
     return [struct.pack("<d", float(x)) for x in values]
 
 
+def _first_argmax(rels) -> int:
+    """The first NaN row, or else the first row with the largest error."""
+    best = 0
+    for n, rel in enumerate(rels):
+        if math.isnan(rel):
+            return n
+        if rel > rels[best]:
+            best = n
+    return best
+
+
 def _assert_same_report(rep, system, shift, u, n_max):
     rows, ok, worst = _reference_moments_match(system, shift, u, n_max)
-    assert [r[0] for r in rep.rows] == [r[0] for r in rows]
-    for got, want in zip(rep.rows, rows):
-        assert _bits(got[1:]) == _bits(want[1:])
+    assert rep.top == rows[-1][0]
+    want = rows[_first_argmax([r[3] for r in rows])]
+    assert rep.worst_row[0] == want[0]
+    assert _bits(rep.worst_row[1:]) == _bits(want[1:])
     assert rep.ok is ok
     assert _bits([rep.max_rel_err]) == _bits([worst])
 
@@ -218,6 +237,50 @@ def test_moments_match_rows_equal_the_row_loop_bit_for_bit(rng):
         stub = SimpleNamespace(measure=lambda v, m=_FixedMoments(values): m)
         for n_max in (0, 1, 3):
             _assert_same_report(moments_match(stub, shift, 0, n_max), stub, shift, 0, n_max)
+
+
+_row_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 0.0, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_row_values, _row_values), min_size=1, max_size=12))
+def test_the_worst_row_is_the_first_argmax_of_the_relative_errors(rows):
+    # NaN, infinite and overflowing rows, on a stand-in system and shift
+    lhs, rhs = (tuple(col) for col in zip(*rows))
+    top = len(rows) - 1
+    system = SimpleNamespace(measure=lambda v: _FixedMoments(lhs))
+    shift = SimpleNamespace(
+        tree=SimpleNamespace(clamp_order=lambda u, n: n), moment_values=lambda u, n: rhs[: n + 1]
+    )
+    rep = moments_match(system, shift, 0, top)
+    rels, worst = relative_errors(lhs, rhs)
+    n = _first_argmax(rels)
+    assert rep.top == top and rep.ok is (worst <= 1e-9)
+    assert rep.worst_row[0] == n
+    assert _bits(rep.worst_row[1:]) == _bits((lhs[n], rhs[n], rels[n]))
+    assert _bits([rep.max_rel_err]) == _bits([worst])
+
+
+@pytest.mark.parametrize("excess", [1e-6, -1e-6, 1e-3])
+@pytest.mark.parametrize("x", [0.5, 2.0, 3e5])
+def test_a_moment_identity_witness_rechecks_from_the_report_alone(x, excess):
+    # 0 -> 1 closed by the identity, but the frontier measure at 1 has mass
+    # 1 + excess, so the moment rows disagree and no other check fails
+    mass = 1.0 + excess
+    shift = WeightedShift(make_family("unilateral", 1), {1: math.sqrt(x / mass)})
+    mu = {0: AtomicMeasure.delta(x), 1: AtomicMeasure.delta(x, mass)}
+    cert = certify_subnormal(shift, MeasureSystem(mu=mu, eps={0: 0.0, 1: 0.0}), horizon=1)
+    report = json.loads(canonical_json(cert))
+    witness = report["witness"]
+    assert report["status"] == REFUTED and witness["check"] == "moment-identity"
+    a, b = float(witness["measure_moment"]), float(witness["shift_norm_sq"])
+    rel = abs(a - b) / max(1.0, abs(a), abs(b))
+    assert rel > report["tol"] and rel == witness["discrepancy"]
+    entry = next(m for m in report["moments"] if m["vertex"] == witness["vertex"])
+    assert entry["worst_row"]["n"] == witness["order"] <= entry["top"]
 
 
 def _reference_relative_errors(lhs, rhs):
@@ -736,7 +799,7 @@ def test_an_unbounded_order_on_a_tree_without_frontier_is_refused_naming_the_ver
     with pytest.raises(ValueError, match="no finite order at 0"):
         moments_match(system, shift, 0, math.inf)
     assert sorted(lambert_sweep(shift, horizon=4)[0]) == [0, 1, 2]
-    assert [row[0] for row in moments_match(system, shift, 0, 4).rows] == [0, 1, 2, 3, 4]
+    assert moments_match(system, shift, 0, 4).top == 4
 
 
 def test_lambert_sweep_tests_each_child_of_a_branching_vertex():

@@ -190,23 +190,23 @@ def _library_reports():
 
 
 GOLDEN = {
-    "bary-clean": "a8110e504a7b77297d0d79f9baf18a7c40e2089034068abeb92917954516a0a7",
-    "bary-perturbed": "a52a62a937152f868574c1c689ebe4490eced55a6f9faa9968122812f8f5ee9c",
-    "teta-kappa0": "360277781b824ecb7a1a367283d448ab2a32cbb908eb5c2bb70b5887870d7979",
+    "bary-clean": "c747973f4e223fec3a1359cac190f04b42c1e7679818b0e8eac35e9fdab5771e",
+    "bary-perturbed": "f70bb7b4fcf86acaf4544ed2b24ae3e48ebdba1c1a2d292cf1b1b6d398bfd4e0",
+    "teta-kappa0": "2f6c495b1460e13326ed531fc6deb8c7dc56c580b79df33dfe5dcebf16af6f5a",
     "teta-kappa0-refuted": "f2bc9df02b05ccab2e30d30f32c9b493a9bb49a9e80592453fd425d92d05d1c7",
-    "teta-kappa2": "b84ca6b1f2c0d57978e2a8b7f5605d93a5081c7ef50becf791a6b3c60d4413b7",
+    "teta-kappa2": "0aae01e053df27005e8996120e2bd1d1ac6ef29a1433ea20160c6629922342f6",
     "teta-kappa2-refuted": "f8bce6eca5a7c512d5414446973f86b50f425c58c8022727f25f04324004626a",
-    "teta-kappa-inf": "c7b193ebacda2e25b1613e0ead8139c8993f63129a002f2ef43982302e441f97",
-    "teta-kappa2-nu": "ddd88c8352d626ad0335f9c9eaf7ad4e0268e69fe28f811efb4f606f2dcab282",
+    "teta-kappa-inf": "c71ee9e6eaf9e8c3275b89e72d8aa09796b43d101445e73f604463358b67e6ac",
+    "teta-kappa2-nu": "1c5ae0a6d5d221a13bfb6cb73d80cadaa09b8ad831fb586e332693954844ab21",
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
-    "power-path-128": "a0cde2f86894be354ed4aae828ef77d1b0152eb584f1771c8f276ae4827b40e2",
-    "teta-eta3-depth48": "8a940c02836a11d64ad7fdfe79738526b57022c3dc4b19faa7003c6155a005e5",
-    "bilateral": "174ee0af10b12c74c73a70a91072d82c6bdbf6bc6cf070aff4241ecbe7e4455a",
+    "power-path-128": "ea92c3d62f8c458960e31356136a259f539365d8e99caeeb07d0e805611462d3",
+    "teta-eta3-depth48": "f6febf59bf5c7da3e040732000efefda5916a2707fc365411d6b778d9d1a75c1",
+    "bilateral": "c17b32a06bb906d2f154f84020914d3bd3a33bd39d1360b1178416335236fa92",
     "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
     "cli-check-consistency-text": "a0660e0839fdb8d90c2f0750e1b266e45f1f69e7ad462fc567585e577feaaa9f",
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
-    "cli-certify-sequences": "c4072d34a5487d70d3835d9125e070450fc48c86eb9295f680a4584afaba2cc3",
+    "cli-certify-sequences": "27e3b16986512998736e3a89486e9468fd8146e839fd8d6ec029ef1391772ae7",
     "cli-truncate-path": "6b047b6c4599cf88a30374186a46a0b1d3f072649f7992b875c998c5742f0276",
 }
 
