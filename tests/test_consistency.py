@@ -153,6 +153,7 @@ def test_moments_match_fails_rows_that_are_not_finite():
     assert rep.max_rel_err == math.inf and rep.top == 2
     # the first NaN row is the worst, though order 2 is NaN too
     assert rep.worst_row[:3] == (1, 1.0, math.inf) and math.isnan(rep.worst_row[3])
+    _assert_same_report(rep, system, shift, 0, 2)
 
 
 def _reference_moments_match(system, shift, u, n_max, tol=1e-9):

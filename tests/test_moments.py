@@ -89,8 +89,7 @@ def _seed_fold(terms, power, deficit) -> tuple:
     return acc
 
 
-# positions on a grid, plus chains whose neighbours are closer than MERGE_TOL,
-# absolute near 1 and 2 and relative near 3e5
+# positions on a grid, plus chains whose neighbours lie within MERGE_TOL * max(1, x)
 _POSITIONS = [0.0, 3e-13, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 10.0]
 _POSITIONS += [1.0 + k * 0.6 * MERGE_TOL for k in range(1, 5)]
 _POSITIONS += [2.0 - 0.9 * MERGE_TOL, 2.0 + 0.9 * MERGE_TOL]
