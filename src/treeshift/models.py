@@ -2,13 +2,14 @@
 bilateral shifts, and the leafless trees with a single branching vertex.
 
 The unilateral certifier reduces to one Hankel test on the running product
-sequence of squared weights and then materializes the certificate system by
-reweighting a quadrature measure.  The bilateral certifier tests the deepest
-left-shift of a two-sided product sequence, which implies the others.  The
-branching certifier dispatches on the trunk length: a single inequality when
-the branching vertex is the root, trunk-product equalities plus one terminal
-inequality for a finite trunk, an equivalent root-measure formulation, and
-the windowed variant of the equalities for an infinite trunk.
+sequence of squared weights, and the bilateral certifier to one on the
+deepest left-shift of a two-sided product sequence, which implies the
+others; a quadrature fit of the tested sequence is reported as evidence
+only, never as the verdict.  The branching certifier dispatches on the
+trunk length: a single inequality when the branching vertex is the root,
+trunk-product equalities plus one terminal inequality for a finite trunk,
+an equivalent root-measure formulation, and the windowed variant of the
+equalities for an infinite trunk.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .consistency import (
 from .moments import (
     AtomicMeasure,
     DeterminacyDiagnostic,
+    QuadratureError,
     RefutedSequenceError,
     as_values,
     carleman_diagnostic,
@@ -54,7 +56,9 @@ from .tree import (
 
 class ModelCertificate(Record):
     """Verdict of a closed-form certifier, with its Hankel or condition
-    evidence and the cross-certification of the materialized system."""
+    evidence; ``system_certificate`` is the cross-certification of the
+    branching family's materialized system, and None for the classical
+    families, whose verdict is the Hankel test alone."""
 
     __slots__ = ("status", "family", "stieltjes", "system_certificate", "detail", "witness")
 
@@ -98,29 +102,6 @@ def _refuted(family: str, stieltjes: dict, detail: dict, witness: dict) -> Model
     )
 
 
-def _normalized_powers(base: AtomicMeasure, vertices) -> dict:
-    """Map the k-th of ``vertices`` to the base measure reweighted by s^k and
-    normalized: the proof system along a path."""
-    mu = {}
-    current = base
-    for k, v in enumerate(vertices):
-        if k:
-            current = current.times_power(1)
-        mu[v] = current.scaled(1.0 / current.total_mass)
-    return mu
-
-
-def _certify_on_path(shift, base: AtomicMeasure, tol: float):
-    """Cross-certify the proof system on an integer path shift, up to its
-    length: the measure at step n is the base measure reweighted by s^n and
-    normalized; any base mass at zero becomes the path root's point mass."""
-    root, depth = shift.tree.root, len(shift.weights)
-    mu = _normalized_powers(base, range(root, root + depth + 1))
-    eps = {v: 0.0 for v in mu}
-    eps[root] = base.mass_at_zero / base.total_mass
-    return certify_subnormal(shift, MeasureSystem(mu=mu, eps=eps), horizon=depth, tol=tol)
-
-
 def _fit(values, tol: float):
     """Quadrature of ``values`` (None when refuted) and the verdict it ran."""
     try:
@@ -130,16 +111,35 @@ def _fit(values, tol: float):
     return fit, fit.verdict
 
 
+def _evidence(values, tol: float):
+    """The Hankel verdict of ``values``, read from their quadrature fit, with
+    the fitted measure when its moments reproduce every value within ``tol``
+    (see :func:`first_failing_row`), else None and a note saying why."""
+    try:
+        fit = quadrature_from_moments(values, tol=tol)
+    except RefutedSequenceError as err:
+        return err.verdict, None, None
+    except QuadratureError as err:
+        return err.verdict, None, f"no representing measure: {err}"
+    try:
+        row = first_failing_row(fit.measure.moments(len(values) - 1), values, tol)
+    except ValueError as err:  # a fitted moment overflows
+        return fit.verdict, None, f"no representing measure: {err}"
+    if row is not None:
+        return fit.verdict, None, f"no representing measure: the fit misses t_{row[0]} by {row[1]}"
+    return fit.verdict, fit.measure, None
+
+
 def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a unilateral classical shift from its weight list.
 
     The power norms are Hankel-tested at the root and past every zero weight
     (:func:`lambert_sweep`); a failure refutes.  With nonzero weights,
     subnormality is equivalent to the running product sequence being a
-    halfline moment sequence; on a pass the proof system (powers of the
-    variable against one representing measure) is built and cross-certified.
-    A zero weight falls outside the product criterion, so a pass then stays
-    conditional.
+    halfline moment sequence, so a pass certifies every supplied weight; the
+    quadrature fit of that sequence is reported as evidence when it
+    reproduces every power norm.  A zero weight falls outside the product
+    criterion, so a pass then stays conditional.
     """
     weights = [complex(w) for w in weights]
     if len(weights) < 3:
@@ -147,7 +147,7 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
     shift = WeightedShift(make_family(UNILATERAL, len(weights)), dict(enumerate(weights, 1)))
     values = product_moments(weights)
     zero = 0 in weights
-    fit, head = (None, None) if zero else _fit(values, tol)
+    head, base, missing = (None, None, None) if zero else _evidence(values, tol)
     verdicts, failed = lambert_sweep(shift, tol, known={0: head})
     stieltjes = {vertex_to_key(k): v for k, v in verdicts.items()}
     note = "zero weight: per-vertex necessary conditions only"
@@ -157,20 +157,11 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
         return _refuted(UNILATERAL, stieltjes, detail, witness)
     if zero:
         return ModelCertificate(CONDITIONAL, UNILATERAL, stieltjes, None, detail, None)
-    base = fit.measure
-    depth = 2 * fit.requested - 1
-    if depth < len(weights):
-        shift = WeightedShift(make_family(UNILATERAL, depth), dict(enumerate(weights[:depth], 1)))
-    certificate = _certify_on_path(shift, base, tol)
-    detail.update(representing_measure=base.as_dict(), eps_root=base.mass_at_zero)
-    return ModelCertificate(
-        status=certificate.status,
-        family=UNILATERAL,
-        stieltjes=stieltjes,
-        system_certificate=certificate,
-        detail=detail,
-        witness=certificate.witness,
-    )
+    if base is None:
+        detail["note"] = missing
+    else:
+        detail.update(representing_measure=base.as_dict(), eps_root=base.mass_at_zero)
+    return ModelCertificate(CERTIFIED, UNILATERAL, stieltjes, None, detail, None)
 
 
 class TwoSidedSequence(Record):
@@ -228,9 +219,9 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
 
     The deepest left-shift of the two-sided product sequence (the power norms
     of the window root) must pass the Hankel test; each shallower one is a
-    suffix, whose Hankel blocks are principal submatrices of its blocks.  On
-    a pass the proof system is built from a quadrature measure for the
-    deepest shift and cross-certified on the window tree.  Zero weights are
+    suffix, whose Hankel blocks are principal submatrices of its blocks.  A
+    pass certifies the whole window; the quadrature fit of the deepest shift
+    is reported as evidence when it reproduces every value.  Zero weights are
     rejected (backward products need inverses).
     """
     weights = {int(k): complex(w) for k, w in weights.items()}
@@ -241,27 +232,17 @@ def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> Mode
         )
     seq = two_sided_from_weights(weights)
     root = seq.k_min
-    fit, verdict = _fit(seq.values, tol)  # the deepest left-shift
+    verdict, base, missing = _evidence(seq.values, tol)  # the deepest left-shift
     verdicts = {str(-root): verdict}
-    if fit is None:
+    detail = {"two_sided": seq.as_dict()}
+    if not verdict.consistent:
         witness = hankel_witness(verdict, shift=-root)
-        return _refuted(BILATERAL_WINDOW, verdicts, {"two_sided": seq.as_dict()}, witness)
-    base = fit.measure
-    depth = 2 * fit.requested - 1
-    tree = make_family(BILATERAL_WINDOW, depth=root + depth, back=-root)
-    shift = WeightedShift(tree, {k: weights[k] for k in range(root + 1, root + depth + 1)})
-    certificate = _certify_on_path(shift, base, tol)
-    return ModelCertificate(
-        status=certificate.status,
-        family=BILATERAL_WINDOW,
-        stieltjes=verdicts,
-        system_certificate=certificate,
-        detail={
-            "two_sided": seq.as_dict(),
-            "representing_measure": base.as_dict(),
-        },
-        witness=certificate.witness,
-    )
+        return _refuted(BILATERAL_WINDOW, verdicts, detail, witness)
+    if base is None:
+        detail["note"] = missing
+    else:
+        detail["representing_measure"] = base.as_dict()
+    return ModelCertificate(CERTIFIED, BILATERAL_WINDOW, verdicts, None, detail, None)
 
 
 class BranchData(Record):
@@ -604,10 +585,12 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
     for ell in range(trunk_len):
         weights[-ell] = data.trunk_weights[ell]
     shift = WeightedShift(tree, weights)
-    mu = {}
-    for i in range(1, data.eta + 1):
-        base = data.branch_measures[i - 1]
-        mu.update(_normalized_powers(base, [(i, j) for j in range(1, depth + 1)]))
+    mu = {}  # branch i: its measure reweighted by s^(j-1) and normalized at (i, j)
+    for i, base in enumerate(data.branch_measures, start=1):
+        for j in range(1, depth + 1):
+            if j > 1:
+                base = base.times_power(1)
+            mu[(i, j)] = base.scaled(1.0 / base.total_mass)
     eps = {v: 0.0 for v in mu}
     branching, eps0 = _branching_vertex_measure(data)
     mu[0] = branching

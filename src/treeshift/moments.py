@@ -36,6 +36,15 @@ class RefutedSequenceError(ValueError):
         self.vertex = vertex
 
 
+class QuadratureError(ValueError):
+    """Quadrature met a negative node on a sequence that passed its Hankel
+    test, whose verdict is ``verdict``."""
+
+    def __init__(self, message, verdict):
+        super().__init__(message)
+        self.verdict = verdict
+
+
 class NoBackwardExtensionError(ValueError):
     """The requested prepended value is below the inverse-moment threshold,
     so no nonnegative-halfline extension exists."""
@@ -839,8 +848,9 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     whose eigenvalues are the atom positions and whose first eigenvector
     components give the masses; a Newton pass against the moment equations
     then polishes both.  A k-atom measure matches the first 2k moments.
-    Refuted input raises :class:`RefutedSequenceError`; a numerically
-    singular Hankel yields fewer atoms, reported via ``rank``.
+    Refuted input raises :class:`RefutedSequenceError`, and a negative node
+    :class:`QuadratureError`; a numerically singular Hankel yields fewer
+    atoms, reported via ``rank``.
     """
     values = as_values(seq)
     if len(values) < 2:
@@ -866,7 +876,7 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     atoms = []
     for x, w in zip(nodes, masses):
         if x < -1e-9 * scale:
-            raise ValueError(f"negative quadrature node {x}")
+            raise QuadratureError(f"negative quadrature node {x}", verdict)
         if w > 0.0:
             atoms.append((max(x, 0.0), w))
     return QuadratureResult(

@@ -594,19 +594,37 @@ def test_certify_without_its_document_is_an_input_error(
 
 
 def test_certify_report_grows_with_the_window_not_with_the_horizon(tmp_path):
-    # 192 unit weights: one moment summary per vertex of the window, where
-    # the moment rows alone once took 2.7 MB
-    weights = write(tmp_path, "weights.json", {"weights": [1.0] * 192})
-    cmd = [sys.executable, "-m", "treeshift", "certify", "--family", "unilateral"]
+    # a 192-vertex unit path with the point mass at 1 everywhere: one moment
+    # summary per vertex of the window, where the moment rows alone once
+    # took 2.7 MB
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 191}})
+    weights = write(tmp_path, "weights.json", {"weights": [1.0] * 191})
+    delta = {"atoms": [{"x": 1.0, "w": 1.0}]}
+    system = write(
+        tmp_path, "system.json",
+        {"measures": {str(k): delta for k in range(192)}, "eps": {str(k): 0.0 for k in range(192)}},
+    )
+    cmd = [sys.executable, "-m", "treeshift", "certify", "--horizon", "192"]
     proc = subprocess.run(
-        cmd + ["--weights", weights], capture_output=True, text=True, env=dict(os.environ)
+        cmd + ["--family", "general", "--tree", tree, "--weights", weights, "--system", system],
+        capture_output=True, text=True, env=dict(os.environ),
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.encode()) < 100_000
-    cert = json.loads(proc.stdout)["system_certificate"]
+    cert = json.loads(proc.stdout)
     window = [str(v) for v in range(192)]
     assert [m["vertex"] for m in cert["moments"]] == window
     assert all("rows" not in m and m["worst_row"]["n"] <= m["top"] for m in cert["moments"])
+    assert max(m["top"] for m in cert["moments"]) == 191
+    # the classical certificate carries the Hankel verdict and its evidence only
+    weights = write(tmp_path, "weights.json", {"weights": [1.0] * 192})
+    proc = subprocess.run(
+        cmd + ["--family", "unilateral", "--weights", weights],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.encode()) < 10_000
+    assert json.loads(proc.stdout)["system_certificate"] is None
 
 
 def test_text_format(unilateral_inputs, capsys):

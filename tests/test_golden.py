@@ -201,7 +201,7 @@ GOLDEN = {
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
     "power-path-128": "ea92c3d62f8c458960e31356136a259f539365d8e99caeeb07d0e805611462d3",
     "teta-eta3-depth48": "f6febf59bf5c7da3e040732000efefda5916a2707fc365411d6b778d9d1a75c1",
-    "bilateral": "c17b32a06bb906d2f154f84020914d3bd3a33bd39d1360b1178416335236fa92",
+    "bilateral": "058fd67650054f8ef75c4b4a96e16797940ab61dbfb29f3d69dfa37a45a099ef",
     "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
     "cli-check-consistency-text": "a0660e0839fdb8d90c2f0750e1b266e45f1f69e7ad462fc567585e577feaaa9f",

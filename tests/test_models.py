@@ -21,6 +21,7 @@ from treeshift import (
     check_stieltjes,
     extract_branch_data,
     make_family,
+    measure_from_json,
     product_moments,
     quadrature_from_moments,
     root_measure_equivalence_check,
@@ -42,14 +43,25 @@ def test_unilateral_isometry_certified():
     assert cert.detail["eps_root"] == 0.0
 
 
+def reproduces_every_power_norm(detail, tol=1e-9):
+    """The representing measure in a certificate's detail has the moments of
+    its power-norm sequence, within ``tol``."""
+    seq = detail["sequence"]
+    moments = measure_from_json(detail["representing_measure"]).moments(len(seq) - 1)
+    return moments == pytest.approx(seq, rel=tol, abs=tol)
+
+
 def test_unilateral_sqrt_weights_certified():
     cert = certify_unilateral([math.sqrt(n) for n in range(1, 11)])
-    assert cert.status == CERTIFIED
+    assert cert.status == CERTIFIED and cert.system_certificate is None
     seq = cert.detail["sequence"]
     assert seq[:5] == pytest.approx([1.0, 1.0, 2.0, 6.0, 24.0], rel=1e-12)
     assert check_stieltjes(seq).consistent
-    inner = cert.system_certificate
-    assert inner is not None and inner.status == CERTIFIED
+    # five atoms fit t_0..t_9 of e^(-x) dx, not t_10, so the fit is no evidence
+    assert "representing_measure" not in cert.detail
+    assert cert.detail["note"].startswith("no representing measure: the fit misses t_10 ")
+    cert = certify_unilateral([math.sqrt(n) for n in range(1, 10)])
+    assert cert.status == CERTIFIED and reproduces_every_power_norm(cert.detail)
 
 
 def test_unilateral_refuted_with_witness():
@@ -84,16 +96,21 @@ def _every_vertex_verdict(weights, tol=1e-9):
     return CONDITIONAL, None
 
 
-def _zero_weight_path(rng):
-    """Moment ratios of a measure with 1 to 3 atoms, so the Hankel blocks
-    past the atom count are singular; one or two weights set to zero, and
-    half the time one other weight perturbed by a relative 1e-12 to 1e-2."""
-    n = int(rng.integers(3, 10))
+def _moment_ratio_weights(rng, n):
+    """n weights whose power norms are the moments of a measure with 1 to 3
+    atoms, so the Hankel blocks past the atom count are singular."""
     atoms = AtomicMeasure(
         tuple(zip(rng.uniform(0.2, 3.0, size=int(rng.integers(1, 4))), rng.uniform(0.1, 1.0, size=3)))
     )
     mom = atoms.moments(n)
-    weights = [math.sqrt(mom[j] / mom[j - 1]) for j in range(1, n + 1)]
+    return [math.sqrt(mom[j] / mom[j - 1]) for j in range(1, n + 1)]
+
+
+def _zero_weight_path(rng):
+    """Moment-ratio weights with one or two weights set to zero, and half
+    the time one other weight perturbed by a relative 1e-12 to 1e-2."""
+    n = int(rng.integers(3, 10))
+    weights = _moment_ratio_weights(rng, n)
     zeros = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
     for k in zeros:
         weights[k] = 0.0
@@ -118,17 +135,23 @@ def test_unilateral_zero_weight_paths_match_the_every_vertex_test():
 
 
 def test_unilateral_matches_general_certifier_on_random_weights(rng):
-    for _ in range(20):
+    # moment ratios of 1 to 3 atoms, half of them with one weight perturbed
+    # by a relative 1e-12 to 1e-2: both verdicts occur
+    statuses = set()
+    for i in range(40):
         n = int(rng.integers(6, 12))
-        weights = rng.uniform(0.4, 1.6, size=n).tolist()
+        weights = _moment_ratio_weights(rng, n)
+        if i % 2:
+            weights[int(rng.integers(n))] *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -2)
         cert = certify_unilateral(weights)
-        seq = product_moments(weights)
-        hankel_ok = check_stieltjes(seq).consistent
-        if not hankel_ok:
-            assert cert.status == REFUTED
-            continue
-        assert cert.status == CERTIFIED
-        assert cert.system_certificate.status == CERTIFIED
+        verdict = check_stieltjes(product_moments(weights))
+        expected = None if verdict.consistent else hankel_witness(verdict, vertex="0")
+        assert (cert.status, cert.witness) == (
+            CERTIFIED if verdict.consistent else REFUTED, expected
+        ), weights
+        assert cert.system_certificate is None
+        statuses.add(cert.status)
+    assert statuses == {CERTIFIED, REFUTED}
 
 
 # -- bilateral -------------------------------------------------------------------
@@ -193,11 +216,7 @@ def test_bilateral_deepest_shift_agrees_with_testing_every_shift():
             for k in range(-seq.k_min + 1)
             if len(seq.left_shift(k)) >= 3
         )
-        try:
-            cert = certify_bilateral(weights)
-        except ValueError as err:  # the quadrature-rank defect of over-determined input
-            assert not every and "negative quadrature node" in str(err)
-            continue
+        cert = certify_bilateral(weights)
         assert (cert.witness is not None and cert.witness["check"] == "hankel") == every, i
         outcomes.append(every)
     assert 500 < sum(outcomes) < len(outcomes) - 500
