@@ -16,6 +16,8 @@ from typing import Mapping
 from .moments import (
     AtomicMeasure,
     RefutedSequenceError,
+    _moment_rows,
+    _power_cache,
     as_values,
     carleman_diagnostic,
     check_stieltjes,
@@ -194,7 +196,8 @@ def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyR
     """Check the depth-n propagation identity at u: the measure at u must be
     the 1/s^n reweighted superposition over the n-th generation plus the
     stored point mass at zero.  A vertex of that generation with mass at
-    zero under a nonzero path weight fails it outright."""
+    zero under a nonzero path weight fails it outright, and so does a
+    reconstructed measure that is not finite (discrepancy inf)."""
     if n < 1:
         raise ValueError("propagation depth starts at 1")
     mu_u = system.measure(u)
@@ -211,10 +214,18 @@ def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyR
         inv_sum = math.fsum(scaled_inverse_integral(c, mu, n) for c, mu in terms.values())
         eps_computed = 1.0 - inv_sum
         mass = mu_u.total_mass
-        disc, disc_at = measure_discrepancy(mu_u, superpose(terms.values(), -n, eps_stored))
-        problems = []
-        if disc > tol * max(1.0, mass):
-            problems.append("atom mismatch between stored and reconstructed measure")
+        try:
+            expected = superpose(terms.values(), -n, eps_stored)
+        except ValueError as exc:
+            # the terms are checked measures without mass at zero, so superpose
+            # refuses them only for a mass that is not finite
+            disc, disc_at = math.inf, None
+            problems = [f"reconstructed measure is not finite: {exc}"]
+        else:
+            disc, disc_at = measure_discrepancy(mu_u, expected)
+            problems = []
+            if disc > tol * max(1.0, mass):
+                problems.append("atom mismatch between stored and reconstructed measure")
         if abs(mass - 1.0) > tol:
             problems.append(f"measure at {u!r} has total mass {mass}")
         if abs(eps_stored - eps_computed) > tol:
@@ -356,22 +367,28 @@ def first_failing_row(lhs, rhs, tol: float):
     return next(((n, rel) for n, rel in enumerate(rels) if not rel <= tol), None)
 
 
-def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
-    """Verify that the moments of the measure at u reproduce the squared
-    power norms of the shift at u, up to n_max or the window horizon.  Every
-    row is compared; the report keeps the first NaN row, or else the first
-    row with the largest error."""
-    top = shift.tree.clamp_order(u, n_max)
-    lhs = system.measure(u).moments(top)
-    rhs = shift.moment_values(u, top)
+def _rows_report(u, lhs, rhs, tol: float) -> MomentsMatchReport:
+    """The report of measure moments ``lhs`` against power norms ``rhs`` at
+    u, orders 0 to len(lhs) - 1.  Every row is compared; the report keeps
+    the first NaN row, or else the first row with the largest error."""
     rels, worst = relative_errors(lhs, rhs)
     n = next((n for n, r in enumerate(rels) if r != r), None) if worst == math.inf else None
     if n is None:
         n = rels.index(worst)
     return MomentsMatchReport(
-        vertex=u, top=top, ok=worst <= tol, max_rel_err=worst,
+        vertex=u, top=len(lhs) - 1, ok=worst <= tol, max_rel_err=worst,
         worst_row=(n, lhs[n], rhs[n], rels[n]),
     )
+
+
+def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
+    """Verify that the moments of the measure at u reproduce the squared
+    power norms of the shift at u (the generation sums of
+    :meth:`~treeshift.shift.WeightedShift.moment_values`), up to n_max or
+    the window horizon."""
+    top = shift.tree.clamp_order(u, n_max)
+    lhs = system.measure(u).moments(top)
+    return _rows_report(u, lhs, shift.moment_values(u, top), tol)
 
 
 def parent_from_children(
@@ -541,9 +558,10 @@ def certify_subnormal(
     built at its vertex; a sequence that fails the Hankel test refutes with a
     ``hankel`` witness at its vertex, and no system is built.  The identity
     is checked at every vertex whose children are inside the window, measure
-    moments are compared with power norms, structural obstructions are
-    reported, and with nonzero weights the zero masses on non-root vertices
-    must vanish.
+    moments are compared with power norms (the rows of
+    :meth:`~treeshift.shift.WeightedShift.power_norms`, each atom position's
+    powers formed once), structural obstructions are reported, and with
+    nonzero weights the zero masses on non-root vertices must vanish.
     """
     if (system is None) == (sequences is None):
         raise ValueError("supply exactly one of system= or sequences=")
@@ -584,8 +602,11 @@ def certify_subnormal(
     witness = identity_witness(consistency_reports)
     if sequences is not None and witness is None:
         witness = _sequence_witness(system, sequences, tol)
+    norms = shift.power_norms(horizon)
+    powers = _power_cache()
     moment_reports = tuple(
-        moments_match(system, shift, u, horizon, tol=tol) for u in tree.sorted_vertices
+        _rows_report(u, _moment_rows(system.mu[u].atoms, len(norms[u]) - 1, powers), norms[u], tol)
+        for u in tree.sorted_vertices
     )
     bad = next((r for r in moment_reports if not r.ok), None)
     if bad is not None and witness is None:

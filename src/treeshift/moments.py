@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
+from itertools import islice, repeat
 
 from .report import CONSISTENT, REFUTED, Record, set_field
 
@@ -143,32 +143,8 @@ class AtomicMeasure(Record):
 
     def moments(self, n_max: int) -> tuple:
         """Moments of orders 0..n_max, each summed exactly as :meth:`moment`
-        sums it: ``fsum`` rounds the exact sum of the products w * x**n, so
-        the order in which they are formed changes no bit.  When the orders
-        outnumber the atoms more than four to one, each atom's column of
-        products is formed in C and the columns are summed row by row;
-        otherwise, and after an overflow (whose error names the order and the
-        atom), order by order."""
-        atoms = self.atoms
-        if atoms and n_max > 4 * len(atoms):
-            orders = range(1, n_max + 1)
-            try:
-                columns = [
-                    (w, *map(operator.mul, repeat(w), map(pow, repeat(x), orders)))
-                    for x, w in atoms
-                ]
-                return tuple(map(math.fsum, zip(*columns)))
-            except OverflowError:
-                pass
-        out = []
-        for n in range(n_max + 1):
-            try:
-                out.append(
-                    math.fsum([w * x**n for x, w in atoms] if n else [w for _, w in atoms])
-                )
-            except OverflowError:
-                raise _moment_overflow(atoms, n) from None
-        return tuple(out)
+        sums it (see :func:`_moment_rows`)."""
+        return _moment_rows(self.atoms, n_max)
 
     # -- transforms -----------------------------------------------------------
 
@@ -189,6 +165,50 @@ class AtomicMeasure(Record):
 
     def as_dict(self) -> dict:
         return {"atoms": [{"x": x, "w": w} for x, w in self.atoms]}
+
+
+def _power_cache():
+    """A ``powers`` argument for :func:`_moment_rows` that keeps the powers
+    it forms in C: x**1, ..., x**n at each position x are formed once,
+    extended when a higher order is asked for, and reused by every measure
+    with an atom at x that is given the same cache."""
+    cache: dict = {}
+
+    def powers(x: float, n: int):
+        row = cache.setdefault(x, [])
+        if len(row) < n:
+            row.extend(map(pow, repeat(x), range(len(row) + 1, n + 1)))
+        return islice(row, n)
+
+    return powers
+
+
+def _moment_rows(atoms: tuple, n_max: int, powers=None) -> tuple:
+    """Moments of orders 0..n_max of ``atoms``.  When the orders outnumber
+    the atoms more than four to one, each atom's column (w, w x, ...,
+    w x^n_max) is formed in C from the powers of x in ``powers`` (a
+    :func:`_power_cache`, a fresh one when None) and the columns are summed
+    row by row; otherwise, and after an overflow (whose error names the
+    order and the atom), order by order.  ``fsum`` rounds the exact sum of
+    the products w * x**n, so the order in which they are formed changes no
+    bit."""
+    if atoms and n_max > 4 * len(atoms):
+        if powers is None:
+            powers = _power_cache()
+        try:
+            columns = [
+                (w, *map(operator.mul, repeat(w), powers(x, n_max))) for x, w in atoms
+            ]
+            return tuple(map(math.fsum, zip(*columns)))
+        except OverflowError:
+            pass
+    out = []
+    for n in range(n_max + 1):
+        try:
+            out.append(math.fsum([w * x**n for x, w in atoms] if n else [w for _, w in atoms]))
+        except OverflowError:
+            raise _moment_overflow(atoms, n) from None
+    return tuple(out)
 
 
 def _moment_overflow(atoms: tuple, n: int) -> ValueError:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from typing import Mapping, Sequence
 
 from .report import Record, set_field
@@ -45,6 +45,14 @@ def _running_products(weights):
     """1, w1, w1 w2, ...: the left-to-right products of complex weights,
     accumulated in C."""
     return accumulate(weights, operator.mul, initial=complex(1.0))
+
+
+def _scaled_row(c: float, row: tuple):
+    """c * t for each t of a row of power norms, formed in C; a squared
+    weight that overflowed to inf keeps an exact 0 at 0, not NaN."""
+    if c < math.inf:
+        return map(operator.mul, repeat(c), row)
+    return (c * t if t else 0.0 for t in row)
 
 
 def product_moments(weights: Sequence[complex]) -> tuple:
@@ -210,6 +218,33 @@ class WeightedShift(Record, eq=False):
         """The sequence of squared power norms at u, orders 0..n_max, from one
         walk down the tree."""
         return tuple(self._walk(u, n_max)[0])
+
+    def power_norms(self, horizon) -> dict:
+        """Every vertex's squared power norms t_u(0..top(u)), top(u) =
+        ``tree.clamp_order(u, horizon)``, from one bottom-up pass of the
+        recursion t_u(n + 1) = sum over children v of |w_v|^2 t_v(n): the
+        subtrees below distinct children are orthogonal.  A child whose
+        squared weight is 0 adds nothing (not 0 * inf), one child scales its
+        row in C, and several are summed order by order with ``fsum``.  The
+        rows agree with :meth:`moment_values` up to rounding, not bit for
+        bit; a negative horizon raises ``ValueError``."""
+        tree = self.tree
+        tops = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
+        if horizon < 0:
+            raise ValueError("generation index must be nonnegative")
+        children = tree._children
+        weights = self.weights
+        rows = {}
+        for u in tree.bottom_up:
+            terms = [
+                _scaled_row(c, rows[v]) for v in children[u] if (c := _mod_sq(weights[v])) != 0.0
+            ]
+            if len(terms) == 1:
+                tail = terms[0]
+            else:
+                tail = map(math.fsum, zip(*terms)) if terms else repeat(0.0)
+            rows[u] = (1.0, *islice(tail, tops[u]))
+        return rows
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th

@@ -981,6 +981,24 @@ def test_overflowing_moments_are_input_errors(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("argv", [["certify", "--family", "general"], ["check-consistency"]])
+def test_an_overflowing_identity_refutes(tmp_path, capsys, argv):
+    # weights [1e160, 1] under delta_1 at every vertex: |1e160|^2 overflows,
+    # so the identity at 0 fails with discrepancy inf, not an input error
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 2}})
+    weights = write(tmp_path, "weights.json", {"weights": [1e160, 1.0]})
+    delta = {"atoms": [{"x": 1.0, "w": 1.0}]}
+    system = write(tmp_path, "system.json", {"measures": {str(k): delta for k in range(3)}})
+    code, out = run_cli(argv + ["--tree", tree, "--weights", weights, "--system", system], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "refuted"
+    first = report["consistency" if argv[0] == "certify" else "reports"][0]
+    assert first["vertex"] == "0" and not first["ok"] and first["max_discrepancy"] == "inf"
+    if argv[0] == "certify":
+        assert report["witness"]["check"] == "consistency-identity"
+        assert report["witness"]["vertex"] == "0"
+
+
 def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
     # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
     # polish stops at the infinity and the measure refuses the atom

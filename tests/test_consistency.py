@@ -32,6 +32,7 @@ from treeshift import (
 )
 from treeshift.consistency import (
     _generation_terms,
+    _rows_report,
     identity_reports,
     lambert_sweep,
     measure_discrepancy,
@@ -39,7 +40,7 @@ from treeshift.consistency import (
 )
 from treeshift.report import canonical_json
 from treeshift.shift import _mod_sq
-from treeshift.tree import HorizonError
+from treeshift.tree import HorizonError, vertex_sort_key
 
 from conftest import (
     every_vertex_failures,
@@ -463,6 +464,57 @@ def test_certify_flags_eps_on_nonroot_with_nonzero_weights():
     eps = {**system.eps, 2: 0.25}
     cert = certify_subnormal(shift, MeasureSystem(mu=mu, eps=eps), horizon=4)
     assert cert.status == REFUTED
+
+
+def test_certificate_rows_are_the_row_rule_on_the_power_norm_table(rng):
+    # each entry is the shared row rule applied to the measure's moments and
+    # the vertex's row of the recursion table; moments_match applies the
+    # same rule to the generation sums, within rounding of the table
+    for tree in family_windows():
+        shift, system = random_consistent_system(rng, tree=tree)
+        for horizon in (0, 2, 7):
+            cert = certify_subnormal(shift, system, horizon=horizon)
+            table = shift.power_norms(horizon)
+            want = tuple(
+                _rows_report(u, system.measure(u).moments(len(row) - 1), row, 1e-9)
+                for u, row in sorted(table.items(), key=lambda item: vertex_sort_key(item[0]))
+            )
+            assert cert.moments == want
+            for rep in cert.moments:
+                match = moments_match(system, shift, rep.vertex, horizon)
+                assert match.top == rep.top and match.ok is rep.ok
+                assert table[rep.vertex] == pytest.approx(
+                    shift.moment_values(rep.vertex, rep.top), rel=1e-14
+                )
+
+
+def test_certify_subnormal_with_a_negative_horizon_raises():
+    shift, system = delta_one_system()
+    with pytest.raises(ValueError, match="^generation index must be nonnegative$"):
+        certify_subnormal(shift, system, horizon=-1)
+
+
+def _overflowing_window():
+    """The depth-2 half line with weights 1e160 and 1 and delta_1 at every
+    vertex: |1e160|^2 overflows, so the identity at 0 cannot hold."""
+    tree = make_family("unilateral", 2)
+    shift = WeightedShift(tree, {1: 1e160, 2: 1.0})
+    delta = AtomicMeasure.delta(1.0)
+    return shift, MeasureSystem(mu={v: delta for v in tree.sorted_vertices}, eps={})
+
+
+def test_an_identity_whose_reconstruction_overflows_fails_at_its_vertex():
+    shift, system = _overflowing_window()
+    first, second = identity_reports(system, shift)
+    assert not first.ok and first.vertex == 0 and first.max_discrepancy == math.inf
+    assert first.reason.startswith(
+        "reconstructed measure is not finite: superposed mass at x = 1.0 is not finite: inf"
+    )
+    assert second.ok
+    cert = certify_subnormal(shift, system, horizon=2)
+    assert cert.status == REFUTED
+    assert cert.witness["check"] == "consistency-identity" and cert.witness["vertex"] == "0"
+    assert cert.witness["discrepancy"] == math.inf
 
 
 def test_build_system_from_sequences_unilateral():

@@ -190,17 +190,17 @@ def _library_reports():
 
 
 GOLDEN = {
-    "bary-clean": "c747973f4e223fec3a1359cac190f04b42c1e7679818b0e8eac35e9fdab5771e",
-    "bary-perturbed": "f70bb7b4fcf86acaf4544ed2b24ae3e48ebdba1c1a2d292cf1b1b6d398bfd4e0",
-    "teta-kappa0": "2f6c495b1460e13326ed531fc6deb8c7dc56c580b79df33dfe5dcebf16af6f5a",
+    "bary-clean": "6de12a093c3a7153c9c908dde178b7ddd1b632f5b24cec5b7e15228048c50c38",
+    "bary-perturbed": "68408ebdba8ffd5fe9ffb0bbfa6d921f2f9e565a2603fccc9342f2af9b827b20",
+    "teta-kappa0": "531ee8e3fda1923dfee7fa2eb7bedba5b88f24138982d109fbcaa99336b09d77",
     "teta-kappa0-refuted": "f2bc9df02b05ccab2e30d30f32c9b493a9bb49a9e80592453fd425d92d05d1c7",
-    "teta-kappa2": "0aae01e053df27005e8996120e2bd1d1ac6ef29a1433ea20160c6629922342f6",
+    "teta-kappa2": "ef6292e0ad7c36d255af832d828c6d63aeec898474fb1acb12e27e8da3c8a5ff",
     "teta-kappa2-refuted": "f8bce6eca5a7c512d5414446973f86b50f425c58c8022727f25f04324004626a",
-    "teta-kappa-inf": "c71ee9e6eaf9e8c3275b89e72d8aa09796b43d101445e73f604463358b67e6ac",
-    "teta-kappa2-nu": "1c5ae0a6d5d221a13bfb6cb73d80cadaa09b8ad831fb586e332693954844ab21",
+    "teta-kappa-inf": "81ed31dfdf47d45cd435df9e93bf99ef6328c65aa06189f9ac1ea51d67a9d483",
+    "teta-kappa2-nu": "53896d6bb2bbec8be61a085aaa16c0ee2aa1181c21eb76a9e0ec6af60d120a31",
     "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
-    "power-path-128": "ea92c3d62f8c458960e31356136a259f539365d8e99caeeb07d0e805611462d3",
-    "teta-eta3-depth48": "f6febf59bf5c7da3e040732000efefda5916a2707fc365411d6b778d9d1a75c1",
+    "power-path-128": "c9338294ebcf98459b9ea018774d7eb976cef1066c80e4672e0575a71c03ae34",
+    "teta-eta3-depth48": "55fa7e0920703887faaab8da4891f666eb753884880e28fb75143144cb04a556",
     "bilateral": "058fd67650054f8ef75c4b4a96e16797940ab61dbfb29f3d69dfa37a45a099ef",
     "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",

@@ -193,18 +193,19 @@ def _moments_one_by_one(mu, n_max):
     return tuple(out)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    atoms=st.lists(
-        st.tuples(
-            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
-            st.floats(min_value=1e-300, max_value=1e3),
-        ),
-        min_size=1,
-        max_size=4,
+_atom_lists = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+        st.floats(min_value=1e-300, max_value=1e3),
     ),
-    n_max=st.integers(min_value=0, max_value=200),
+    min_size=1,
+    max_size=4,
 )
+_orders = st.integers(min_value=0, max_value=200)
+
+
+@settings(max_examples=400, deadline=None)
+@given(atoms=_atom_lists, n_max=_orders)
 def test_moments_equal_moment_by_order_on_both_orientations(atoms, n_max):
     # n_max up to 200 on one to four atoms takes both the per-order loop and
     # the per-atom columns, and positions up to 1e3 overflow on either
@@ -216,6 +217,33 @@ def test_moments_equal_moment_by_order_on_both_orientations(atoms, n_max):
         assert str(raised.value) == expected
     else:
         assert mu.moments(n_max) == expected
+
+
+def _rows_or_error(call):
+    """The reprs of the rows a call returns, or the message of its ValueError."""
+    try:
+        return [repr(x) for x in call()]
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(atoms=_atom_lists, n_max=_orders, earlier=st.lists(_orders, max_size=3))
+def test_shared_powers_keep_the_bits_of_moment(atoms, n_max, earlier):
+    # a certificate forms each position's powers once for all its measures:
+    # other measures on the same positions ask first, at other orders, so
+    # the powers are reused, cut short and extended; every row keeps the
+    # bits of moment(k), and an overflow raises what moments() raises
+    mu = AtomicMeasure(tuple(atoms))
+    powers = moments._power_cache()
+    for n in earlier:
+        _rows_or_error(lambda: moments._moment_rows(mu.scaled(0.5).atoms, n, powers))
+    expected = _moments_one_by_one(mu, n_max)
+    got = _rows_or_error(lambda: moments._moment_rows(mu.atoms, n_max, powers))
+    if isinstance(expected, str):
+        assert got == expected == _rows_or_error(lambda: mu.moments(n_max))
+    else:
+        assert got == [repr(x) for x in expected]
 
 
 def test_moments_of_examples():

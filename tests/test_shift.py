@@ -1,5 +1,10 @@
+import cmath
+import copy
 import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +257,172 @@ def _repr_or_error(call):
         return repr(call())
     except OverflowError as err:
         return str(err)
+
+
+def reference_power_norms(shift, horizon):
+    """The recursion t_u(n + 1) = sum over children v of |w_v|^2 t_v(n) as
+    plain loops, top-down with memoised rows: each order of a row is the
+    ``fsum`` of its children's scaled entries, a child whose squared weight
+    is 0 left out and an entry 0 kept 0 under a squared weight that
+    overflowed."""
+    tree = shift.tree
+    rows = {}
+
+    def row(u):
+        if u not in rows:
+            values = [1.0]
+            for n in range(1, int(min(horizon, tree.available_depth(u))) + 1):
+                terms = []
+                for v in tree.children(u):
+                    c, t = _mod_sq(shift.weights[v]), row(v)[n - 1]
+                    if c != 0.0:
+                        terms.append(c * t if t else 0.0)
+                values.append(math.fsum(terms))
+            rows[u] = tuple(values)
+        return rows[u]
+
+    return {u: row(u) for u in tree.sorted_vertices}
+
+
+def _recursion_cases(rng):
+    """(shift, horizon) pairs: every family window and grafted windows with
+    frontier vertices or true leaves, under complex weights and under
+    weights of which some are zero of either sign, at horizons that cut
+    some rows or none."""
+    for tree in [*family_windows(), *_run_and_branch_trees(rng)]:
+        for make in (random_complex_weights, mixed_weights):
+            for horizon in (0, 3, 40):
+                yield make(rng, tree), horizon
+
+
+def test_power_norms_equal_the_recursion_loop(rng):
+    # exact equality: the table does the loop's arithmetic
+    for shift, horizon in _recursion_cases(rng):
+        table = shift.power_norms(horizon)
+        assert table == reference_power_norms(shift, horizon)
+        for u in shift.tree.sorted_vertices:
+            assert len(table[u]) == shift.tree.clamp_order(u, horizon) + 1
+
+
+def test_power_norms_do_not_depend_on_the_order_of_queries(rng):
+    # on cold copies of the tree: the table alone, and the table after
+    # single-vertex queries in a random order
+    shuffler = random.Random(11)
+    for shift, horizon in _recursion_cases(rng):
+        want = reference_power_norms(shift, horizon)
+        vertices = list(shift.tree.sorted_vertices)
+        shuffler.shuffle(vertices)
+        cold = WeightedShift(copy.copy(shift.tree), shift.weights)
+        assert cold.power_norms(horizon) == want
+        warmed = WeightedShift(copy.copy(shift.tree), shift.weights)
+        for u in vertices:
+            warmed.moment_values(u, warmed.tree.clamp_order(u, horizon))
+        table = warmed.power_norms(horizon)
+        assert [table[u] for u in vertices] == [want[u] for u in vertices]
+
+
+def test_power_norms_of_frontier_vertices_and_true_leaves():
+    window = WeightedShift(make_family("unilateral", 3), {1: 2.0, 2: 1j, 3: 0.5})
+    assert window.power_norms(10) == {
+        0: (1.0, 4.0, 4.0, 1.0), 1: (1.0, 1.0, 0.25), 2: (1.0, 0.25), 3: (1.0,)
+    }
+    leafy = WeightedShift(explicit_tree([0, 1, 2], {1: 0, 2: 0}), {1: 2.0, 2: 0.0})
+    assert leafy.power_norms(3) == {
+        0: (1.0, 4.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0, 0.0), 2: (1.0, 0.0, 0.0, 0.0)
+    }
+
+
+def test_a_zero_weight_hides_an_overflowing_subtree():
+    # |1e200|^2 overflows below the zero weight: the rows above it read 0,
+    # as the generation sums do, and not 0 * inf = NaN; so does the row of
+    # a true leaf under the overflowing weight
+    for zero in (0.0, -0.0, complex(-0.0, 0.0)):
+        shift = unilateral_shift([zero, 1e200, 1e200])
+        assert shift.power_norms(3)[1] == (1.0, math.inf, math.inf)
+        assert shift.power_norms(3)[0] == (1.0, 0.0, 0.0, 0.0)
+        assert shift.moment_values(0, 3) == (1.0, 0.0, 0.0, 0.0)
+        star = WeightedShift(
+            explicit_tree([0, 1, 2, 3], {1: 0, 2: 0, 3: 1}), {1: zero, 2: 1.0, 3: 1e200}
+        )
+        assert star.power_norms(2)[0] == (1.0, 1.0, 0.0)
+        assert star.power_norms(2)[1] == (1.0, math.inf, 0.0) == star.moment_values(1, 2)
+
+
+def test_power_norms_raise_as_the_certificate_did():
+    s = unilateral_shift([1.0, 2.0])
+    with pytest.raises(ValueError, match="^generation index must be nonnegative$"):
+        s.power_norms(-1)
+    # no frontier below: the clamp names the first vertex in vertex order
+    path = WeightedShift(explicit_tree([0, 1, 2], {1: 0, 2: 1}), {1: 1.0, 2: 1.0})
+    with pytest.raises(ValueError, match="no finite order at 0"):
+        path.power_norms(math.inf)
+
+
+# |w| from 1e-3 to 1e3: no square, product or sum under- or overflows
+_SCALE = st.floats(min_value=-3.0, max_value=3.0)
+_PHASE = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+def _exact_norms(shift, u, top):
+    """||S^n e_u||^2 for n = 0..top in exact rationals, from the coefficient
+    expansion: each coefficient a product of weights, each weight's parts
+    read as the rationals their floats are."""
+    level = {u: (Fraction(1), Fraction(0))}
+    out = [Fraction(1)]
+    for _ in range(top):
+        nxt = {}
+        for v, (re, im) in level.items():
+            for c in shift.tree.children(v):
+                a, b = Fraction(shift.weights[c].real), Fraction(shift.weights[c].imag)
+                nxt[c] = (re * a - im * b, re * b + im * a)
+        level = nxt
+        out.append(sum((re * re + im * im for re, im in level.values()), Fraction(0)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), explicit=st.booleans(),
+       data=st.data())
+def test_power_norms_and_generation_sums_are_within_rounding_of_exact(seed, explicit, data):
+    """Both ways of computing t_u(n) = ||S^n e_u||^2 are within
+    6 (n + 1) 2^-53 of the exact value, relative.
+
+    With u = 2^-53, each float operation rounds by a factor 1 + d, |d| <= u,
+    and no value here under- or overflows.  Every term is nonnegative, so a
+    sum of terms that are each off by a relative e is off by at most e, and
+    errors multiply along a path:
+
+    - the recursion forms |w|^2 = a^2 + b^2 off by at most (1 + u)^2 - 1
+      (each square rounds once and their sum once more), multiplies it into
+      a child's entry with one rounding and sums the children with one more
+      (``fsum`` rounds once), so t_u(n) is off by at most (1 + u)^(4n) - 1,
+      about 4n u;
+    - the generation sum forms each coefficient by n - 1 rounded complex
+      products after the exact 1 * w, each off by at most sqrt(2) gamma_2,
+      gamma_2 = 2u / (1 - 2u), in modulus (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, 2nd ed., Lemma 3.5); squaring the modulus
+      doubles that, and |c|^2 and ``fsum`` round three times more, so t_u(n)
+      is off by at most (1 + sqrt(2) gamma_2)^(2(n - 1)) (1 + u)^3 - 1,
+      about (4 sqrt(2) (n - 1) + 3) u.
+
+    Both are below 6 (n + 1) u for the n <= 12 reached here."""
+    rng = np.random.default_rng(seed)
+    tree = grafted_tree(rng, explicit=explicit)
+    weights = {
+        v: cmath.rect(10.0 ** data.draw(_SCALE), data.draw(_PHASE))
+        for v in sorted(tree.non_root_vertices, key=vertex_sort_key)
+    }
+    shift = WeightedShift(tree, weights)
+    horizon = 12
+    table = shift.power_norms(horizon)
+    for u in tree.sorted_vertices:
+        top = tree.clamp_order(u, horizon)
+        exact = _exact_norms(shift, u, top)
+        for name, row in (("recursion", table[u]), ("generation", shift.moment_values(u, top))):
+            for n, (got, want) in enumerate(zip(row, exact)):
+                assert abs(Fraction(got) - want) <= Fraction(6 * (n + 1), 2**53) * want, (
+                    name, u, n
+                )
 
 
 def test_power_norm_horizon_error_unchanged(rng):
