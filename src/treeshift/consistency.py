@@ -192,12 +192,23 @@ def _generation_terms(shift, u, n, measure_of) -> dict:
     return {v: (c, measure_of(v)) for v, pw in level if (c := _mod_sq(pw)) != 0.0}
 
 
+def _failed_identity(u, n: int, eps_stored: float, position, reason: str) -> ConsistencyReport:
+    """An identity at u that fails before any measure is compared: the
+    discrepancy is inf and no deficit is computed."""
+    return ConsistencyReport(
+        vertex=u, depth=n, ok=False, max_discrepancy=math.inf,
+        discrepancy_position=position, eps_stored=eps_stored, eps_computed=None,
+        reason=reason,
+    )
+
+
 def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyReport:
     """Check the depth-n propagation identity at u: the measure at u must be
     the 1/s^n reweighted superposition over the n-th generation plus the
     stored point mass at zero.  A vertex of that generation with mass at
-    zero under a nonzero path weight fails it outright, and so does a
-    reconstructed measure that is not finite (discrepancy inf)."""
+    zero under a nonzero path weight fails it outright (discrepancy inf at
+    position 0), and so does an inverse-moment sum or a reconstructed measure
+    that is not finite (discrepancy inf)."""
     if n < 1:
         raise ValueError("propagation depth starts at 1")
     mu_u = system.measure(u)
@@ -205,33 +216,36 @@ def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyR
     terms = _generation_terms(shift, u, n, system.measure)
     at_zero = next((v for v, (_, mu) in terms.items() if mu.mass_at_zero > 0.0), None)
     if at_zero is not None:
-        disc, disc_at, eps_computed = math.inf, 0.0, None
-        problems = [
+        return _failed_identity(
+            u, n, eps_stored, 0.0,
             f"child {at_zero!r} carries mass {terms[at_zero][1].mass_at_zero} at zero "
-            "under a nonzero path weight"
-        ]
-    else:
+            "under a nonzero path weight",
+        )
+    try:
         inv_sum = math.fsum(scaled_inverse_integral(c, mu, n) for c, mu in terms.values())
-        eps_computed = 1.0 - inv_sum
-        mass = mu_u.total_mass
-        try:
-            expected = superpose(terms.values(), -n, eps_stored)
-        except ValueError as exc:
-            # the terms are checked measures without mass at zero, so superpose
-            # refuses them only for a mass that is not finite
-            disc, disc_at = math.inf, None
-            problems = [f"reconstructed measure is not finite: {exc}"]
-        else:
-            disc, disc_at = measure_discrepancy(mu_u, expected)
-            problems = []
-            if disc > tol * max(1.0, mass):
-                problems.append("atom mismatch between stored and reconstructed measure")
-        if abs(mass - 1.0) > tol:
-            problems.append(f"measure at {u!r} has total mass {mass}")
-        if abs(eps_stored - eps_computed) > tol:
-            problems.append(
-                f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
-            )
+    except (ValueError, OverflowError) as exc:
+        # an inverse moment, or their sum, past the largest float
+        return _failed_identity(u, n, eps_stored, None, f"inverse-moment sum is not finite: {exc}")
+    eps_computed = 1.0 - inv_sum
+    mass = mu_u.total_mass
+    try:
+        expected = superpose(terms.values(), -n, eps_stored)
+    except ValueError as exc:
+        # the terms are checked measures without mass at zero, so superpose
+        # refuses them only for a mass that is not finite
+        disc, disc_at = math.inf, None
+        problems = [f"reconstructed measure is not finite: {exc}"]
+    else:
+        disc, disc_at = measure_discrepancy(mu_u, expected)
+        problems = []
+        if disc > tol * max(1.0, mass):
+            problems.append("atom mismatch between stored and reconstructed measure")
+    if abs(mass - 1.0) > tol:
+        problems.append(f"measure at {u!r} has total mass {mass}")
+    if abs(eps_stored - eps_computed) > tol:
+        problems.append(
+            f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
+        )
     return ConsistencyReport(
         vertex=u,
         depth=n,
@@ -348,15 +362,24 @@ class MomentsMatchReport(Record):
 
 def relative_errors(lhs, rhs) -> tuple:
     """Row by row |a - b| / max(1, |a|, |b|) of two value sequences, and the
-    largest row.  A non-finite value makes its row NaN, which max() would
-    drop, so any NaN row makes the largest inf.  The floor at 1 is a
-    comparison rather than a third argument to max(), which is cheaper and
-    gives the same floats, NaN rows included."""
+    largest row.  The floor max(1, |a|, |b|) is taken by comparisons alone,
+    and ``abs(a - b)`` is the one builtin call per row, so every row is
+    bit-identical to the formula, the sign and payload of a NaN included: a
+    NaN numerator passes through the division whatever the floor.  A
+    non-finite value makes its row NaN; a finite row whose difference
+    overflows reads inf, not NaN.  max() would drop a NaN row, so any NaN
+    row makes the largest inf: the rows are nonnegative, inf or NaN, so
+    their float sum is NaN exactly when one of them is."""
     rels = [
-        abs(a - b) / (m if (m := max(abs(a), abs(b))) > 1.0 else 1.0)
+        abs(a - b) / (
+            m if (
+                m := p if (p := a if a > 0.0 else -a) > (q := b if b > 0.0 else -b) else q
+            ) > 1.0 else 1.0
+        )
         for a, b in zip(lhs, rhs)
     ]
-    worst = math.inf if any(map(math.isnan, rels)) else max(rels, default=0.0)
+    s = sum(rels)
+    worst = math.inf if s != s else max(rels, default=0.0)
     return rels, worst
 
 

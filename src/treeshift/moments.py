@@ -59,7 +59,8 @@ class AtomicMeasure(Record):
     """Finitely many point masses on [0, inf).
 
     Atoms are kept in canonical form: positions strictly increasing, masses
-    positive; positions within ``MERGE_TOL * max(1, x)`` of an atom at x
+    positive; a position from -MERGE_TOL to 0, -0.0 included, reads 0.0;
+    positions within ``MERGE_TOL * max(1, x)`` of an atom at x
     are merged into it with masses added.  Construction from any iterable
     of (position, mass) pairs canonicalizes automatically.
     """
@@ -83,7 +84,7 @@ class AtomicMeasure(Record):
                 raise ValueError(f"atom mass {w} is {kind}")
             if w == 0.0:
                 continue
-            pairs.append((max(x, 0.0), w))
+            pairs.append((x if x > 0.0 else 0.0, w))
         set_field(self, "atoms", _canonical(pairs))
 
     @classmethod
@@ -191,7 +192,11 @@ def _moment_rows(atoms: tuple, n_max: int, powers=None) -> tuple:
     row by row; otherwise, and after an overflow (whose error names the
     order and the atom), order by order.  ``fsum`` rounds the exact sum of
     the products w * x**n, so the order in which they are formed changes no
-    bit."""
+    bit.  The products are nonnegative, so one atom's column is its own sum,
+    and two columns are added in C: IEEE addition rounds the exact sum of
+    two floats once, as ``fsum`` does, and a row that reads inf (an inf
+    product, or a sum that overflows) goes to ``fsum``, which keeps the inf
+    or raises."""
     if atoms and n_max > 4 * len(atoms):
         if powers is None:
             powers = _power_cache()
@@ -199,6 +204,12 @@ def _moment_rows(atoms: tuple, n_max: int, powers=None) -> tuple:
             columns = [
                 (w, *map(operator.mul, repeat(w), powers(x, n_max))) for x, w in atoms
             ]
+            if len(columns) == 1:
+                return columns[0]
+            if len(columns) == 2:
+                row = tuple(map(operator.add, *columns))
+                if max(row) < math.inf:
+                    return row
             return tuple(map(math.fsum, zip(*columns)))
         except OverflowError:
             pass

@@ -999,6 +999,28 @@ def test_an_overflowing_identity_refutes(tmp_path, capsys, argv):
         assert report["witness"]["vertex"] == "0"
 
 
+@pytest.mark.parametrize("argv", [["certify", "--family", "general"], ["check-consistency"]])
+def test_an_overflowing_inverse_moment_refutes(tmp_path, capsys, argv):
+    # delta at x = 5e-324 at every vertex under unit weights: x**-1 overflows,
+    # so the identity at 0 fails with discrepancy inf, not an input error
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 2}})
+    weights = write(tmp_path, "weights.json", {"weights": [1.0, 1.0]})
+    delta = {"atoms": [{"x": 5e-324, "w": 1.0}]}
+    system = write(tmp_path, "system.json", {"measures": {str(k): delta for k in range(3)}})
+    code, out = run_cli(argv + ["--tree", tree, "--weights", weights, "--system", system], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "refuted"
+    first = report["consistency" if argv[0] == "certify" else "reports"][0]
+    assert first["vertex"] == "0" and not first["ok"] and first["max_discrepancy"] == "inf"
+    assert first["reason"] == (
+        "inverse-moment sum is not finite: "
+        "moment of order -1 overflows: x**-1 at the atom x = 5e-324, w = 1.0"
+    )
+    if argv[0] == "certify":
+        assert report["witness"]["check"] == "consistency-identity"
+        assert report["witness"]["vertex"] == "0"
+
+
 def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
     # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
     # polish stops at the infinity and the measure refuses the atom

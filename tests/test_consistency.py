@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 from types import SimpleNamespace
 
@@ -323,6 +324,57 @@ def test_relative_errors_equal_the_row_loop_on_non_finite_rows():
     assert relative_errors([], []) == ([], 0.0)
 
 
+_kernel_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+    st.floats(max_value=-0.0),
+)
+
+
+def _assert_kernel_keeps_the_bits(lhs, rhs):
+    rels, worst = relative_errors(lhs, rhs)
+    want_rels, want_worst = _reference_relative_errors(lhs, rhs)
+    assert _bits(rels) == _bits(want_rels)
+    assert _bits([worst]) == _bits([want_worst])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(st.tuples(_kernel_values, _kernel_values), max_size=12))
+def test_relative_errors_keep_the_bits_of_the_formula(rows):
+    # signed zeros, subnormals, overflowing differences, infinities and NaNs
+    # of either sign: every row and the largest keep the reference's bits
+    _assert_kernel_keeps_the_bits([a for a, _ in rows], [b for _, b in rows])
+
+
+def _random_double(rng):
+    """A float from 64 random bits, with its exponent field forced to all
+    ones (inf and NaNs of any sign and payload) or all zeros (signed zeros
+    and subnormals) a quarter of the time each."""
+    bits = rng.getrandbits(64)
+    kind = rng.randrange(4)
+    if kind == 0:
+        bits |= 0x7FF << 52
+    elif kind == 1:
+        bits &= ~(0x7FF << 52)
+        if rng.randrange(4) == 0:
+            bits &= 1 << 63
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def test_relative_errors_keep_the_bits_on_random_patterns():
+    # 23,749 seeded pairs of 64-bit patterns, NaN payloads included, in
+    # blocks so that the largest row is compared on many mixes
+    rng = random.Random(2301)
+    for _ in range(1200):
+        lhs, rhs = [], []
+        for _ in range(rng.randrange(1, 40)):
+            a = _random_double(rng)
+            b = rng.choice((a, -a, _random_double(rng), _random_double(rng)))
+            lhs.append(a)
+            rhs.append(b)
+        _assert_kernel_keeps_the_bits(lhs, rhs)
+
+
 def _reference_identity_reports(system, shift, n, tol=1e-9):
     """The per-vertex loop that ``identity_reports`` replaced, with the
     vertices chosen by whether the window holds their n-th generation."""
@@ -515,6 +567,36 @@ def test_an_identity_whose_reconstruction_overflows_fails_at_its_vertex():
     assert cert.status == REFUTED
     assert cert.witness["check"] == "consistency-identity" and cert.witness["vertex"] == "0"
     assert cert.witness["discrepancy"] == math.inf
+
+
+def test_an_identity_whose_inverse_moment_overflows_fails_at_its_vertex():
+    # delta at the least subnormal everywhere: x**-1 overflows, so no deficit
+    # can be formed and the identity fails, rather than raising
+    tree = make_family("unilateral", 2)
+    shift = WeightedShift(tree, {1: 1.0, 2: 1.0})
+    delta = AtomicMeasure.delta(5e-324)
+    system = MeasureSystem(mu={v: delta for v in tree.sorted_vertices}, eps={})
+    reason = (
+        "inverse-moment sum is not finite: "
+        "moment of order -1 overflows: x**-1 at the atom x = 5e-324, w = 1.0"
+    )
+    reports = identity_reports(system, shift)
+    assert [r.vertex for r in reports] == [0, 1]
+    for r in reports:
+        assert not r.ok and r.max_discrepancy == math.inf and r.reason == reason
+        assert r.discrepancy_position is None and r.eps_computed is None
+    cert = certify_subnormal(shift, system, horizon=2)
+    assert cert.status == REFUTED
+    assert cert.witness["check"] == "consistency-identity" and cert.witness["vertex"] == "0"
+    assert cert.witness["discrepancy"] == math.inf and cert.witness["reason"] == reason
+    # finite inverse moments whose weighted sum overflows fail the same way
+    cherry = truncated_tree([0, 1, 2], {1: 0, 2: 0})
+    shift = WeightedShift(cherry, {1: 1.0, 2: 1.0})
+    delta = AtomicMeasure.delta(1e-308)
+    system = MeasureSystem(mu={v: delta for v in cherry.sorted_vertices}, eps={})
+    rep = propagate_check(system, shift, 0, 1)
+    assert not rep.ok and rep.max_discrepancy == math.inf
+    assert rep.reason == "inverse-moment sum is not finite: intermediate overflow in fsum"
 
 
 def test_build_system_from_sequences_unilateral():

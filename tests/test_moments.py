@@ -246,6 +246,51 @@ def test_shared_powers_keep_the_bits_of_moment(atoms, n_max, earlier):
         assert got == [repr(x) for x in expected]
 
 
+def test_two_columns_whose_sum_overflows_raise_what_moment_raises():
+    # each product is finite at every order, but the two masses near 0.6e308
+    # add past the largest float at order 2
+    mu = AtomicMeasure(((1.2, 0.6e308), (1.3, 0.6e308)))
+    assert _moments_one_by_one(mu, 2) == "moment of order 2 overflows"
+    for n_max in (9, 20, 200):
+        assert _rows_or_error(lambda: mu.moments(n_max)) == "moment of order 2 overflows"
+    assert mu.moments(1) == (1.2e308, 0.6e308 * 1.2 + 0.6e308 * 1.3)
+
+
+def test_an_infinite_product_gives_the_row_fsum_gives():
+    # w * x**n overflows to inf from order 2 on while x**n stays finite up to
+    # order 61: one column and two columns alike read inf, as fsum does
+    heavy = (1e5, 1e300)
+    for atoms in ((heavy,), ((2.0, 0.5), heavy)):
+        mu = AtomicMeasure(atoms)
+        want = [repr(math.fsum(w * x**n for x, w in atoms)) for n in range(41)]
+        assert want[2] == "inf" and want[1] != "inf"
+        assert _rows_or_error(lambda: mu.moments(40)) == want
+        assert want == [repr(x) for x in _moments_one_by_one(mu, 40)]
+        assert _rows_or_error(lambda: mu.moments(70)) == _moments_one_by_one(mu, 70)
+        assert _moments_one_by_one(mu, 70).startswith("moment of order 62 overflows")
+
+
+def test_one_and_two_atoms_share_the_powers_of_a_certificate():
+    # one cache for a one-atom and a two-atom measure on a common position,
+    # asked in turn at growing orders so the shared powers are reused and
+    # extended across both sums
+    one = AtomicMeasure.delta(1.5)
+    two = AtomicMeasure(((1.5, 0.25), (2.5, 0.75)))
+    powers = moments._power_cache()
+    for mu, n_max in ((one, 12), (two, 30), (one, 60), (two, 45), (two, 90)):
+        got = [repr(x) for x in moments._moment_rows(mu.atoms, n_max, powers)]
+        assert got == [repr(x) for x in _moments_one_by_one(mu, n_max)]
+
+
+def test_a_negative_zero_position_reads_zero():
+    # fsum of -0.0 is 0.0, so a one-atom column at -0.0 would keep -0.0 at
+    # the odd orders where moment() reads 0.0; the canonical form reads 0.0
+    for x in (-0.0, -0.5 * MERGE_TOL):
+        mu = AtomicMeasure.delta(x)
+        assert repr(mu.atoms) == "((0.0, 1.0),)"
+        assert [repr(v) for v in mu.moments(20)] == [repr(v) for v in _moments_one_by_one(mu, 20)]
+
+
 def test_moments_of_examples():
     d0 = AtomicMeasure.delta(0.0)
     assert d0.moments(4) == (1.0, 0.0, 0.0, 0.0, 0.0)
