@@ -31,7 +31,7 @@ from .report import (
     set_field,
 )
 from .shift import keyed_weights, vertex_keyed, weights_from_json
-from .tree import tree_from_json, validate, vertex_from_key, vertex_to_key
+from .tree import UnknownVertexError, tree_from_json, validate, vertex_from_key, vertex_to_key
 
 DEFAULT_HORIZON = 16
 DEFAULT_TOL = 1e-9
@@ -456,15 +456,13 @@ def _cmd_validate_tree(args, config: RunConfig) -> int:
 
 def _cmd_moments(args, config: RunConfig) -> int:
     shift = _load_shift(args)
-    tree = shift.tree
-    targets = (
-        [vertex_from_key(args.vertex)] if args.vertex else list(tree.sorted_vertices)
-    )
-    table = {}
-    for u in targets:
-        top = tree.clamp_order(u, config.horizon)
-        table[vertex_to_key(u)] = list(shift.moment_values(u, top))
-    return _emit(config, "ok", norms_sq=table)
+    norms = shift.power_norms(config.horizon)
+    if args.vertex:
+        u = vertex_from_key(args.vertex)
+        if u not in norms:
+            raise UnknownVertexError(u)
+        norms = {u: norms[u]}
+    return _emit(config, "ok", norms_sq={vertex_to_key(u): list(row) for u, row in norms.items()})
 
 
 def _cmd_check_stieltjes(args, config: RunConfig) -> int:

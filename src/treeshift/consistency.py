@@ -309,17 +309,22 @@ def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None) -> tup
     frontier lies below.  It skips u when top(u) < 2, or when a nonzero
     weight enters u from a parent p with no other child and top(p) > top(u),
     as u's blocks are then scaled principal submatrices of p's.  ``known`` maps vertices
-    to verdicts already run on their norms."""
+    to verdicts already run on their norms; the rows of the others are read
+    from one :meth:`~treeshift.shift.WeightedShift.power_norms` table, built
+    only when some tested vertex has no known verdict."""
     tree = shift.tree
     top = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
-    verdicts = {}
+    known = known or {}
+    tested = []
     for u, n in top.items():
         p = tree.parent.get(u)
         if n < 2 or (
             p in top and len(tree.children(p)) == 1 and shift.weights[u] != 0 and top[p] > n
         ):
             continue
-        verdicts[u] = (known or {}).get(u) or check_stieltjes(shift.moment_values(u, n), tol=tol)
+        tested.append(u)
+    norms = None if all(known.get(u) for u in tested) else shift.power_norms(horizon)
+    verdicts = {u: known.get(u) or check_stieltjes(norms[u], tol=tol) for u in tested}
     return verdicts, next((u for u, v in verdicts.items() if not v.consistent), None)
 
 
@@ -406,9 +411,9 @@ def _rows_report(u, lhs, rhs, tol: float) -> MomentsMatchReport:
 
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
     """Verify that the moments of the measure at u reproduce the squared
-    power norms of the shift at u (the generation sums of
-    :meth:`~treeshift.shift.WeightedShift.moment_values`), up to n_max or
-    the window horizon."""
+    power norms of the shift at u (its row of
+    :meth:`~treeshift.shift.WeightedShift.power_norms`, as a certificate
+    reads it), up to n_max or the window horizon."""
     top = shift.tree.clamp_order(u, n_max)
     lhs = system.measure(u).moments(top)
     return _rows_report(u, lhs, shift.moment_values(u, top), tol)

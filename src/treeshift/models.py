@@ -639,7 +639,9 @@ def certify_t_eta_kappa(
     Without branch measures, each branch's power norms are Hankel-tested at
     its head and past every zero weight (a failure refutes), and quadrature
     rebuilds the measures, leaving the verdict conditional as ``conditional``
-    does: one representing measure among possibly many.  Otherwise the
+    does: one representing measure among possibly many.  A branch with no
+    representing measure (see :func:`_evidence`) makes it ``conditional``
+    with no system and a note naming the branch.  Otherwise the
     branch-measure hypothesis is verified first (or the branch weights are
     derived from the measures when absent).  The condition set then
     depends on the trunk: the root inequality for a rooted branching vertex,
@@ -658,14 +660,18 @@ def certify_t_eta_kappa(
         for i, ws in enumerate(data.branch_weights, start=1):
             # branch i as a path shift: its vertex k is the tree's (i, k + 1)
             path = WeightedShift(make_family(UNILATERAL, len(ws)), dict(enumerate(ws, 1)))
-            fit, head = _fit(product_moments(ws), tol)
+            head, base, missing = _evidence(product_moments(ws), tol)
             verdicts, failed = lambert_sweep(path, tol, known={0: head})
             if failed is not None:
                 key = vertex_to_key((i, failed + 1))
                 detail = {"sequence": list(product_moments(ws[failed:]))}
                 witness = hankel_witness(verdicts[failed], vertex=key)
                 return _refuted(T_ETA_KAPPA, {key: verdicts[failed]}, detail, witness)
-            measures.append(fit.measure)
+            if base is None:
+                stieltjes = {vertex_to_key((i, k + 1)): v for k, v in verdicts.items()}
+                detail = {"note": f"branch {i}: {missing}"}
+                return ModelCertificate(CONDITIONAL, T_ETA_KAPPA, stieltjes, None, detail, None)
+            measures.append(base)
         data = data.replace(branch_measures=tuple(measures))
         conditional = True
     detail: dict = {}
@@ -806,9 +812,9 @@ def extract_branch_data(
                 f"sequence at {v!r} fails the Hankel test", verdict, vertex=v
             )
     notes = []
+    table = shift.power_norms(max(len(values) for values in supplied.values()) - 1)
     for v, values in supplied.items():
-        top = tree.clamp_order(v, len(values) - 1)
-        norms = shift.moment_values(v, top)
+        norms = table[v][: len(values)]
         row = first_failing_row(values, norms, tol)
         if row is not None:
             n = row[0]

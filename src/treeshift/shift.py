@@ -41,12 +41,6 @@ def _mod_sq_list(zs) -> list:
     return [(z * z.conjugate()).real for z in zs]
 
 
-def _running_products(weights):
-    """1, w1, w1 w2, ...: the left-to-right products of complex weights,
-    accumulated in C."""
-    return accumulate(weights, operator.mul, initial=complex(1.0))
-
-
 def _scaled_row(c: float, row: tuple):
     """c * t for each t of a row of power norms, formed in C; a squared
     weight that overflowed to inf keeps an exact 0 at 0, not NaN."""
@@ -56,8 +50,10 @@ def _scaled_row(c: float, row: tuple):
 
 
 def product_moments(weights: Sequence[complex]) -> tuple:
-    """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list."""
-    return tuple(_mod_sq_list(_running_products(map(complex, weights))))
+    """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list,
+    the products accumulated left to right in C."""
+    products = accumulate(map(complex, weights), operator.mul, initial=complex(1.0))
+    return tuple(_mod_sq_list(products))
 
 
 class NormBoundReport(Record):
@@ -171,17 +167,14 @@ class WeightedShift(Record, eq=False):
 
     # -- powers on basis vectors -------------------------------------------
 
-    def _walk(self, u, n: int):
-        """Squared norms of the powers 0..n on the basis vector at u, and the
-        (vertex, coefficient) pairs of the n-th power, from one walk down the
-        tree.
+    def power_coefficients(self, u, n: int) -> dict:
+        """Coefficient map of the n-th power applied to the basis vector at u,
+        keyed by the n-th generation below u.
 
         The vertex, the order and the horizon are checked once, before the
-        walk.  A run of single-child vertices from u is multiplied out by the
-        running product of :func:`product_moments`, each norm the squared
-        modulus of one product; below it each level is a list of (vertex,
-        coefficient) pairs with the exact sum of their squared moduli as its
-        norm."""
+        walk.  A run of single-child vertices from u is multiplied out left
+        to right in C; below it each level is a list of (vertex, coefficient)
+        pairs."""
         if not 0 <= n <= self.tree.available_depth(u):
             # delegate the precise error (negative order or horizon)
             self.tree.children_n(u, n)
@@ -196,28 +189,22 @@ class WeightedShift(Record, eq=False):
             v = below[0]
             run.append(weights[v])
             below = children[v]
-        products = list(_running_products(run))
-        norms = _mod_sq_list(products)
-        level = [(v, products[-1])]
+        level = [(v, math.prod(run, start=complex(1.0)))]
         for _ in range(len(run), n):
             level = [(c, coeff * weights[c]) for p, coeff in level for c in children[p]]
-            norms.append(math.fsum(_mod_sq_list(coeff for _, coeff in level)))
-        return norms, level
-
-    def power_coefficients(self, u, n: int) -> dict:
-        """Coefficient map of the n-th power applied to the basis vector at u,
-        keyed by the n-th generation below u."""
-        level = dict(self._walk(u, n)[1])
-        return {v: level[v] for v in sorted(level, key=vertex_sort_key)}
+        return dict(sorted(level, key=lambda pair: vertex_sort_key(pair[0])))
 
     def power_norm_sq(self, u, n: int) -> float:
-        """Squared norm of the n-th power on the basis vector at u."""
-        return self._walk(u, n)[0][n]
+        """Squared norm of the n-th power on the basis vector at u: the last
+        entry of :meth:`moment_values`."""
+        return self.moment_values(u, n)[n]
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
-        """The sequence of squared power norms at u, orders 0..n_max, from one
-        walk down the tree."""
-        return tuple(self._walk(u, n_max)[0])
+        """The sequence of squared power norms at u, orders 0..n_max: u's row
+        of :meth:`power_norms` at horizon n_max.  A negative order, an order
+        past the window (``HorizonError``) or an unknown vertex raises."""
+        self.tree.children_n(u, n_max)  # checks the vertex, the order and the horizon
+        return self.power_norms(n_max)[u]
 
     def power_norms(self, horizon) -> dict:
         """Every vertex's squared power norms t_u(0..top(u)), top(u) =
@@ -225,9 +212,10 @@ class WeightedShift(Record, eq=False):
         recursion t_u(n + 1) = sum over children v of |w_v|^2 t_v(n): the
         subtrees below distinct children are orthogonal.  A child whose
         squared weight is 0 adds nothing (not 0 * inf), one child scales its
-        row in C, and several are summed order by order with ``fsum``.  The
-        rows agree with :meth:`moment_values` up to rounding, not bit for
-        bit; a negative horizon raises ``ValueError``."""
+        row in C, and several are summed order by order with ``fsum``.  This
+        is the one computation of the power norms: :meth:`moment_values`,
+        :meth:`power_norm_sq` and every checker read its rows.  A negative
+        horizon raises ``ValueError``."""
         tree = self.tree
         tops = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
         if horizon < 0:

@@ -17,7 +17,7 @@ from .consistency import (
 )
 from .moments import AtomicMeasure
 from .report import Record, set_field
-from .shift import WeightedShift, _fsum_complex
+from .shift import WeightedShift, _fsum_complex, _mod_sq_list
 from .tree import vertex_sort_key, vertex_to_key
 
 
@@ -283,18 +283,19 @@ def convergence_report(
 ) -> ConvergenceTable:
     """Tabulate, for each window height, the truncated power norm, the cross
     inner product with the original power, and the squared residual of the
-    difference (three-term expansion).  Residuals drop to zero once the
-    window swallows every support."""
+    difference (three-term expansion).  Both norms are the ``fsum`` of the
+    squared moduli of the coefficients that the inner product reads, so
+    the residual is exactly zero once the window swallows every support."""
     heights = sorted(set(int(i) for i in i_list))
     if any(i < 1 for i in heights):
         raise ValueError("window heights must be positive")
-    original = shift.power_norm_sq(u, n)
     coeffs = shift.power_coefficients(u, n)
+    original = math.fsum(_mod_sq_list(coeffs.values()))
     rows = []
     for i in heights:
         entry = truncate(system, shift, i)
-        trunc_norm = entry.shift.power_norm_sq(u, n)
         tcoeffs = entry.shift.power_coefficients(u, n)
+        trunc_norm = math.fsum(_mod_sq_list(tcoeffs.values()))
         cross = _fsum_complex(
             coeffs[w] * tcoeffs[w].conjugate()
             for w in sorted(coeffs, key=vertex_sort_key)

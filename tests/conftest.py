@@ -29,6 +29,23 @@ from treeshift import (
 from treeshift.shift import _fsum_complex
 
 
+# Branch data whose branch weights come from 2- and 3-atom measures, eight
+# per branch: every branch's power norms pass the Hankel test, but the
+# quadrature that rebuilds branch 2's measure from them has a negative node.
+NEGATIVE_NODE_BRANCH = {
+    "eta": 2,
+    "kappa": 2,
+    "entry_weights": [0.7507685904119716, 0.860985255914542],
+    "trunk_weights": [1.0484276572093254, 0.8872218837833458],
+    "branch_weights": [
+        [1.2149654669377687, 1.40011332074094, 1.5374487599335893, 1.6042670802022432,
+         1.6299919666610576, 1.6389665654521408, 1.6419874466909388, 1.6429919277503289],
+        [1.331869464247776, 1.4409718367345519, 1.5146651466683279, 1.555483697966726,
+         1.5760185534385973, 1.5860887112963895, 1.5910916011126635, 1.593652426225504],
+    ],
+}
+
+
 def random_truncated_tree(rng, max_vertices=40, max_depth=5):
     """Random window of a leafless tree: branching factor 1..3, ragged cuts."""
     vertices = [0]
@@ -73,12 +90,12 @@ def random_chain_tree(rng, explicit=False, max_vertices=60):
 
 def every_vertex_failures(shift, horizon, tol=1e-9):
     """The vertices whose power norms, up to the clamped horizon, fail the
-    Hankel test: the Lambert test run at every vertex with three norms."""
-    tree = shift.tree
+    Hankel test: the Lambert test run at every vertex with three norms,
+    each row read from one ``power_norms`` table."""
+    norms = shift.power_norms(horizon)
     failures = []
-    for u in tree.sorted_vertices:
-        top = int(min(horizon, tree.available_depth(u)))
-        if top >= 2 and not check_stieltjes(shift.moment_values(u, top), tol=tol).consistent:
+    for u in shift.tree.sorted_vertices:
+        if len(norms[u]) >= 3 and not check_stieltjes(norms[u], tol=tol).consistent:
             failures.append(u)
     return failures
 

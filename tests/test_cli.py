@@ -15,6 +15,8 @@ from jsonschema.validators import validator_for
 
 from treeshift.cli import InputError, Schema, load_document, main, parse_document
 
+from conftest import NEGATIVE_NODE_BRANCH
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -424,6 +426,18 @@ def test_certify_branching_fixture(tmp_path, capsys):
     )
     assert code2 == 1
     assert json.loads(out2)["witness"]["value"] == pytest.approx(1.5)
+
+
+def test_certify_a_branch_without_a_representing_measure_exits_conditional(tmp_path, capsys):
+    path = write(tmp_path, "branch.json", NEGATIVE_NODE_BRANCH)
+    code = main(["certify", "--family", "t-eta-kappa", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "conditional" and report["exit_code"] == 2
+    assert report["system_certificate"] is None and report["witness"] is None
+    assert report["detail"]["note"].startswith("branch 2: no representing measure")
+    assert list(report["stieltjes"]) == ["2,1"]
 
 
 def test_certify_bilateral_refuses_a_vertex_listed_twice(tmp_path, capsys):

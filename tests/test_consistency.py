@@ -520,8 +520,8 @@ def test_certify_flags_eps_on_nonroot_with_nonzero_weights():
 
 def test_certificate_rows_are_the_row_rule_on_the_power_norm_table(rng):
     # each entry is the shared row rule applied to the measure's moments and
-    # the vertex's row of the recursion table; moments_match applies the
-    # same rule to the generation sums, within rounding of the table
+    # the vertex's row of the recursion table; moments_match reads the same
+    # row, so its report is the certificate's entry, bit for bit
     for tree in family_windows():
         shift, system = random_consistent_system(rng, tree=tree)
         for horizon in (0, 2, 7):
@@ -533,11 +533,8 @@ def test_certificate_rows_are_the_row_rule_on_the_power_norm_table(rng):
             )
             assert cert.moments == want
             for rep in cert.moments:
-                match = moments_match(system, shift, rep.vertex, horizon)
-                assert match.top == rep.top and match.ok is rep.ok
-                assert table[rep.vertex] == pytest.approx(
-                    shift.moment_values(rep.vertex, rep.top), rel=1e-14
-                )
+                assert moments_match(system, shift, rep.vertex, horizon) == rep
+                assert shift.moment_values(rep.vertex, rep.top) == table[rep.vertex]
 
 
 def test_certify_subnormal_with_a_negative_horizon_raises():

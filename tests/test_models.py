@@ -30,7 +30,7 @@ from treeshift import (
 from treeshift.consistency import hankel_witness
 from treeshift.models import trunk_conditions, verify_branch_moments
 
-from conftest import stratified_atoms
+from conftest import NEGATIVE_NODE_BRANCH, stratified_atoms
 
 
 # -- unilateral -----------------------------------------------------------------
@@ -88,9 +88,12 @@ def test_unilateral_zero_weight_falls_back():
 
 def _every_vertex_verdict(weights, tol=1e-9):
     """Status and witness of Hankel-testing the power norms at every vertex
-    of a path, the first failing vertex supplying the witness."""
+    of a path, each its row of the path's ``power_norms`` table, the first
+    failing vertex supplying the witness."""
+    path = WeightedShift(make_family("unilateral", len(weights)), dict(enumerate(weights, 1)))
+    norms = path.power_norms(math.inf)
     for k in range(len(weights) - 1):
-        verdict = check_stieltjes(product_moments(weights[k:]), tol=tol)
+        verdict = check_stieltjes(norms[k], tol=tol)
         if not verdict.consistent:
             return REFUTED, hankel_witness(verdict, vertex=str(k))
     return CONDITIONAL, None
@@ -642,6 +645,19 @@ def test_a_branch_whose_power_norms_fail_is_refuted(doc, vertex, start):
     assert cert.detail["sequence"] == list(values)
     form, with_tol = _exact_forms(values, witness)
     assert with_tol < 0 and float(form) == witness["quadratic_form"]
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_a_branch_without_a_representing_measure_is_conditional(depth):
+    # the power norms pass, so nothing is refuted; the branch measures the
+    # branching conditions need cannot be built, so nothing is certified
+    cert = certify_t_eta_kappa(branch_data_from_json(NEGATIVE_NODE_BRANCH), depth=depth)
+    assert cert.status == CONDITIONAL
+    assert cert.system_certificate is None and cert.witness is None
+    assert cert.detail["note"].startswith(
+        "branch 2: no representing measure: negative quadrature node -0.31"
+    )
+    assert {k: v.consistent for k, v in cert.stieltjes.items()} == {"2,1": True}
 
 
 def test_extract_rejects_refuted_sequences():

@@ -102,8 +102,9 @@ def _trees_for_reference(rng):
 
 
 def test_power_norms_equal_reference_in_any_call_order(rng):
-    # exact equality: the shared walk must do the reference's arithmetic,
-    # and the cache must not depend on which (u, n) was asked first
+    # exact equality: every single-vertex query reads its row of the
+    # power_norms table, whichever (u, n) was asked first, and the
+    # coefficients do the reference's arithmetic
     shuffler = random.Random(7)
     for tree in _trees_for_reference(rng):
         weights = random_complex_weights(rng, tree).weights
@@ -113,7 +114,8 @@ def test_power_norms_equal_reference_in_any_call_order(rng):
             for u in tree.sorted_vertices
             for n in range(int(min(5, tree.available_depth(u))) + 1)
         ]
-        expect = {(u, n): reference_norm_sq(reference, u, n) for u, n in pairs}
+        table = reference.power_norms(5)
+        expect = {(u, n): table[u][n] for u, n in pairs}
         shuffled = list(pairs)
         shuffler.shuffle(shuffled)
         for order in (pairs, pairs[::-1], shuffled):
@@ -190,13 +192,16 @@ def _orders(tree, u, cap=14):
 
 def test_walk_equals_reference_on_runs_and_branchings(rng):
     # exact equality on trees where single-child runs meet branchings, with
-    # complex and zero weights
+    # complex and zero weights: norms with the table's rows, coefficients
+    # with the reference's
     for tree in _run_and_branch_trees(rng):
         s = mixed_weights(rng, tree)
+        table = s.power_norms(14)
         for u in tree.sorted_vertices:
             orders = _orders(tree, u)
-            expect = [reference_norm_sq(s, u, n) for n in orders]
-            assert s.moment_values(u, orders[-1]) == tuple(expect)
+            expect = table[u]
+            assert len(expect) == len(orders)
+            assert s.moment_values(u, orders[-1]) == expect
             for n in orders:
                 assert s.power_norm_sq(u, n) == expect[n]
                 assert s.power_coefficients(u, n) == reference_coefficients(s, u, n)
@@ -241,8 +246,6 @@ _PART = st.one_of(
 def test_walk_norms_equal_mod_sq_of_the_running_products(weights):
     # compared by repr: the same floats, with -0.0, inf and NaN spelled out
     want = [repr(x) for x in _product_moments_loop(weights)]
-    shift = unilateral_shift(weights)
-    assert [repr(x) for x in shift.moment_values(0, len(weights))] == want
     assert [repr(x) for x in product_moments(weights)] == want
     # a branching vertex sums its children's squared moduli, or overflows alike
     tree = explicit_tree([0, 1, 2], {1: 0, 2: 0})
@@ -334,7 +337,7 @@ def test_power_norms_of_frontier_vertices_and_true_leaves():
 
 def test_a_zero_weight_hides_an_overflowing_subtree():
     # |1e200|^2 overflows below the zero weight: the rows above it read 0,
-    # as the generation sums do, and not 0 * inf = NaN; so does the row of
+    # as the exact norms do, and not 0 * inf = NaN; so does the row of
     # a true leaf under the overflowing weight
     for zero in (0.0, -0.0, complex(-0.0, 0.0)):
         shift = unilateral_shift([zero, 1e200, 1e200])
@@ -385,7 +388,9 @@ def _exact_norms(shift, u, top):
        data=st.data())
 def test_power_norms_and_generation_sums_are_within_rounding_of_exact(seed, explicit, data):
     """Both ways of computing t_u(n) = ||S^n e_u||^2 are within
-    6 (n + 1) 2^-53 of the exact value, relative.
+    6 (n + 1) 2^-53 of the exact value, relative: the ``power_norms``
+    table, and the generation sum of squared coefficient moduli that
+    ``convergence_report`` forms from ``power_coefficients``.
 
     With u = 2^-53, each float operation rounds by a factor 1 + d, |d| <= u,
     and no value here under- or overflows.  Every term is nonnegative, so a
@@ -418,7 +423,8 @@ def test_power_norms_and_generation_sums_are_within_rounding_of_exact(seed, expl
     for u in tree.sorted_vertices:
         top = tree.clamp_order(u, horizon)
         exact = _exact_norms(shift, u, top)
-        for name, row in (("recursion", table[u]), ("generation", shift.moment_values(u, top))):
+        generation = [reference_norm_sq(shift, u, n) for n in range(top + 1)]
+        for name, row in (("recursion", table[u]), ("generation", generation)):
             for n, (got, want) in enumerate(zip(row, exact)):
                 assert abs(Fraction(got) - want) <= Fraction(6 * (n + 1), 2**53) * want, (
                     name, u, n
