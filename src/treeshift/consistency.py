@@ -16,14 +16,16 @@ from typing import Mapping
 from .moments import (
     AtomicMeasure,
     RefutedSequenceError,
+    _merged,
+    _moment_overflow,
     _moment_rows,
     _power_cache,
+    _reweighted,
     as_values,
     carleman_diagnostic,
     check_stieltjes,
     measure_from_json,
     quadrature_from_moments,
-    scaled_inverse_integral,
     superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED, Record, set_field
@@ -118,10 +120,13 @@ def measure_discrepancy(actual: AtomicMeasure, expected: AtomicMeasure):
 
     Returns (max difference, position where it occurs).
     """
+    return _atom_discrepancy(actual.atoms, expected.atoms)
+
+
+def _atom_discrepancy(a: tuple, e: tuple):
     ai, ei = 0, 0
     worst = 0.0
     worst_at = None
-    a, e = actual.atoms, expected.atoms
     while ai < len(a) and ei < len(e):
         (x, m), (y, n) = a[ai], e[ei]
         gap = x - y
@@ -178,27 +183,77 @@ class ConsistencyReport(Record):
         }
 
 
-def _generation_terms(shift, u, n, measure_of) -> dict:
-    """The terms of the depth-n identity at u: each vertex of the n-th
-    generation below u under a nonzero path weight, in vertex order, mapped
-    to its squared path weight and its measure.  At n = 1 the generation is
-    u's child tuple, already in vertex order, under the children's own
-    weights."""
-    tree = shift.tree
-    if n == 1 and tree.available_depth(u) >= 1:
-        level = ((v, shift.weights[v]) for v in tree.children(u))
-    else:
-        level = shift.power_coefficients(u, n).items()
-    return {v: (c, measure_of(v)) for v, pw in level if (c := _mod_sq(pw)) != 0.0}
+def _generation_terms(shift, u, n, measure_of) -> list:
+    """The terms (v, c, measure_of(v)) of the depth-n identity at u, which has
+    n complete levels below it: each v of the n-th generation below u whose
+    squared path weight c (at n = 1, from ``shift.moduli_sq``) is not 0."""
+    if n == 1:
+        moduli = shift.moduli_sq
+        return [(v, c, measure_of(v)) for v in shift.tree._children[u] if (c := moduli[v]) != 0.0]
+    level = shift.power_coefficients(u, n).items()
+    return [(v, c, measure_of(v)) for v, pw in level if (c := _mod_sq(pw)) != 0.0]
+
+
+def _inverse_terms(terms, n: int) -> tuple:
+    """The integrals c * (integral of s^-n dmu_v) of the terms (v, c, mu_v) and
+    their atoms from one ``moments._reweighted`` step each: mass at zero gives
+    inf, an overflow the ``ValueError`` of ``AtomicMeasure.moment(-n)``."""
+    integrals, parts = [], []
+    for _, c, mu in terms:
+        if mu.mass_at_zero > 0.0:
+            integrals.append(math.inf)
+            parts.append(())
+            continue
+        try:
+            term, products = _reweighted(c, mu.atoms, -n)
+            integrals.append(
+                c * math.fsum(products) if products is not None else math.fsum([m for _, m in term])
+            )
+        except OverflowError:
+            raise _moment_overflow(mu.atoms, -n) from None
+        parts.append(term)
+    return integrals, parts
 
 
 def _failed_identity(u, n: int, eps_stored: float, position, reason: str) -> ConsistencyReport:
-    """An identity at u that fails before any measure is compared: the
-    discrepancy is inf and no deficit is computed."""
+    """An identity that fails before any comparison or deficit."""
+    return ConsistencyReport(u, n, False, math.inf, position, eps_stored, None, reason)
+
+
+def _identity(u, n: int, mu_u, eps_stored: float, terms: list, tol: float) -> ConsistencyReport:
+    """The depth-n identity at u over its terms (see :func:`propagate_check`),
+    reconstructed from the atoms its inverse-moment sum was formed with."""
+    for v, _, mu in terms:
+        if mu.mass_at_zero > 0.0:
+            return _failed_identity(
+                u, n, eps_stored, 0.0,
+                f"child {v!r} carries mass {mu.mass_at_zero} at zero under a nonzero path weight",
+            )
+    try:
+        integrals, parts = _inverse_terms(terms, n)
+        inv_sum = math.fsum(integrals)
+    except (ValueError, OverflowError) as exc:
+        # an inverse moment, or their sum, past the largest float
+        return _failed_identity(u, n, eps_stored, None, f"inverse-moment sum is not finite: {exc}")
+    eps_computed = 1.0 - inv_sum
+    mass = mu_u.total_mass
+    try:
+        expected = _merged(parts, eps_stored)
+    except ValueError as exc:
+        # the terms carry no mass at zero, so only a mass that is not finite
+        disc, disc_at = math.inf, None
+        problems = [f"reconstructed measure is not finite: {exc}"]
+    else:
+        disc, disc_at = _atom_discrepancy(mu_u.atoms, expected)
+        problems = []
+        if disc > tol * max(1.0, mass):
+            problems.append("atom mismatch between stored and reconstructed measure")
+    if abs(mass - 1.0) > tol:
+        problems.append(f"measure at {u!r} has total mass {mass}")
+    if abs(eps_stored - eps_computed) > tol:
+        problems.append(f"stored zero-mass {eps_stored} differs from deficit {eps_computed}")
     return ConsistencyReport(
-        vertex=u, depth=n, ok=False, max_discrepancy=math.inf,
-        discrepancy_position=position, eps_stored=eps_stored, eps_computed=None,
-        reason=reason,
+        u, n, not problems, disc, disc_at, eps_stored, eps_computed, "; ".join(problems)
     )
 
 
@@ -211,51 +266,9 @@ def propagate_check(system, shift, u, n: int, tol: float = 1e-9) -> ConsistencyR
     that is not finite (discrepancy inf)."""
     if n < 1:
         raise ValueError("propagation depth starts at 1")
-    mu_u = system.measure(u)
-    eps_stored = system.eps_at(u)
-    terms = _generation_terms(shift, u, n, system.measure)
-    at_zero = next((v for v, (_, mu) in terms.items() if mu.mass_at_zero > 0.0), None)
-    if at_zero is not None:
-        return _failed_identity(
-            u, n, eps_stored, 0.0,
-            f"child {at_zero!r} carries mass {terms[at_zero][1].mass_at_zero} at zero "
-            "under a nonzero path weight",
-        )
-    try:
-        inv_sum = math.fsum(scaled_inverse_integral(c, mu, n) for c, mu in terms.values())
-    except (ValueError, OverflowError) as exc:
-        # an inverse moment, or their sum, past the largest float
-        return _failed_identity(u, n, eps_stored, None, f"inverse-moment sum is not finite: {exc}")
-    eps_computed = 1.0 - inv_sum
-    mass = mu_u.total_mass
-    try:
-        expected = superpose(terms.values(), -n, eps_stored)
-    except ValueError as exc:
-        # the terms are checked measures without mass at zero, so superpose
-        # refuses them only for a mass that is not finite
-        disc, disc_at = math.inf, None
-        problems = [f"reconstructed measure is not finite: {exc}"]
-    else:
-        disc, disc_at = measure_discrepancy(mu_u, expected)
-        problems = []
-        if disc > tol * max(1.0, mass):
-            problems.append("atom mismatch between stored and reconstructed measure")
-    if abs(mass - 1.0) > tol:
-        problems.append(f"measure at {u!r} has total mass {mass}")
-    if abs(eps_stored - eps_computed) > tol:
-        problems.append(
-            f"stored zero-mass {eps_stored} differs from deficit {eps_computed}"
-        )
-    return ConsistencyReport(
-        vertex=u,
-        depth=n,
-        ok=not problems,
-        max_discrepancy=disc,
-        discrepancy_position=disc_at,
-        eps_stored=eps_stored,
-        eps_computed=eps_computed,
-        reason="; ".join(problems),
-    )
+    mu_u, eps_stored = system.measure(u), system.eps_at(u)
+    shift.tree.children_n(u, n)  # checks the vertex and the window
+    return _identity(u, n, mu_u, eps_stored, _generation_terms(shift, u, n, system.measure), tol)
 
 
 def check_consistency_at(system, shift, u, tol: float = 1e-9) -> ConsistencyReport:
@@ -264,14 +277,16 @@ def check_consistency_at(system, shift, u, tol: float = 1e-9) -> ConsistencyRepo
 
 
 def identity_reports(system, shift, n: int = 1, tol: float = 1e-9) -> tuple:
-    """The depth-n identity checked at every vertex with n complete levels
-    below it inside the window, in vertex order."""
-    tree = shift.tree
-    return tuple(
-        propagate_check(system, shift, u, n, tol=tol)
-        for u in tree.sorted_vertices
-        if tree.available_depth(u) >= n
-    )
+    """:func:`propagate_check` at every vertex with n complete levels below it
+    in the window (read from ``tree.clamp_orders(n)``), in vertex order."""
+    if n < 1:
+        raise ValueError("propagation depth starts at 1")
+    measure, eps = system.measure, system.eps
+    return tuple([
+        _identity(u, n, measure(u), eps.get(u, 0.0), _generation_terms(shift, u, n, measure), tol)
+        for u, top in shift.tree.clamp_orders(n).items()
+        if top == n
+    ])
 
 
 def _witness(vertex, check: str, discrepancy, position, reason: str, **extra) -> dict:
@@ -313,16 +328,15 @@ def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None) -> tup
     from one :meth:`~treeshift.shift.WeightedShift.power_norms` table, built
     only when some tested vertex has no known verdict."""
     tree = shift.tree
-    top = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
+    top = tree.clamp_orders(horizon)
     known = known or {}
-    tested = []
-    for u, n in top.items():
-        p = tree.parent.get(u)
-        if n < 2 or (
-            p in top and len(tree.children(p)) == 1 and shift.weights[u] != 0 and top[p] > n
-        ):
-            continue
-        tested.append(u)
+    tested = [
+        u for u, n in top.items()
+        if n >= 2 and not (
+            (p := tree.parent.get(u)) in top and len(tree._children[p]) == 1
+            and shift.weights[u] != 0 and top[p] > n
+        )
+    ]
     norms = None if all(known.get(u) for u in tested) else shift.power_norms(horizon)
     verdicts = {u: known.get(u) or check_stieltjes(norms[u], tol=tol) for u in tested}
     return verdicts, next((u for u, v in verdicts.items() if not v.consistent), None)
@@ -403,10 +417,7 @@ def _rows_report(u, lhs, rhs, tol: float) -> MomentsMatchReport:
     n = next((n for n, r in enumerate(rels) if r != r), None) if worst == math.inf else None
     if n is None:
         n = rels.index(worst)
-    return MomentsMatchReport(
-        vertex=u, top=len(lhs) - 1, ok=worst <= tol, max_rel_err=worst,
-        worst_row=(n, lhs[n], rhs[n], rels[n]),
-    )
+    return MomentsMatchReport(u, len(lhs) - 1, worst <= tol, worst, (n, lhs[n], rhs[n], rels[n]))
 
 
 def moments_match(system, shift, u, n_max: int, tol: float = 1e-9) -> MomentsMatchReport:
@@ -423,29 +434,27 @@ def parent_from_children(
     shift, u, child_measures: Mapping, tol: float = 1e-9
 ) -> tuple[AtomicMeasure, float]:
     """Construct the unique measure at u closing the identity over the given
-    child measures, together with its deficit mass at zero.
+    child measures, together with its deficit mass at zero, from the
+    identity's own reweighting of the children (:func:`_inverse_terms`).
 
     Fails with :class:`ConsistencySumError` when the weighted inverse-moment
     sum exceeds one (no probability parent exists along this route).
     """
-    children = shift.tree.children(u)
-    if set(child_measures) != set(children):
-        raise ValueError(
-            f"child measures must be keyed exactly by the children of {u!r}"
-        )
-    terms = _generation_terms(shift, u, 1, child_measures.__getitem__).values()
-    total = math.fsum(scaled_inverse_integral(c, mu) for c, mu in terms)
+    if set(child_measures) != set(shift.tree.children(u)):
+        raise ValueError(f"child measures must be keyed exactly by the children of {u!r}")
+    shift.tree.children_n(u, 1)  # checks the window
+    terms = _generation_terms(shift, u, 1, child_measures.__getitem__)
+    integrals, parts = _inverse_terms(terms, 1)
+    total = math.fsum(integrals)
     if total > 1.0 + tol:
-        raise ConsistencySumError(
-            f"weighted inverse-moment sum at {u!r} is {total} > 1"
-        )
+        raise ConsistencySumError(f"weighted inverse-moment sum at {u!r} is {total} > 1")
     eps = max(0.0, 1.0 - total)
     # rounding dust at or below the verification tolerance would plant a
     # spurious atom at zero, which downstream identities treat as a hard
     # obstruction
     if eps <= tol:
         eps = 0.0
-    return superpose(terms, -1, eps), eps
+    return AtomicMeasure._of_canonical(_merged(parts, eps)), eps
 
 
 def child_from_parent_single(shift, u0, mu_parent: AtomicMeasure) -> AtomicMeasure:
@@ -572,11 +581,8 @@ class Certificate(Record):
 
 
 def certify_subnormal(
-    shift,
-    system: MeasureSystem | None = None,
-    sequences: Mapping | None = None,
-    horizon: int = 16,
-    tol: float = 1e-9,
+    shift, system: MeasureSystem | None = None, sequences: Mapping | None = None,
+    horizon: int = 16, tol: float = 1e-9,
 ) -> Certificate:
     """Run the full per-vertex verification of a measure system.
 
@@ -602,28 +608,17 @@ def certify_subnormal(
                 exc.verdict, vertex=vertex_to_key(exc.vertex), reason=str(exc)
             )
             return Certificate(
-                status=REFUTED,
-                consistency=(),
-                moments=(),
-                structural=shift.structural_checks(),
-                eps_violations=(),
-                witness=witness,
-                notes=("a supplied sequence fails the Hankel test; no system was built",),
-                horizon=horizon,
-                tol=tol,
+                REFUTED, (), (), shift.structural_checks(), (), witness,
+                ("a supplied sequence fails the Hankel test; no system was built",), horizon, tol,
             )
         notes.append("system built from moment sequences via quadrature")
     tree = shift.tree
-    missing = [v for v in tree.sorted_vertices if v not in system.mu]
+    mu, eps = system.mu, system.eps
+    missing = [v for v in tree.sorted_vertices if v not in mu]
     if missing:
-        raise ValueError(
-            "system lacks measures for: "
-            + ", ".join(repr(v) for v in missing)
-        )
+        raise ValueError("system lacks measures for: " + ", ".join(repr(v) for v in missing))
     if tree.rootless_family:
-        notes.append(
-            "rootless family certified on the rooted window (subtree reduction)"
-        )
+        notes.append("rootless family certified on the rooted window (subtree reduction)")
     notes.append(f"verdict holds up to horizon {horizon}")
 
     consistency_reports = identity_reports(system, shift, tol=tol)
@@ -632,10 +627,10 @@ def certify_subnormal(
         witness = _sequence_witness(system, sequences, tol)
     norms = shift.power_norms(horizon)
     powers = _power_cache()
-    moment_reports = tuple(
-        _rows_report(u, _moment_rows(system.mu[u].atoms, len(norms[u]) - 1, powers), norms[u], tol)
+    moment_reports = tuple([
+        _rows_report(u, _moment_rows(mu[u].atoms, len(norms[u]) - 1, powers), norms[u], tol)
         for u in tree.sorted_vertices
-    )
+    ])
     bad = next((r for r in moment_reports if not r.ok), None)
     if bad is not None and witness is None:
         n, a, b, _ = bad.worst_row
@@ -650,13 +645,11 @@ def certify_subnormal(
     eps_violations = ()
     if shift.has_nonzero_weights:
         eps_violations = tuple(
-            v
-            for v in tree.sorted_vertices
-            if v in tree.parent and system.eps_at(v) > tol
+            [v for v in tree.sorted_vertices if v in tree.parent and eps.get(v, 0.0) > tol]
         )
         if eps_violations and witness is None:
             witness = _witness(
-                eps_violations[0], "zero-mass-on-nonroot", system.eps_at(eps_violations[0]),
+                eps_violations[0], "zero-mass-on-nonroot", eps[eps_violations[0]],
                 0.0, "nonzero weights force vanishing zero masses off the root",
             )
     if witness is not None:
@@ -667,13 +660,6 @@ def certify_subnormal(
     else:
         status = CERTIFIED
     return Certificate(
-        status=status,
-        consistency=consistency_reports,
-        moments=moment_reports,
-        structural=structural,
-        eps_violations=eps_violations,
-        witness=witness,
-        notes=tuple(notes),
-        horizon=horizon,
-        tol=tol,
+        status, consistency_reports, moment_reports, structural, eps_violations, witness,
+        tuple(notes), horizon, tol,
     )

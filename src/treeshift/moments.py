@@ -112,7 +112,7 @@ class AtomicMeasure(Record):
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
+        return math.fsum([w for _, w in self.atoms])
 
     @property
     def mass_at_zero(self) -> float:
@@ -257,49 +257,85 @@ def _canonical(pairs: list) -> tuple:
     return tuple(merged)
 
 
-def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
-    """The measure sum of c * s^power * mu over (c, mu) in ``terms``, plus
-    ``deficit`` at zero.
+def _exact_mass(c: float, w: float, x: float, power: int) -> float:
+    """c * w * x**power rounded once from its exact value (c * inf for a c
+    that is inf or NaN), so it is inf only past the largest float."""
+    if not c < math.inf:
+        return c * math.inf
+    from fractions import Fraction
 
-    This is the right-hand side of the consistency identity.  Each term is
-    merged into the running sum in turn and the deficit comes last, so the
-    masses are added in the same order as a left fold of
-    ``plus(mu.times_power(power).scaled(c))`` followed by
-    ``plus(delta(0.0, deficit))``, with the same bits.  Positive powers
-    annihilate atoms at zero; a negative power on a measure with mass at zero
-    raises ``ValueError``.  The measures were checked when they were built, so
-    the terms are not checked again; a resulting mass that overflows (or is
-    NaN) raises ``ValueError``.
-    """
-    if not deficit >= 0.0:
-        raise ValueError(f"deficit mass must be nonnegative, got {deficit}")
-    power = operator.index(power)
+    try:
+        return float(Fraction(c) * Fraction(w) * Fraction(x) ** power)
+    except OverflowError:
+        return math.inf
+
+
+def _reweighted(c: float, atoms: tuple, power: int) -> tuple:
+    """The reweighting step of a superposition: the pairs (x, (w * x**power)
+    * c) of c * s^power * mu, mu = ``atoms``, with nonzero masses (none at
+    zero under a positive power), and the products w * x**power, whose
+    ``fsum`` times c is c * (integral of s^power).  Where w * x**power
+    overflows, the mass is :func:`_exact_mass` and the products are None;
+    a power that overflows with a mass past the largest float raises
+    ``OverflowError(x)``."""
+    term, products = [], []
+    for x, w in atoms:
+        if power > 0 and x == 0.0:
+            continue
+        try:
+            p = w * x**power
+        except OverflowError:
+            p = None
+        if p is not None and p < math.inf:
+            if products is not None:
+                products.append(p)
+            m = p * c if p else 0.0
+        else:
+            m, products = _exact_mass(c, w, x, power), None
+            if p is None and not m < math.inf:
+                raise OverflowError(x)
+        if m != 0.0:
+            term.append((x, m))
+    return term, products
+
+
+def _merged(terms, deficit: float) -> tuple:
+    """The merging step of a superposition: the terms' pairs merged in turn,
+    then ``deficit`` at zero; a mass that is not finite raises ``ValueError``."""
     atoms = ()
-    for c, mu in terms:
-        c = float(c)
-        if c < 0.0:
-            raise ValueError("mass scale must be nonnegative")
-        if power < 0 and mu.mass_at_zero > 0.0:
-            raise ValueError("cannot divide by s: positive mass at zero")
-        term = []
-        for x, w in mu.atoms:
-            if power > 0 and x == 0.0:
-                continue
-            try:
-                w = w * x**power
-            except OverflowError:
-                raise ValueError(f"superposed mass overflows: x**{power} at x = {x}") from None
-            if w != 0.0:
-                w = w * c
-                if w != 0.0:
-                    term.append((x, w))
+    for term in terms:
         atoms = _canonical([*atoms, *term]) if atoms else tuple(term)
     if deficit > 0.0:
         atoms = _canonical([*atoms, (0.0, float(deficit))])
     for x, w in atoms:
         if not w < math.inf:
             raise ValueError(f"superposed mass at x = {x} is not finite: {w}")
-    return AtomicMeasure._of_canonical(atoms)
+    return atoms
+
+
+def superpose(terms, power: int, deficit: float = 0.0) -> AtomicMeasure:
+    """The measure sum of c * s^power * mu over (c, mu) in ``terms``, plus
+    ``deficit`` at zero: each term reweighted (:func:`_reweighted`) and
+    merged in turn (:func:`_merged`), so where every w * x**power is finite
+    the masses have the order and bits of a left fold of
+    ``plus(mu.times_power(power).scaled(c))``, then ``plus(delta(0.0,
+    deficit))``.  A negative power on mass at zero raises ``ValueError``, as
+    does a mass that overflows (or is NaN); the measures are not checked."""
+    if not deficit >= 0.0:
+        raise ValueError(f"deficit mass must be nonnegative, got {deficit}")
+    power = operator.index(power)
+    parts = []
+    for c, mu in terms:
+        c = float(c)
+        if c < 0.0:
+            raise ValueError("mass scale must be nonnegative")
+        if power < 0 and mu.mass_at_zero > 0.0:
+            raise ValueError("cannot divide by s: positive mass at zero")
+        try:
+            parts.append(_reweighted(c, mu.atoms, power)[0])
+        except OverflowError as exc:
+            raise ValueError(f"superposed mass overflows: x**{power} at x = {exc}") from None
+    return AtomicMeasure._of_canonical(_merged(parts, deficit))
 
 
 def measure_from_json(doc: dict) -> AtomicMeasure:

@@ -49,6 +49,27 @@ def _scaled_row(c: float, row: tuple):
     return (c * t if t else 0.0 for t in row)
 
 
+def _norm_rows(order, tops: Mapping, children: Mapping, moduli_sq: Mapping) -> dict:
+    """The rows t_u(0..tops[u]) of the vertices of ``order``, children first,
+    from t_u(n + 1) = sum over children v of |w_v|^2 t_v(n) (orthogonal
+    subtrees), each entry from the rows below it alone.  A top of 0 gives
+    (1.0,) and reads no child; a zero squared weight adds nothing (not
+    0 * inf), one child scales its row in C, several are summed by ``fsum``."""
+    rows = {}
+    for u in order:
+        top = tops[u]
+        if not top:
+            rows[u] = (1.0,)
+            continue
+        terms = [_scaled_row(c, rows[v]) for v in children[u] if (c := moduli_sq[v]) != 0.0]
+        if len(terms) == 1:
+            tail = terms[0]
+        else:
+            tail = map(math.fsum, zip(*terms)) if terms else repeat(0.0)
+        rows[u] = (1.0, *islice(tail, top))
+    return rows
+
+
 def product_moments(weights: Sequence[complex]) -> tuple:
     """Running squared products 1, |w1|^2, |w1 w2|^2, ... of a weight list,
     the products accumulated left to right in C."""
@@ -114,7 +135,7 @@ class StructuralReport(Record):
 class WeightedShift(Record, eq=False):
     """A directed tree together with one complex weight per non-root vertex."""
 
-    __slots__ = ("tree", "weights")
+    __slots__ = ("tree", "weights", "_moduli_sq")
 
     def __init__(self, tree: DirectedTree, weights: Mapping):
         set_field(self, "tree", tree)
@@ -136,6 +157,7 @@ class WeightedShift(Record, eq=False):
             if not (math.isfinite(w.real) and math.isfinite(w.imag)):
                 raise ValueError(f"weight {w} of vertex {v!r} is not finite")
         set_field(self, "weights", weights)
+        set_field(self, "_moduli_sq", dict(zip(weights, _mod_sq_list(weights.values()))))
 
     # -- weights ----------------------------------------------------------
 
@@ -146,6 +168,12 @@ class WeightedShift(Record, eq=False):
 
     def modulus_sq(self, v) -> float:
         return _mod_sq(self.weight(v))
+
+    @property
+    def moduli_sq(self) -> dict:
+        """|w_v|^2 of every weight by vertex, formed in C once per shift (bit
+        for bit :func:`_mod_sq`); callers must not mutate it."""
+        return self._moduli_sq
 
     @property
     def has_nonzero_weights(self) -> bool:
@@ -200,39 +228,23 @@ class WeightedShift(Record, eq=False):
         return self.moment_values(u, n)[n]
 
     def moment_values(self, u, n_max: int) -> tuple[float, ...]:
-        """The sequence of squared power norms at u, orders 0..n_max: u's row
-        of :meth:`power_norms` at horizon n_max.  A negative order, an order
+        """u's row of :meth:`power_norms` at horizon n_max, its recursion run
+        over the n_max generations below u alone.  A negative order, an order
         past the window (``HorizonError``) or an unknown vertex raises."""
-        self.tree.children_n(u, n_max)  # checks the vertex, the order and the horizon
-        return self.power_norms(n_max)[u]
+        levels = self.tree._generations(u, n_max)
+        tops = {v: n_max - k for k, level in enumerate(levels) for v in level}
+        return _norm_rows(reversed(tops), tops, self.tree._children, self.moduli_sq)[u]
 
     def power_norms(self, horizon) -> dict:
         """Every vertex's squared power norms t_u(0..top(u)), top(u) =
-        ``tree.clamp_order(u, horizon)``, from one bottom-up pass of the
-        recursion t_u(n + 1) = sum over children v of |w_v|^2 t_v(n): the
-        subtrees below distinct children are orthogonal.  A child whose
-        squared weight is 0 adds nothing (not 0 * inf), one child scales its
-        row in C, and several are summed order by order with ``fsum``.  This
-        is the one computation of the power norms: :meth:`moment_values`,
-        :meth:`power_norm_sq` and every checker read its rows.  A negative
-        horizon raises ``ValueError``."""
+        ``tree.clamp_order(u, horizon)``, from one pass of :func:`_norm_rows`:
+        every reader of t_u(n) reads these rows.  A negative horizon raises
+        ``ValueError``."""
         tree = self.tree
-        tops = {u: tree.clamp_order(u, horizon) for u in tree.sorted_vertices}
+        tops = tree.clamp_orders(horizon)
         if horizon < 0:
             raise ValueError("generation index must be nonnegative")
-        children = tree._children
-        weights = self.weights
-        rows = {}
-        for u in tree.bottom_up:
-            terms = [
-                _scaled_row(c, rows[v]) for v in children[u] if (c := _mod_sq(weights[v])) != 0.0
-            ]
-            if len(terms) == 1:
-                tail = terms[0]
-            else:
-                tail = map(math.fsum, zip(*terms)) if terms else repeat(0.0)
-            rows[u] = (1.0, *islice(tail, tops[u]))
-        return rows
+        return _norm_rows(tree.bottom_up, tops, tree._children, self.moduli_sq)
 
     def inner_product_powers(self, u, m: int, v, n: int) -> complex:
         """Closed-form inner product of the m-th power at u with the n-th
@@ -252,7 +264,8 @@ class WeightedShift(Record, eq=False):
 
     def child_sum_sq(self, u) -> float:
         """Sum of squared child-weight moduli at u."""
-        return math.fsum(self.modulus_sq(c) for c in self.tree.children(u))
+        moduli = self.moduli_sq
+        return math.fsum([moduli[c] for c in self.tree.children(u)])
 
     def norm_bound(self) -> NormBoundReport:
         """Supremum of the child sums over the window (squared-norm bound)."""

@@ -240,16 +240,30 @@ class DirectedTree(Record, eq=False):
         return self._distances_to_frontier()[u]
 
     def clamp_order(self, u, n) -> int:
-        """int(min(n, available_depth(u))); ``ValueError`` naming u if both are inf."""
+        """int(min(n, available_depth(u))); ``ValueError`` naming u if both
+        are inf.  The one-vertex form of :meth:`clamp_orders`."""
         top = min(n, self.available_depth(u))
         if top == math.inf:
             raise ValueError(f"no finite order at {u!r}: no frontier lies below it")
         return int(top)
 
+    def clamp_orders(self, n) -> dict:
+        """:meth:`clamp_order` of every vertex at n, in vertex order, read
+        from the cached distance table in one pass."""
+        if not n < math.inf:  # a top may be inf: the first, in vertex order, raises
+            return {u: self.clamp_order(u, n) for u in self.sorted_vertices}
+        depth = self._distances_to_frontier()
+        return {u: int(d if (d := depth[u]) < n else n) for u in self.sorted_vertices}
+
     # -- level combinatorics ----------------------------------------------
 
     def children_n(self, u, n: int) -> frozenset:
         """The n-th generation below u: exactly the set of w with par^n(w) = u."""
+        return frozenset(self._generations(u, n)[-1])
+
+    def _generations(self, u, n: int) -> list:
+        """The generations 0 to n below u, as lists; an unknown vertex, a
+        negative n or an n past the window (``HorizonError``) raises."""
         self._require(u)
         if n < 0:
             raise ValueError("generation index must be nonnegative")
@@ -257,13 +271,10 @@ class DirectedTree(Record, eq=False):
             raise HorizonError(
                 f"level {n} below {u} exceeds the window of the generated family"
             )
-        level = {u}
+        levels = [[u]]
         for _ in range(n):
-            nxt = set()
-            for v in level:
-                nxt.update(self._children[v])
-            level = nxt
-        return frozenset(level)
+            levels.append([c for v in levels[-1] for c in self._children[v]])
+        return levels
 
     def descendants(self, u) -> frozenset:
         """All vertices reachable downward from u, u included."""

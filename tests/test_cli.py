@@ -1035,6 +1035,24 @@ def test_an_overflowing_inverse_moment_refutes(tmp_path, capsys, argv):
         assert report["witness"]["vertex"] == "0"
 
 
+@pytest.mark.parametrize("argv", [["certify", "--family", "general"], ["check-consistency"]])
+def test_an_exact_identity_under_a_subnormal_squared_weight_holds(tmp_path, capsys, argv):
+    # |w|^2 = 5e-324 and delta at 5e-324 at both vertices: x**-1 overflows,
+    # but the scaled mass |w|^2 * x**-1 is exactly 1 and the identity holds
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 1}})
+    weights = write(tmp_path, "weights.json", {"weights": [math.sqrt(5e-324)]})
+    delta = {"atoms": [{"x": 5e-324, "w": 1.0}]}
+    system = write(tmp_path, "system.json", {"measures": {"0": delta, "1": delta}})
+    argv = argv + ["--tree", tree, "--weights", weights, "--system", system, "--horizon", "1"]
+    code, out = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["witness"] is None
+    certified = "consistent" if argv[0] == "check-consistency" else "certified-up-to-horizon"
+    assert report["status"] == certified
+    first = report["consistency" if argv[0] == "certify" else "reports"][0]
+    assert first["vertex"] == "0" and first["ok"] and first["max_discrepancy"] == 0.0
+
+
 def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
     # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
     # polish stops at the infinity and the measure refuses the atom

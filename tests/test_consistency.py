@@ -32,6 +32,7 @@ from treeshift import (
     truncated_tree,
 )
 from treeshift.consistency import (
+    ConsistencyReport,
     _generation_terms,
     _rows_report,
     identity_reports,
@@ -39,6 +40,7 @@ from treeshift.consistency import (
     measure_discrepancy,
     relative_errors,
 )
+from treeshift.moments import scaled_inverse_integral, superpose
 from treeshift.report import canonical_json
 from treeshift.shift import _mod_sq
 from treeshift.tree import HorizonError, vertex_sort_key
@@ -375,7 +377,55 @@ def test_relative_errors_keep_the_bits_on_random_patterns():
         _assert_kernel_keeps_the_bits(lhs, rhs)
 
 
-def _reference_identity_reports(system, shift, n, tol=1e-9):
+def _formulated_identity(system, shift, u, n, tol=1e-9):
+    """The depth-n identity at u formulated from the public primitives
+    alone, independently of the sweep's kernel: the terms from
+    ``power_coefficients``, the inverse-moment sum from
+    ``scaled_inverse_integral``, the reconstruction from ``superpose`` and
+    the comparison from ``measure_discrepancy``."""
+    mu_u, eps_stored = system.measure(u), system.eps_at(u)
+    terms = {
+        v: (c, system.measure(v))
+        for v, pw in shift.power_coefficients(u, n).items()
+        if (c := _mod_sq(pw)) != 0.0
+    }
+
+    def failed(position, reason):
+        return ConsistencyReport(u, n, False, math.inf, position, eps_stored, None, reason)
+
+    at_zero = next((v for v, (_, mu) in terms.items() if mu.mass_at_zero > 0.0), None)
+    if at_zero is not None:
+        return failed(
+            0.0,
+            f"child {at_zero!r} carries mass {terms[at_zero][1].mass_at_zero} at zero "
+            "under a nonzero path weight",
+        )
+    try:
+        inv_sum = math.fsum(scaled_inverse_integral(c, mu, n) for c, mu in terms.values())
+    except (ValueError, OverflowError) as exc:
+        return failed(None, f"inverse-moment sum is not finite: {exc}")
+    eps_computed = 1.0 - inv_sum
+    mass = mu_u.total_mass
+    try:
+        expected = superpose(terms.values(), -n, eps_stored)
+    except ValueError as exc:
+        disc, disc_at = math.inf, None
+        problems = [f"reconstructed measure is not finite: {exc}"]
+    else:
+        disc, disc_at = measure_discrepancy(mu_u, expected)
+        problems = []
+        if disc > tol * max(1.0, mass):
+            problems.append("atom mismatch between stored and reconstructed measure")
+    if abs(mass - 1.0) > tol:
+        problems.append(f"measure at {u!r} has total mass {mass}")
+    if abs(eps_stored - eps_computed) > tol:
+        problems.append(f"stored zero-mass {eps_stored} differs from deficit {eps_computed}")
+    return ConsistencyReport(
+        u, n, not problems, disc, disc_at, eps_stored, eps_computed, "; ".join(problems)
+    )
+
+
+def _reference_identity_reports(system, shift, n, check=propagate_check, tol=1e-9):
     """The per-vertex loop that ``identity_reports`` replaced, with the
     vertices chosen by whether the window holds their n-th generation."""
     reports = []
@@ -384,8 +434,47 @@ def _reference_identity_reports(system, shift, n, tol=1e-9):
             shift.tree.children_n(u, n)
         except HorizonError:
             continue
-        reports.append(propagate_check(system, shift, u, n, tol=tol))
+        reports.append(check(system, shift, u, n, tol=tol))
     return tuple(reports)
+
+
+def _uniform_system(shift, measure, eps=None):
+    mu = dict.fromkeys(shift.tree.sorted_vertices, measure)
+    return shift, MeasureSystem(mu=mu, eps=eps or {})
+
+
+def _identity_cases(rng):
+    """(shift, system) pairs on which the identity holds, fails by a
+    perturbation, meets zero weights or mass at zero, or under- and
+    overflows."""
+    for _ in range(6):
+        shift, system = random_consistent_system(rng, zero_weight_prob=0.3)
+        yield shift, system
+        mu, eps = dict(system.mu), dict(system.eps)
+        tree = shift.tree
+        v = tree.sorted_vertices[int(rng.integers(len(tree)))]
+        x, w = mu[v].atoms[-1]
+        mu[v] = AtomicMeasure((*mu[v].atoms[:-1], (x * (1 + 1e-6), w)))
+        yield shift, MeasureSystem(mu=mu, eps=eps)
+        weights = dict(shift.weights)
+        for v in list(weights)[::4]:
+            weights[v] = 1.1 * weights[v]
+        yield WeightedShift(tree, weights), system
+        leaves = [v for v in tree.sorted_vertices if not tree.children(v)]
+        mu = dict(system.mu)
+        for v in leaves[::2]:
+            mu[v] = AtomicMeasure(((0.0, 0.25), *((x, 0.75 * w) for x, w in mu[v].atoms)))
+        yield shift, MeasureSystem(mu=mu, eps={**system.eps, **{v: 0.25 for v in leaves[::2]}})
+    path = make_family("unilateral", 3)
+    for weights, x in (((1e160, 1.0, 1.0), 1.0), ((1.0,) * 3, 5e-324), ((1e150,) * 3, 1e301)):
+        shift = WeightedShift(path, dict(zip((1, 2, 3), weights)))
+        yield _uniform_system(shift, AtomicMeasure.delta(x))
+    under_over = WeightedShift(make_family("unilateral", 2), {1: 1e-200, 2: 1e200})
+    yield _uniform_system(under_over, AtomicMeasure.delta(1.0))
+    yield _uniform_system(under_over, AtomicMeasure(((1e-100, 0.5), (1e100, 0.5))))
+    branching = make_family("t-eta-kappa", 3, eta=2, kappa=1)
+    zero = WeightedShift(branching, dict.fromkeys(branching.non_root_vertices, 0.0))
+    yield _uniform_system(zero, AtomicMeasure.delta(1.0), {-1: 1.0, 0: 1.0})
 
 
 def test_identity_reports_equal_the_per_vertex_loop(rng):
@@ -395,24 +484,48 @@ def test_identity_reports_equal_the_per_vertex_loop(rng):
             reports = identity_reports(system, shift, n)
             assert reports == _reference_identity_reports(system, shift, n)
             assert all(r.depth == n for r in reports)
+            assert repr(reports) == repr(
+                _reference_identity_reports(system, shift, n, _formulated_identity)
+            )
         assert certify_subnormal(shift, system).consistency == identity_reports(system, shift)
+    failed = 0
+    for shift, system in _identity_cases(rng):
+        for n in (1, 2, 3):
+            reports = identity_reports(system, shift, n)
+            assert repr(reports) == repr(_reference_identity_reports(system, shift, n))
+            assert repr(reports) == repr(
+                _reference_identity_reports(system, shift, n, _formulated_identity)
+            )
+            failed += sum(not r.ok for r in reports)
+        try:
+            cert = certify_subnormal(shift, system)
+        except ValueError as exc:  # moment rows past the largest float
+            assert "overflows" in str(exc)
+            continue
+        assert repr(cert.consistency) == repr(identity_reports(system, shift))
+    assert failed
 
 
 def test_depth_one_terms_equal_the_first_power_bit_for_bit(rng):
-    """At depth one the identity reads u's child tuple directly: the same
-    vertices, in the same order, with squared weights bit-equal to those of
-    ``power_coefficients(u, 1)``; a vertex with no complete level below it
-    still raises HorizonError."""
+    """At depth one the identity reads u's child tuple and the table of
+    squared weights directly: the same vertices, in the same order, with
+    squared weights bit-equal to those of ``power_coefficients(u, 1)``; at a
+    vertex with no complete level below it the identity and the parent
+    construction still raise HorizonError, before any term is formed."""
     for tree in family_windows():
         shift = random_complex_weights(rng, tree)
         weights = dict(shift.weights)
         for v in list(weights)[::3]:
             weights[v] = 0.0
+        delta = AtomicMeasure.delta(1.0)
+        system = MeasureSystem(mu=dict.fromkeys(tree.sorted_vertices, delta), eps={})
         for shift in (shift, WeightedShift(tree, weights)):
             for u in tree.sorted_vertices:
                 if tree.available_depth(u) < 1:
                     with pytest.raises(HorizonError):
-                        _generation_terms(shift, u, 1, lambda v: v)
+                        propagate_check(system, shift, u, 1)
+                    with pytest.raises(HorizonError):
+                        parent_from_children(shift, u, {})
                     continue
                 terms = _generation_terms(shift, u, 1, lambda v: v)
                 expected = [
@@ -420,9 +533,9 @@ def test_depth_one_terms_equal_the_first_power_bit_for_bit(rng):
                     for v, pw in shift.power_coefficients(u, 1).items()
                     if (c := _mod_sq(pw)) != 0.0
                 ]
-                assert [v for v, _ in expected] == list(terms)
-                assert _bits(c for _, c in expected) == _bits(c for c, _ in terms.values())
-                assert all(terms[v][1] == v for v in terms)
+                assert [v for v, _ in expected] == [v for v, _, _ in terms]
+                assert _bits(c for _, c in expected) == _bits(c for _, c, _ in terms)
+                assert all(mu == v for v, _, mu in terms)
 
 
 def test_parent_from_children_examples():
@@ -594,6 +707,34 @@ def test_an_identity_whose_inverse_moment_overflows_fails_at_its_vertex():
     rep = propagate_check(system, shift, 0, 1)
     assert not rep.ok and rep.max_discrepancy == math.inf
     assert rep.reason == "inverse-moment sum is not finite: intermediate overflow in fsum"
+
+
+def test_an_exact_identity_under_a_subnormal_squared_weight_holds():
+    # |w|^2 = 5e-324 and delta at 5e-324 at both vertices: w * x**-1 overflows,
+    # but |w|^2 * w * x**-1 is exactly 1, so mu_0 = |w|^2 s^-1 mu_1 holds
+    tree = make_family("unilateral", 1)
+    shift = WeightedShift(tree, {1: math.sqrt(5e-324)})
+    assert shift.modulus_sq(1) == 5e-324
+    delta = AtomicMeasure.delta(5e-324)
+    system = MeasureSystem(mu={0: delta, 1: delta}, eps={})
+    (report,) = identity_reports(system, shift)
+    assert report.ok and report.max_discrepancy == 0.0 and report.eps_computed == 0.0
+    assert propagate_check(system, shift, 0, 1) == report
+    cert = certify_subnormal(shift, system, horizon=1)
+    assert cert.status == CERTIFIED and cert.witness is None
+    assert parent_from_children(shift, 0, {1: delta}) == (delta, 0.0)
+    assert superpose([(5e-324, delta)], -1) == delta
+    # where the scaled mass itself is past the largest float, the same
+    # failed identity as before
+    unit = WeightedShift(tree, {1: 1.0})
+    (report,) = identity_reports(system, unit)
+    assert not report.ok and report.max_discrepancy == math.inf and report.eps_computed is None
+    assert report.reason == (
+        "inverse-moment sum is not finite: "
+        "moment of order -1 overflows: x**-1 at the atom x = 5e-324, w = 1.0"
+    )
+    with pytest.raises(ValueError, match=r"^moment of order -1 overflows: x\*\*-1 at the atom"):
+        parent_from_children(unit, 0, {1: delta})
 
 
 def test_build_system_from_sequences_unilateral():

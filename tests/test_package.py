@@ -148,3 +148,20 @@ def test_the_benchmark_cli_fixtures_pass_in_process(seed, tmp_path, monkeypatch,
     for fixture in workloads.cli_fixtures(seed, tmp_path):
         code = main(fixture[1])
         workloads.check_cli(fixture, code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("seed", [1, 6173])
+def test_the_benchmark_library_workloads_pass_in_process(seed, monkeypatch):
+    # the library twin of the CLI fixtures: one cycle each of verify-wide and
+    # verify-deep at their smoke sizes and of construct-from-moments, run and
+    # checked against the benchmark's oracle, so a wrong verdict fails here
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling gen
+    workloads = _bench_module("workloads")
+    program = workloads.load_program()
+    ops = [
+        *workloads.cycle_ops("verify-wide", seed, 0, smoke=True),
+        *workloads.cycle_ops("verify-deep", seed, 0, smoke=True),
+        *workloads.cycle_ops("construct-from-moments", seed, 0),
+    ]
+    for operation in ops:
+        workloads.check_op(operation, workloads.run_op(program, operation).as_dict())

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from treeshift import cli, consistency
+from treeshift import WeightedShift, cli, consistency, shift as shift_module, truncated_tree
 from treeshift.consistency import certify_subnormal, lambert_sweep, moments_match
 from treeshift.truncation import convergence_report
 from treeshift.tree import vertex_to_key
@@ -85,3 +85,48 @@ def test_the_convergence_residual_is_exactly_zero_once_the_window_holds_every_su
             report = convergence_report(system, shift, u, power, [int(top) + 1, int(top) + 5])
             assert [r.residual_sq for r in report.rows] == [0.0, 0.0]
             assert [r.truncated_norm_sq for r in report.rows] == [report.original_norm_sq] * 2
+
+
+def _within(tree, u, n) -> int:
+    """The number of vertices v with par^k(v) = u for some k <= n."""
+    count = 0
+    for v in tree.vertices:
+        for _ in range(n + 1):
+            if v == u:
+                count += 1
+                break
+            v = tree.parent.get(v)
+    return count
+
+
+def test_a_single_vertex_query_forms_only_the_rows_below_it(rng, monkeypatch):
+    # moment_values(u, n) runs the table's recursion over the n generations
+    # below u alone: at most one row per vertex within n levels below u, and
+    # u's row is the table's, bit for bit
+    formed = []
+    real = shift_module._norm_rows
+
+    def counting(order, tops, children, moduli_sq):
+        rows = real(order, tops, children, moduli_sq)
+        formed.append(len(rows))
+        return rows
+
+    depth = 10
+    parent = {v: (v - 1) // 2 for v in range(1, 2 ** (depth + 1) - 1)}
+    window = truncated_tree(range(2 ** (depth + 1) - 1), parent)
+    cases = [(WeightedShift(window, dict.fromkeys(parent, 0.9)), (0, 5, 511, 1022, 2046))]
+    cases += [(shift, shift.tree.sorted_vertices) for shift, _ in _systems(rng)]
+    for shift, vertices in cases:
+        tree = shift.tree
+        tables = {n: shift.power_norms(n) for n in range(depth + 1)}
+        monkeypatch.setattr(shift_module, "_norm_rows", counting)
+        for u in vertices:
+            for n in range(min(tree.clamp_order(u, depth), 3) + 1):
+                within = _within(tree, u, n)
+                formed.clear()
+                assert shift.moment_values(u, n) == tables[n][u]
+                assert len(formed) == 1 and formed[0] <= within
+                formed.clear()
+                assert shift.power_norm_sq(u, n) == tables[n][u][n]
+                assert len(formed) == 1 and formed[0] <= within
+        monkeypatch.undo()
