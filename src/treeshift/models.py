@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Mapping, Sequence
 
 from .consistency import (
     Certificate,
     MeasureSystem,
+    _inverse_terms,
     certify_subnormal,
     first_failing_row,
     hankel_witness,
@@ -33,12 +35,12 @@ from .moments import (
     DeterminacyDiagnostic,
     QuadratureError,
     RefutedSequenceError,
+    _exact_mass,
     as_values,
     carleman_diagnostic,
     check_stieltjes,
     measure_from_json,
     quadrature_from_moments,
-    scaled_inverse_integral,
     superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED, Record, set_field
@@ -388,18 +390,55 @@ def verify_branch_moments(data: BranchData, tol: float = 1e-9) -> dict:
     return {"ok": worst <= tol, "max_rel_err": worst, "rows": rows}
 
 
-def _inverse_sum(data: BranchData, power: int) -> float:
-    """Sum over branches of squared entry weight times inverse moment."""
-    return math.fsum(
-        scaled_inverse_integral(data.entry_mod_sq(i), data.branch_measures[i], power)
+def _entry_terms(data: BranchData, factor: float = 1.0) -> list:
+    """The terms (factor * |entry weight|^2, branch measure) of every branch
+    entered by a nonzero weight, in branch order."""
+    return [
+        (c * factor, data.branch_measures[i])
         for i in range(data.eta)
-    )
+        if (c := data.entry_mod_sq(i)) != 0.0
+    ]
+
+
+def _level_value(data: BranchData, level: int) -> float:
+    """The value of trunk level ``level``: the squared product P of the first
+    ``level`` trunk weights times the ``fsum`` of the integrals c_i * (integral
+    of s^-(level+1) dnu_i) over the entry terms, each formed by the identity's
+    reweighting step (``consistency._inverse_terms``): inf on mass at zero,
+    and exact where w * x^-(level+1) overflows but its scaled mass does not."""
+    integrals, _ = _inverse_terms([(None, c, mu) for c, mu in _entry_terms(data)], level + 1)
+    return data.trunk_product_sq(level) * math.fsum(integrals)
+
+
+def _level_measure(data: BranchData, level: int, floor: float):
+    """The measure of trunk level ``level``, the superposition of the entry
+    terms scaled by P and reweighted by s^-(level+1); its deficit 1 - mass;
+    and the deficit placed at zero: all of it above ``floor``, else none.
+    Where c * P underflows the normal range, the branch's masses c * P * w *
+    x^-(level+1) are rounded once from their exact values, so the measure
+    keeps the mass the level's value counts; mass at zero raises in
+    ``superpose``."""
+    prod, power = data.trunk_product_sq(level), -(level + 1)
+    terms, exact = [], []
+    for c, mu in _entry_terms(data):
+        if c * prod >= sys.float_info.min or mu.mass_at_zero > 0.0:
+            terms.append((c * prod, mu))
+        else:
+            exact += [(x, _exact_mass(c, w, x, power, prod)) for x, w in mu.atoms]
+    measure = superpose(terms, power)
+    if exact:
+        measure = measure.plus(AtomicMeasure(exact))
+    deficit = 1.0 - measure.total_mass
+    placed = deficit if deficit > floor else 0.0
+    if placed:
+        measure = measure.plus(AtomicMeasure.delta(0.0, placed))
+    return measure, deficit, placed
 
 
 def root_inequality(data: BranchData, tol: float = 1e-9) -> dict:
     """Rooted-branching-vertex condition: the entry-weighted inverse moment
     sum must not exceed one by more than ``tol``."""
-    s = _inverse_sum(data, 1)
+    s = _level_value(data, 0)
     return {"sum": s, "ok": s <= 1.0 + tol, "equation": "entry-inverse-sum<=1"}
 
 
@@ -409,55 +448,33 @@ def trunk_conditions(data: BranchData, tol: float = 1e-9) -> dict:
     at each interior trunk level; and (finite trunk only) the terminal level
     is at most one."""
     kappa = data.kappa
-    window = data.trunk_window
-    checks = []
-    s1 = _inverse_sum(data, 1)
-    checks.append(
-        {"level": 0, "value": s1, "target": "=1", "ok": abs(s1 - 1.0) <= tol}
-    )
-    interior_top = window - 1 if kappa == math.inf else kappa - 1
-    for level in range(1, interior_top + 1):
-        value = data.trunk_product_sq(level) * _inverse_sum(data, level + 1)
-        checks.append(
-            {
-                "level": level,
-                "value": value,
-                "target": "=1",
-                "ok": abs(value - 1.0) <= tol,
-            }
-        )
+    rows = [(level, "=1") for level in range(max(data.trunk_window, 1))]
     if kappa != math.inf:
-        value = data.trunk_product_sq(kappa) * _inverse_sum(data, kappa + 1)
-        checks.append(
-            {
-                "level": kappa,
-                "value": value,
-                "target": "<=1",
-                "ok": value <= 1.0 + tol,
-            }
-        )
+        rows.append((kappa, "<=1"))
+    checks = []
+    for level, target in rows:
+        value = _level_value(data, level)
+        ok = abs(value - 1.0) <= tol if target == "=1" else value <= 1.0 + tol
+        checks.append({"level": level, "value": value, "target": target, "ok": ok})
     ok = all(c["ok"] for c in checks)
     label = "windowed" if kappa == math.inf else "finite"
     return {"ok": ok, "checks": checks, "trunk": label}
 
 
 def construct_root_measure(data: BranchData, tol: float = 1e-9):
-    """Root measure implied by the finite-trunk conditions: the deepest
-    inverse reweighting of the branch measures, trunk-product scaled, with
-    the deficit mass at zero.  Returns (measure, deficit) or (None, reason)
-    when branch mass at zero makes the reweighting infinite."""
+    """Root measure implied by the finite-trunk conditions: the measure of
+    trunk level kappa, with its deficit 1 - mass at zero when it exceeds
+    ``tol``, which is the root measure of :func:`branching_tree_system`.
+    Returns (measure, deficit), or (None, reason) when branch mass at zero
+    or a trunk product past the largest float makes it infinite."""
     kappa = data.kappa
     if kappa == math.inf or kappa < 1:
         raise ValueError("root measure construction needs a finite trunk >= 1")
-    prod = data.trunk_product_sq(kappa)
-    total = prod * _inverse_sum(data, kappa + 1)
-    if math.isinf(total):
+    if any(mu.mass_at_zero > 0.0 for _, mu in _entry_terms(data)):
         return None, "branch measure carries mass at zero"
-    deficit = 1.0 - total
-    nu = superpose(
-        _entry_terms(data, prod), -(kappa + 1), deficit if deficit > tol else 0.0
-    )
-    return nu, deficit
+    if not data.trunk_product_sq(kappa) < math.inf:
+        return None, "trunk product is not finite"
+    return _level_measure(data, kappa, tol)[:2]
 
 
 def root_measure_conditions(data: BranchData, nu: AtomicMeasure, tol: float = 1e-9) -> dict:
@@ -468,18 +485,13 @@ def root_measure_conditions(data: BranchData, nu: AtomicMeasure, tol: float = 1e
     kappa = data.kappa
     if kappa == math.inf:
         raise ValueError("root-measure form needs a finite trunk")
-    checks = []
-    checks.append(
-        {
-            "item": "nu-probability",
-            "value": nu.total_mass,
-            "ok": abs(nu.total_mass - 1.0) <= tol,
-        }
-    )
+    mass = nu.total_mass
+    checks = [{"item": "nu-probability", "value": mass, "ok": abs(mass - 1.0) <= tol}]
+    row = nu.moments(kappa)
     for n in range(1, kappa + 1):
         # the first n trunk weights below the root
         target = data.trunk_suffix_sq(kappa - n)
-        value = nu.moment(n)
+        value = row[n]
         checks.append(
             {
                 "item": f"nu-moment-{n}",
@@ -533,10 +545,11 @@ def root_measure_equivalence_check(data: BranchData, tol: float = 1e-9) -> dict:
         via_measure = root_measure_conditions(data, nu, tol=tol)
     recovered = []
     if nu is not None:
+        row = nu.moments(kappa)
         for level in range(0, kappa):
             # moments of nu recover the interior equalities level by level
             denom_sq = data.trunk_suffix_sq(level)
-            value = nu.moment(kappa - level) / denom_sq if denom_sq > 0 else math.inf
+            value = row[kappa - level] / denom_sq if denom_sq > 0 else math.inf
             recovered.append({"level": level, "value": value})
     return {
         "trunk_form": direct,
@@ -546,6 +559,15 @@ def root_measure_equivalence_check(data: BranchData, tol: float = 1e-9) -> dict:
         "recovered_from_nu": recovered,
         "agree": direct["ok"] == via_measure["ok"],
     }
+
+
+def _normalized(measure: AtomicMeasure) -> AtomicMeasure:
+    """``measure`` scaled by the reciprocal of its mass, or, where that
+    reciprocal overflows, with each mass divided by the total."""
+    total = measure.total_mass
+    if 1.0 / total < math.inf:
+        return measure.scaled(1.0 / total)
+    return AtomicMeasure(tuple((x, w / total) for x, w in measure.atoms))
 
 
 def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
@@ -590,42 +612,17 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
         for j in range(1, depth + 1):
             if j > 1:
                 base = base.times_power(1)
-            mu[(i, j)] = base.scaled(1.0 / base.total_mass)
+            mu[(i, j)] = _normalized(base)
     eps = {v: 0.0 for v in mu}
-    branching, eps0 = _branching_vertex_measure(data)
-    mu[0] = branching
-    eps[0] = eps0 if kappa == 0 else 0.0
-    for ell in range(1, trunk_len + 1):
-        acc = superpose(_entry_terms(data, data.trunk_product_sq(ell)), -(ell + 1))
-        deficit = 1.0 - acc.total_mass
-        if ell == kappa and deficit > tol:
-            acc = acc.plus(AtomicMeasure.delta(0.0, deficit))
-            eps[-ell] = deficit
-        else:
-            eps[-ell] = 0.0
-        mu[-ell] = acc
+    for level in range(trunk_len + 1):
+        # the deficit stays at the root only: any positive one at a rooted
+        # branching vertex, one above tol at the root of a finite trunk
+        floor = math.inf if level != kappa else 0.0 if kappa == 0 else tol
+        mu[-level], _, eps[-level] = _level_measure(data, level, floor)
     if kappa != math.inf and kappa >= 1 and data.nu is not None:
         mu[-kappa] = data.nu
         eps[-kappa] = data.nu.mass_at_zero
     return MeasureSystem(mu=mu, eps=eps), shift
-
-
-def _entry_terms(data: BranchData, factor: float = 1.0) -> list:
-    """The terms (factor * |entry weight|^2, branch measure) of every branch
-    entered by a nonzero weight, in branch order."""
-    return [
-        (c * factor, data.branch_measures[i])
-        for i in range(data.eta)
-        if (c := data.entry_mod_sq(i)) != 0.0
-    ]
-
-
-def _branching_vertex_measure(data: BranchData):
-    acc = superpose(_entry_terms(data), -1)
-    deficit = 1.0 - acc.total_mass
-    if data.kappa == 0 and deficit > 0.0:
-        acc = acc.plus(AtomicMeasure.delta(0.0, deficit))
-    return acc, max(0.0, deficit)
 
 
 def certify_t_eta_kappa(

@@ -257,15 +257,15 @@ def _canonical(pairs: list) -> tuple:
     return tuple(merged)
 
 
-def _exact_mass(c: float, w: float, x: float, power: int) -> float:
-    """c * w * x**power rounded once from its exact value (c * inf for a c
-    that is inf or NaN), so it is inf only past the largest float."""
+def _exact_mass(c: float, w: float, x: float, power: int, scale: float = 1.0) -> float:
+    """c * w * x**power * scale rounded once from its exact value (c * inf for
+    a c that is inf or NaN), so it is inf only past the largest float."""
     if not c < math.inf:
         return c * math.inf
     from fractions import Fraction
 
     try:
-        return float(Fraction(c) * Fraction(w) * Fraction(x) ** power)
+        return float(Fraction(c) * Fraction(w) * Fraction(x) ** power * Fraction(scale))
     except OverflowError:
         return math.inf
 

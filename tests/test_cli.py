@@ -1053,6 +1053,45 @@ def test_an_exact_identity_under_a_subnormal_squared_weight_holds(tmp_path, caps
     assert first["vertex"] == "0" and first["ok"] and first["max_discrepancy"] == 0.0
 
 
+def test_subnormal_entry_weights_whose_sum_is_one_certify(tmp_path, capsys):
+    # |entry weight|^2 = 5e-324 over delta at 1e-323 on both branches: x**-1
+    # overflows, but each scaled mass is exactly 1/2 and the sum is 1
+    delta = {"atoms": [{"x": 1e-323, "w": 1.0}]}
+    doc = {
+        "eta": 2,
+        "kappa": 0,
+        "entry_weights": [math.sqrt(5e-324)] * 2,
+        "branch_measures": [delta, delta],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    argv = ["certify", "--family", "t-eta-kappa", "--horizon", "2", "--input", path]
+    code, out = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "certified-up-to-horizon"
+    assert report["detail"]["condition"]["sum"] == 1.0
+
+
+def test_a_branch_whose_scaled_entry_weight_underflows_certifies(tmp_path, capsys):
+    # |entry weight|^2 * P_1 = 1e-300 * 5e-101 underflows, yet that branch
+    # carries half of level 1, which reads 1/2
+    doc = {
+        "eta": 2,
+        "kappa": 1,
+        "entry_weights": [1e-150, 1.0],
+        "trunk_weights": [math.sqrt(5e-101)],
+        "branch_measures": [
+            {"atoms": [{"x": 1e-200, "w": 1.0}]},
+            {"atoms": [{"x": 1.0, "w": 1.0}]},
+        ],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    argv = ["certify", "--family", "t-eta-kappa", "--horizon", "2", "--input", path]
+    code, out = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["status"] == "certified-up-to-horizon"
+    assert [c["value"] for c in report["detail"]["condition"]["checks"]] == [1.0, 0.5]
+
+
 def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
     # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
     # polish stops at the infinity and the measure refuses the atom

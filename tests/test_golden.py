@@ -197,8 +197,8 @@ GOLDEN = {
     "teta-kappa2": "ef6292e0ad7c36d255af832d828c6d63aeec898474fb1acb12e27e8da3c8a5ff",
     "teta-kappa2-refuted": "f8bce6eca5a7c512d5414446973f86b50f425c58c8022727f25f04324004626a",
     "teta-kappa-inf": "81ed31dfdf47d45cd435df9e93bf99ef6328c65aa06189f9ac1ea51d67a9d483",
-    "teta-kappa2-nu": "53896d6bb2bbec8be61a085aaa16c0ee2aa1181c21eb76a9e0ec6af60d120a31",
-    "equivalence-kappa3": "723aa6885553d9328206673ac00d764bac4cec62936bdc920b413b4571439785",
+    "teta-kappa2-nu": "531b68c915a4266c99af1ca03d6a66dee04098389f404ef778f8f3eaacebd57e",
+    "equivalence-kappa3": "4d83d0881dda73f324d7ee30986f9ca8a332a495de8e2b10dff97c5428f517f9",
     "power-path-128": "c9338294ebcf98459b9ea018774d7eb976cef1066c80e4672e0575a71c03ae34",
     "teta-eta3-depth48": "55fa7e0920703887faaab8da4891f666eb753884880e28fb75143144cb04a556",
     "bilateral": "058fd67650054f8ef75c4b4a96e16797940ab61dbfb29f3d69dfa37a45a099ef",
@@ -286,3 +286,14 @@ def test_truncate_report_digest(tmp_path, capsys):
     }
     digest = _cli_digest(tmp_path, capsys, ["truncate", "--window", "6"], docs)
     assert digest == GOLDEN["cli-truncate-path"]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py NAME prints the canonical JSON
+    # of the named library case, so a moved digest can be reviewed line by line
+    import sys
+
+    names = sorted(_library_reports())
+    if len(sys.argv) != 2 or sys.argv[1] not in names:
+        sys.exit(f"usage: {sys.argv[0]} NAME, one of: {', '.join(names)}")
+    print(canonical_json(_library_reports()[sys.argv[1]]))

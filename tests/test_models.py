@@ -28,7 +28,14 @@ from treeshift import (
     two_sided_from_weights,
 )
 from treeshift.consistency import hankel_witness
-from treeshift.models import trunk_conditions, verify_branch_moments
+from treeshift.models import (
+    branching_tree_system,
+    construct_root_measure,
+    root_inequality,
+    trunk_conditions,
+    verify_branch_moments,
+)
+from treeshift.moments import scaled_inverse_integral, superpose
 
 from conftest import NEGATIVE_NODE_BRANCH, stratified_atoms
 
@@ -497,6 +504,191 @@ def test_certified_instances_cross_validate_at_every_vertex(rng):
     assert inner.status == CERTIFIED
     assert all(r.ok for r in inner.consistency)
     assert all(r.ok for r in inner.moments)
+
+
+def _level_rule_data(rng, eta, kappa, zero_entry=False, mass_at_zero=False, budget=None):
+    """Branch data with complex entry and trunk weights, solved so that the
+    trunk equalities hold up to rounding and the root level sits at
+    ``budget`` (random in [0.6, 1.05] when None); optionally one entry weight
+    is zero or one branch measure carries mass at zero (which leaves every
+    level inf)."""
+    measures = [stratified_atoms(rng, int(rng.integers(1, 4)), lo=0.3, hi=5.0) for _ in range(eta)]
+    measures = [m.scaled(1.0 / m.total_mass) for m in measures]
+    if budget is None:
+        budget = rng.uniform(0.6, 1.05)
+    shares = rng.dirichlet(np.ones(eta)) * (budget if kappa == 0 else 1.0)
+    if zero_entry:
+        shares[0] = 0.0
+    entry = [
+        math.sqrt(share / m.moment(-1)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        for share, m in zip(shares, measures)
+    ]
+    if mass_at_zero:
+        measures[-1] = measures[-1].scaled(0.7).plus(AtomicMeasure.delta(0.0, 0.3))
+    levels = 4 if kappa == "inf" else kappa
+    trunk = []
+    prod = 1.0
+    for level in range(1, levels + 1):
+        inv_sum = math.fsum(
+            abs(e) ** 2 * m.moment(-(level + 1)) for e, m in zip(entry, measures) if e
+        )
+        target = budget if level == kappa else 1.0
+        w_sq = target / (inv_sum * prod) if 0.0 < inv_sum < math.inf else 1.0
+        trunk.append(math.sqrt(w_sq) * cmath.exp(-1j * rng.uniform(0.0, 2.0 * math.pi)))
+        prod *= w_sq
+    return BranchData(
+        eta=eta,
+        kappa=kappa,
+        branch_measures=tuple(measures),
+        entry_weights=tuple(entry),
+        trunk_weights=tuple(trunk),
+    )
+
+
+def _reference_level_value(data, level):
+    """Trunk level ``level`` formulated from the public primitives: the trunk
+    product times the ``fsum`` of ``scaled_inverse_integral`` over the
+    branches; level 0 is the unscaled sum."""
+    total = math.fsum(
+        scaled_inverse_integral(data.entry_mod_sq(i), m, level + 1)
+        for i, m in enumerate(data.branch_measures)
+    )
+    return total if level == 0 else data.trunk_product_sq(level) * total
+
+
+def _reference_trunk_conditions(data, tol=1e-9):
+    """The trunk conditions as three blocks: level 0 equals one, each interior
+    level equals one, and (finite trunk only) level kappa is at most one."""
+    kappa = data.kappa
+    top = data.trunk_window - 1 if kappa == math.inf else kappa - 1
+    checks = []
+    for level in range(0, max(top, 0) + 1):
+        value = _reference_level_value(data, level)
+        checks.append({"level": level, "value": value, "target": "=1", "ok": abs(value - 1.0) <= tol})
+    if kappa != math.inf:
+        value = _reference_level_value(data, kappa)
+        checks.append({"level": kappa, "value": value, "target": "<=1", "ok": value <= 1.0 + tol})
+    label = "windowed" if kappa == math.inf else "finite"
+    return {"ok": all(c["ok"] for c in checks), "checks": checks, "trunk": label}
+
+
+def _reference_level_measures(data, tol=1e-9):
+    """The branching vertex and trunk measures and deficits, each level the
+    superposition of its entry terms: a rooted branching vertex keeps any
+    positive deficit at zero, the root of a finite trunk one above ``tol``,
+    and every other level none."""
+    kappa = data.kappa
+    mu, eps = {}, {}
+    for level in range(data.trunk_window + 1):
+        prod = data.trunk_product_sq(level)
+        terms = [
+            (c * prod, m) for i, m in enumerate(data.branch_measures) if (c := data.entry_mod_sq(i))
+        ]
+        acc = superpose(terms, -(level + 1))
+        deficit = 1.0 - acc.total_mass
+        kept = level == kappa and deficit > (0.0 if kappa == 0 else tol)
+        mu[-level] = acc.plus(AtomicMeasure.delta(0.0, deficit)) if kept else acc
+        eps[-level] = deficit if kept else 0.0
+    return mu, eps
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3, "inf"])
+def test_the_level_rule_equals_its_formulation_bit_for_bit(rng, kappa):
+    # every trunk level's value and measure, as root_inequality,
+    # trunk_conditions and branching_tree_system report them, has the bits of
+    # the same level formulated from the public primitives; one input in ten
+    # leaves a root deficit of about 1e-12, below tol
+    for k in range(40):
+        data = _level_rule_data(
+            rng, eta=2 + k % 2, kappa=kappa, zero_entry=k % 10 == 3, mass_at_zero=k % 10 == 7,
+            budget=1.0 - 1e-12 if k % 10 == 5 else None,
+        )
+        expected = _reference_level_value(data, 0)
+        assert repr(root_inequality(data)) == repr(
+            {"sum": expected, "ok": expected <= 1.0 + 1e-9, "equation": "entry-inverse-sum<=1"}
+        )
+        assert repr(trunk_conditions(data)) == repr(_reference_trunk_conditions(data))
+        depth = 4
+        if k % 10 == 7:  # mass at zero: every level reads inf, and the verdict refutes
+            assert all(c["value"] == math.inf for c in trunk_conditions(data)["checks"])
+            assert certify_t_eta_kappa(data, depth=depth).status == REFUTED
+            with pytest.raises(ValueError, match="positive mass at zero"):
+                branching_tree_system(data, depth)
+            continue
+        system, _ = branching_tree_system(data, depth)
+        mu, eps = _reference_level_measures(data)
+        for v in mu:
+            assert repr(system.mu[v]) == repr(mu[v])
+            assert repr(system.eps[v]) == repr(eps[v])
+
+
+def test_the_root_measure_is_the_systems_root_measure(rng):
+    # construct_root_measure returns the measure the certificate system puts
+    # at the root of a finite trunk, deficit at zero included, to the bit
+    for k in range(400):
+        kappa = 1 + k % 3
+        data = random_branch_data(rng, eta=2 + k % 2, kappa=kappa, passing=k % 4 != 0)
+        nu, deficit = construct_root_measure(data)
+        system, _ = branching_tree_system(data, 3)
+        assert nu.atoms == system.mu[-kappa].atoms
+        assert system.eps[-kappa] == (deficit if deficit > 1e-9 else 0.0)
+
+
+def _subnormal_entry_data():
+    """Two branches entered by weight sqrt(5e-324), each carrying delta at
+    1e-323: every x**-1 overflows, yet each scaled mass is exactly 1/2."""
+    delta = AtomicMeasure.delta(1e-323)
+    return BranchData(
+        eta=2, kappa=0, branch_measures=(delta, delta), entry_weights=(math.sqrt(5e-324),) * 2
+    )
+
+
+def test_subnormal_entry_weights_whose_sum_is_one_certify():
+    data = _subnormal_entry_data()
+    assert data.entry_mod_sq(0) == 5e-324
+    assert root_inequality(data)["sum"] == 1.0
+    cert = certify_t_eta_kappa(data, depth=2)
+    assert cert.status == CERTIFIED and cert.witness is None
+    # the branch measure s * delta has mass 1e-323, whose reciprocal overflows
+    system, _ = branching_tree_system(data, 2)
+    assert system.mu[(1, 2)] == AtomicMeasure.delta(1e-323)
+
+
+def _underflowing_product_data():
+    """A finite trunk of one weight sqrt(5e-101) over entry weights (1e-150, 1)
+    and delta at 1e-200 and at 1: level 0 reads 1 and level 1 reads 1/2, but
+    |lambda_1|^2 * P_1 = 5e-401 underflows to zero."""
+    return BranchData(
+        eta=2,
+        kappa=1,
+        branch_measures=(AtomicMeasure.delta(1e-200), AtomicMeasure.delta(1.0)),
+        entry_weights=(1e-150, 1.0),
+        trunk_weights=(math.sqrt(5e-101),),
+    )
+
+
+def test_a_branch_whose_scaled_entry_weight_underflows_keeps_its_level_mass():
+    data = _underflowing_product_data()
+    assert data.entry_mod_sq(0) * data.trunk_product_sq(1) == 0.0
+    assert [c["value"] for c in trunk_conditions(data)["checks"]] == [1.0, 0.5]
+    # the level-1 measure carries the 1/2 the value counts, so the root's
+    # deficit is 1/2 and the identity at the root holds
+    system, _ = branching_tree_system(data, 2)
+    assert system.mu[-1].total_mass == 1.0 and system.eps[-1] == 0.5
+    nu, deficit = construct_root_measure(data)
+    assert nu == system.mu[-1] and deficit == 0.5
+    cert = certify_t_eta_kappa(data, depth=2)
+    assert cert.status == CERTIFIED and cert.witness is None
+
+
+def test_the_root_measure_names_why_it_is_infinite():
+    one = AtomicMeasure.delta(1.0)
+    entry = (math.sqrt(0.5),) * 2
+    huge = BranchData(eta=2, kappa=1, branch_measures=(one, one), entry_weights=entry, trunk_weights=(1e200,))
+    assert construct_root_measure(huge) == (None, "trunk product is not finite")
+    at_zero = one.scaled(0.5).plus(AtomicMeasure.delta(0.0, 0.5))
+    data = BranchData(eta=2, kappa=1, branch_measures=(one, at_zero), entry_weights=entry, trunk_weights=(1.0,))
+    assert construct_root_measure(data) == (None, "branch measure carries mass at zero")
 
 
 def test_branch_json_roundtrip_and_quadrature_route():
