@@ -26,7 +26,6 @@ from .moments import (
     check_stieltjes,
     measure_from_json,
     quadrature_from_moments,
-    superpose,
 )
 from .report import CERTIFIED, CONDITIONAL, REFUTED, Record, set_field
 from .shift import _mod_sq
@@ -467,7 +466,7 @@ def child_from_parent_single(shift, u0, mu_parent: AtomicMeasure) -> AtomicMeasu
     c = shift.modulus_sq(u1)
     if c == 0.0:
         raise ValueError(f"the weight into {u1!r} vanishes")
-    return superpose(((1.0 / c, mu_parent),), 1)
+    return mu_parent.times_power(1).divided(c)
 
 
 def build_system_from_sequences(

@@ -260,7 +260,7 @@ class BranchData(Record):
 
     __slots__ = (
         "eta", "kappa", "branch_measures", "entry_weights", "branch_weights", "trunk_weights",
-        "nu",
+        "nu", "_trunk_products",
     )
 
     def __init__(
@@ -288,6 +288,7 @@ class BranchData(Record):
         set_field(self, "entry_weights", tuple(map(complex, entry_weights)))
         set_field(self, "branch_weights", tuple(tuple(map(complex, ws)) for ws in branch_weights))
         set_field(self, "trunk_weights", tuple(map(complex, trunk_weights)))
+        set_field(self, "_trunk_products", product_moments(self.trunk_weights))
         if kappa != math.inf and len(self.trunk_weights) != kappa:
             raise ValueError(f"finite trunk of length {kappa} needs exactly {kappa} trunk weights")
         set_field(self, "eta", eta)
@@ -308,8 +309,9 @@ class BranchData(Record):
 
     def trunk_product_sq(self, length: int) -> float:
         """Squared modulus of the product of the first ``length`` trunk
-        weights (those of vertices 0, -1, ..., -(length-1))."""
-        return product_moments(self.trunk_weights[:length])[-1]
+        weights (those of vertices 0, -1, ..., -(length-1)): entry ``length``
+        of the running products of all of them, the same left fold."""
+        return self._trunk_products[length]
 
     def trunk_suffix_sq(self, start: int) -> float:
         """Squared modulus of the product of the trunk weights from index
@@ -400,14 +402,17 @@ def _entry_terms(data: BranchData, factor: float = 1.0) -> list:
     ]
 
 
-def _level_value(data: BranchData, level: int) -> float:
-    """The value of trunk level ``level``: the squared product P of the first
+def _trunk_row(data: BranchData, level: int, target: str, tol: float) -> dict:
+    """Trunk level ``level`` read against ``target``: "=1" within ``tol``, or
+    "<=1" up to ``tol``.  Its value is the squared product P of the first
     ``level`` trunk weights times the ``fsum`` of the integrals c_i * (integral
     of s^-(level+1) dnu_i) over the entry terms, each formed by the identity's
     reweighting step (``consistency._inverse_terms``): inf on mass at zero,
     and exact where w * x^-(level+1) overflows but its scaled mass does not."""
     integrals, _ = _inverse_terms([(None, c, mu) for c, mu in _entry_terms(data)], level + 1)
-    return data.trunk_product_sq(level) * math.fsum(integrals)
+    value = data.trunk_product_sq(level) * math.fsum(integrals)
+    ok = abs(value - 1.0) <= tol if target == "=1" else value <= 1.0 + tol
+    return {"level": level, "value": value, "target": target, "ok": ok}
 
 
 def _level_measure(data: BranchData, level: int, floor: float):
@@ -437,25 +442,22 @@ def _level_measure(data: BranchData, level: int, floor: float):
 
 def root_inequality(data: BranchData, tol: float = 1e-9) -> dict:
     """Rooted-branching-vertex condition: the entry-weighted inverse moment
-    sum must not exceed one by more than ``tol``."""
-    s = _level_value(data, 0)
-    return {"sum": s, "ok": s <= 1.0 + tol, "equation": "entry-inverse-sum<=1"}
+    sum must not exceed one by more than ``tol`` (the level-0 "<=1" row)."""
+    row = _trunk_row(data, 0, "<=1", tol)
+    return {"sum": row["value"], "ok": row["ok"], "equation": "entry-inverse-sum<=1"}
 
 
 def trunk_conditions(data: BranchData, tol: float = 1e-9) -> dict:
-    """Finite/windowed-trunk conditions: the entry-weighted inverse moment
-    sum equals one; the trunk-product-scaled deeper inverse sums equal one
-    at each interior trunk level; and (finite trunk only) the terminal level
-    is at most one."""
+    """The paper's trunk rows: level ell equals one at each interior level
+    (each level of the window for an infinite trunk), and, for a finite
+    trunk, the terminal level kappa is at most one, so a rooted branching
+    vertex (kappa = 0) has the one row of :func:`root_inequality`."""
     kappa = data.kappa
-    rows = [(level, "=1") for level in range(max(data.trunk_window, 1))]
-    if kappa != math.inf:
-        rows.append((kappa, "<=1"))
-    checks = []
-    for level, target in rows:
-        value = _level_value(data, level)
-        ok = abs(value - 1.0) <= tol if target == "=1" else value <= 1.0 + tol
-        checks.append({"level": level, "value": value, "target": target, "ok": ok})
+    if kappa == math.inf:
+        rows = [(level, "=1") for level in range(max(data.trunk_window, 1))]
+    else:
+        rows = [(level, "=1") for level in range(kappa)] + [(kappa, "<=1")]
+    checks = [_trunk_row(data, level, target, tol) for level, target in rows]
     ok = all(c["ok"] for c in checks)
     label = "windowed" if kappa == math.inf else "finite"
     return {"ok": ok, "checks": checks, "trunk": label}
@@ -561,15 +563,6 @@ def root_measure_equivalence_check(data: BranchData, tol: float = 1e-9) -> dict:
     }
 
 
-def _normalized(measure: AtomicMeasure) -> AtomicMeasure:
-    """``measure`` scaled by the reciprocal of its mass, or, where that
-    reciprocal overflows, with each mass divided by the total."""
-    total = measure.total_mass
-    if 1.0 / total < math.inf:
-        return measure.scaled(1.0 / total)
-    return AtomicMeasure(tuple((x, w / total) for x, w in measure.atoms))
-
-
 def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
     """Materialize the certificate system on the branching tree window.
 
@@ -603,8 +596,7 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
         weights[(i, 1)] = data.entry_weights[i - 1]
         for j in range(2, depth + 1):
             weights[(i, j)] = branch_weights[i - 1][j - 2]
-    trunk_len = depth if kappa == math.inf else kappa
-    for ell in range(trunk_len):
+    for ell in range(window):
         weights[-ell] = data.trunk_weights[ell]
     shift = WeightedShift(tree, weights)
     mu = {}  # branch i: its measure reweighted by s^(j-1) and normalized at (i, j)
@@ -612,9 +604,9 @@ def branching_tree_system(data: BranchData, depth: int, tol: float = 1e-9):
         for j in range(1, depth + 1):
             if j > 1:
                 base = base.times_power(1)
-            mu[(i, j)] = _normalized(base)
+            mu[(i, j)] = base.divided(base.total_mass)
     eps = {v: 0.0 for v in mu}
-    for level in range(trunk_len + 1):
+    for level in range(window + 1):
         # the deficit stays at the root only: any positive one at a rooted
         # branching vertex, one above tol at the root of a finite trunk
         floor = math.inf if level != kappa else 0.0 if kappa == 0 else tol

@@ -152,6 +152,14 @@ class AtomicMeasure(Record):
     def scaled(self, factor: float) -> "AtomicMeasure":
         return superpose(((factor, self),), 0)
 
+    def divided(self, d: float) -> "AtomicMeasure":
+        """This measure divided by d > 0: scaled by 1/d, bit for bit, where
+        1/d is finite, and with each mass divided by d where it overflows (a
+        mass past the largest float raises as in :func:`superpose`)."""
+        if (factor := 1.0 / d) < math.inf:
+            return self.scaled(factor)
+        return AtomicMeasure._of_canonical(_merged([[(x, w / d) for x, w in self.atoms]], 0.0))
+
     def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
         return AtomicMeasure._of_canonical(_canonical([*self.atoms, *other.atoms]))
 

@@ -104,7 +104,7 @@ def truncate(system: MeasureSystem, shift: WeightedShift, i: int) -> TruncationE
     new_eps = {}
     for v in tree.sorted_vertices:
         if mass[v] > 0.0:
-            new_mu[v] = system.measure(v).restricted(i).scaled(1.0 / mass[v])
+            new_mu[v] = system.measure(v).restricted(i).divided(mass[v])
             new_eps[v] = system.eps_at(v) / mass[v]
         else:
             new_mu[v] = AtomicMeasure.delta(0.0)

@@ -205,6 +205,20 @@ def random_complex_weights(rng, tree, lo=0.3, hi=1.5):
     return WeightedShift(tree, out)
 
 
+def exact_half_line_sequences(family, depth, count):
+    """Weights of a classical half-line window of ``depth`` edges and the
+    exact power norms t_v(0..count-1) of each vertex v: the Bergman shift,
+    weights sqrt(k / (k + 1)) and t_v(n) = (v + 1) / (v + n + 1), or the
+    weights sqrt(k), with t_v(n) = (v + n)! / v!."""
+    vertices = range(depth + 1)
+    if family == "bergman":
+        weights = [math.sqrt(k / (k + 1)) for k in range(1, depth + 1)]
+        return weights, {v: tuple((v + 1) / (v + n + 1) for n in range(count)) for v in vertices}
+    weights = [math.sqrt(k) for k in range(1, depth + 1)]
+    f = math.factorial
+    return weights, {v: tuple(f(v + n) / f(v) for n in range(count)) for v in vertices}
+
+
 def inner_product_brute(shift, u, m: int, v, n: int) -> complex:
     """Oracle for ``inner_product_powers``: the inner product of the m-th
     power at u with the n-th power at v, from both coefficient maps."""

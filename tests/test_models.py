@@ -557,12 +557,13 @@ def _reference_level_value(data, level):
 
 
 def _reference_trunk_conditions(data, tol=1e-9):
-    """The trunk conditions as three blocks: level 0 equals one, each interior
-    level equals one, and (finite trunk only) level kappa is at most one."""
+    """The trunk conditions as two blocks: each interior level (each level of
+    the window, at least level 0, for an infinite trunk) equals one, and
+    (finite trunk only) level kappa is at most one."""
     kappa = data.kappa
-    top = data.trunk_window - 1 if kappa == math.inf else kappa - 1
+    top = max(data.trunk_window, 1) if kappa == math.inf else kappa
     checks = []
-    for level in range(0, max(top, 0) + 1):
+    for level in range(top):
         value = _reference_level_value(data, level)
         checks.append({"level": level, "value": value, "target": "=1", "ok": abs(value - 1.0) <= tol})
     if kappa != math.inf:
@@ -689,6 +690,69 @@ def test_the_root_measure_names_why_it_is_infinite():
     at_zero = one.scaled(0.5).plus(AtomicMeasure.delta(0.0, 0.5))
     data = BranchData(eta=2, kappa=1, branch_measures=(one, at_zero), entry_weights=entry, trunk_weights=(1.0,))
     assert construct_root_measure(data) == (None, "branch measure carries mass at zero")
+
+
+def test_a_rooted_branching_vertex_has_one_trunk_row_the_root_inequality(rng):
+    # at kappa = 0 the paper's conditions are the one terminal row, the sum
+    # of |lambda_i|^2 * (integral of s^-1 dnu_i) at most one, which
+    # root_inequality reads; an entry sum of 0.75 passes both
+    one = AtomicMeasure.delta(1.0)
+    slack = BranchData(
+        eta=2, kappa=0, branch_measures=(one, one), entry_weights=(math.sqrt(0.375),) * 2
+    )
+    inputs = [slack] + [
+        _level_rule_data(rng, eta=2 + k % 2, kappa=0, zero_entry=k % 10 == 3) for k in range(60)
+    ]
+    verdicts = set()
+    for data in inputs:
+        rooted = root_inequality(data)
+        cond = trunk_conditions(data)
+        assert cond["ok"] == rooted["ok"]
+        assert cond["checks"] == [
+            {"level": 0, "value": rooted["sum"], "target": "<=1", "ok": rooted["ok"]}
+        ]
+        verdicts.add(rooted["ok"])
+    assert verdicts == {True, False}
+    assert root_inequality(slack)["sum"] == pytest.approx(0.75) and trunk_conditions(slack)["ok"]
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 2, 3, 4, 5, "inf"])
+def test_every_trunk_product_is_a_prefix_of_one_running_product(rng, kappa):
+    # P_ell is entry ell of the running products of all trunk weights: the
+    # same left fold as the products of the first ell weights alone
+    one = AtomicMeasure.delta(1.0)
+    length = 6 if kappa == "inf" else kappa
+    for _ in range(20):
+        trunk = tuple(
+            10 ** rng.uniform(-40, 40) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(length)
+        )
+        data = BranchData(
+            eta=2, kappa=kappa, branch_measures=(one, one), entry_weights=(1.0, 1.0),
+            trunk_weights=trunk,
+        )
+        for ell in range(length + 1):
+            assert repr(data.trunk_product_sq(ell)) == repr(product_moments(trunk[:ell])[-1])
+
+
+def test_a_root_measure_that_fails_its_form_is_refuted_at_the_root():
+    # kappa = 2 over delta at 1 and at 2: the constructed root measure
+    # certifies, and with its atoms moved out by 10% its first moment misses
+    # the trunk product below the root
+    data = BranchData(
+        eta=2, kappa=2, branch_measures=(AtomicMeasure.delta(1.0), AtomicMeasure.delta(2.0)),
+        entry_weights=(math.sqrt(0.5), 1.0), trunk_weights=(math.sqrt(4 / 3), math.sqrt(0.9)),
+    )
+    nu, _ = construct_root_measure(data)
+    assert certify_t_eta_kappa(data.replace(nu=nu)).status == CERTIFIED
+    moved = AtomicMeasure(tuple((1.1 * x, w) for x, w in nu.atoms))
+    cert = certify_t_eta_kappa(data.replace(nu=moved))
+    assert cert.status == REFUTED and cert.system_certificate is None
+    first = next(c for c in cert.detail["condition"]["checks"] if not c["ok"])
+    assert first["item"] == "nu-moment-1"
+    witness = cert.witness
+    assert witness["check"] == "root-measure-form" and witness["vertex"] == "-2"
+    assert (witness["item"], witness["value"]) == (first["item"], first["value"])
 
 
 def test_branch_json_roundtrip_and_quadrature_route():
@@ -886,6 +950,58 @@ def test_extract_finite_trunk_checks_root_measure_form():
     m1, m2 = ext.data.branch_measures
     assert m1.atoms[0][0] == pytest.approx(1.0, rel=1e-9)
     assert m2.atoms[0][0] == pytest.approx(4.0, rel=1e-9)
+
+
+def test_extract_infinite_trunk_checks_the_window():
+    # unit trunk weights over delta_1 branches entered by sqrt(0.5): every
+    # level of the window reads one
+    depth = 3
+    tree = make_family("t-eta-kappa", depth, eta=2, kappa="inf")
+    weights = {v: 1.0 for v in tree.non_root_vertices}
+    weights[(1, 1)] = weights[(2, 1)] = math.sqrt(0.5)
+    shift = WeightedShift(tree, weights)
+    table = shift.power_norms(4)
+    ext = extract_branch_data(shift, {v: table[v] for v in tree.sorted_vertices})
+    assert ext.status == CONDITIONAL
+    condition = ext.conditions["condition"]
+    assert condition["ok"] and condition["trunk"] == "windowed"
+    assert [c["level"] for c in condition["checks"]] == [0, 1, 2]
+    assert ext.notes[0] == "infinite trunk: equalities checked up to the window"
+
+
+def _subnormal_window_extraction(head_values):
+    """Extraction on a T_(2,0) window of depth 8 whose branches carry 2s ds on
+    [0, 1]: entry weights sqrt(0.2), branch weights sqrt(j / (j + 1)) at
+    (i, j), so the branch norms are 2 / (n + 2) and the rooted sum is 0.8;
+    ``head_values`` power norms at each branch head, all of them at 0."""
+    tree = make_family("t-eta-kappa", 8, eta=2, kappa=0)
+    weights = {}
+    for i in (1, 2):
+        weights[(i, 1)] = math.sqrt(0.2)
+        for j in range(2, 9):
+            weights[(i, j)] = math.sqrt(j / (j + 1))
+    shift = WeightedShift(tree, weights)
+    seqs = {head: tuple(2 / (n + 2) for n in range(head_values)) for head in ((1, 1), (2, 1))}
+    seqs[0] = shift.power_norms(8)[0]
+    return extract_branch_data(shift, seqs)
+
+
+def test_extract_a_subnormal_window_from_eight_head_values_is_conditional():
+    ext = _subnormal_window_extraction(8)
+    assert ext.status == CONDITIONAL and ext.conditions["condition"]["ok"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="branch_moment_check compares the three-atom fit of the head values with all "
+    "seven branch products, and refutes though the rooted sum holds",
+)
+@pytest.mark.parametrize("head_values", [6, 7])
+def test_extract_a_subnormal_window_from_short_head_sequences_is_not_refuted(head_values):
+    ext = _subnormal_window_extraction(head_values)
+    assert ext.conditions["condition"]["ok"]
+    assert ext.status != REFUTED, ext.conditions["branch_moment_check"]["max_rel_err"]
 
 
 def _count_hankel_tests(monkeypatch):

@@ -122,6 +122,37 @@ def test_superpose_equals_the_left_fold_exactly(terms, power, deficit):
     assert AtomicMeasure(got.atoms).atoms == got.atoms  # canonical
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=_measures,
+    d=st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(min_value=5e-324, max_value=5e-309),
+    ),
+)
+def test_divided_scales_by_the_reciprocal_or_divides_each_mass(mu, d):
+    # bit for bit the scaling by 1/d wherever 1/d is finite; where it
+    # overflows (d below about 5.6e-309), each mass divided by d, and a
+    # quotient past the largest float raises
+    if 1.0 / d < math.inf:
+        assert mu.divided(d).atoms == mu.scaled(1.0 / d).atoms
+        return
+    expected = tuple((x, w / d) for x, w in mu.atoms)
+    if all(w < math.inf for _, w in expected):
+        assert mu.divided(d).atoms == expected
+    else:
+        with pytest.raises(ValueError, match="is not finite: inf"):
+            mu.divided(d)
+
+
+def test_divided_normalizes_a_measure_whose_mass_is_subnormal():
+    tiny = AtomicMeasure(((0.5, 1e-320), (2.0, 3e-320)))
+    assert 1.0 / tiny.total_mass == math.inf
+    assert tiny.divided(tiny.total_mass).atoms == ((0.5, 0.25), (2.0, 0.75))
+    with pytest.raises(ValueError, match="superposed mass at x = 2.0 is not finite"):
+        AtomicMeasure.delta(2.0, 1.0).divided(1e-320)
+
+
 def test_superpose_refuses_inverse_powers_of_mass_at_zero():
     terms = [(1.0, AtomicMeasure.delta(1.0)), (2.0, AtomicMeasure.delta(0.0))]
     with pytest.raises(ValueError, match="positive mass at zero"):

@@ -10,6 +10,7 @@ from treeshift import (
     check_stieltjes,
     convergence_report,
     make_family,
+    parent_from_children,
     truncate,
     truncated_path_weight,
     verify_truncated_consistency,
@@ -69,6 +70,21 @@ def test_degenerate_window_branch():
     assert entry.shift.weight(1) == 0.0
     assert entry.system.mu[0].atoms == ((0.0, 1.0),)
     assert entry.system.eps_at(0) == 1.0
+    assert verify_truncated_consistency(entry).ok
+
+
+def test_truncation_survives_a_subnormal_window_mass():
+    # mu_1 = 1e-320 d_0.5 + d_3 under a unit weight: the window [0, 1] holds
+    # the mass 1e-320 at vertex 1, whose reciprocal overflows, so each mass
+    # is divided by it
+    shift = WeightedShift(make_family("unilateral", 1), {1: 1.0})
+    mu1 = AtomicMeasure(((0.5, 1e-320), (3.0, 1.0)))
+    mu0, eps0 = parent_from_children(shift, 0, {1: mu1})
+    system = MeasureSystem(mu={0: mu0, 1: mu1}, eps={0: eps0, 1: 0.0})
+    entry = truncate(system, shift, 1)
+    assert entry.window_mass[1] == 1e-320 and 1.0 / entry.window_mass[1] == math.inf
+    assert entry.system.mu[1].atoms == ((0.5, 1.0),)
+    assert entry.system.mu[0].total_mass == 1.0
     assert verify_truncated_consistency(entry).ok
 
 
