@@ -1,15 +1,14 @@
 """Closed-form certifiers for the concrete families: classical unilateral and
 bilateral shifts, and the leafless trees with a single branching vertex.
 
-The unilateral certifier reduces to one Hankel test on the running product
-sequence of squared weights, and the bilateral certifier to one on the
-deepest left-shift of a two-sided product sequence, which implies the
-others; a quadrature fit of the tested sequence is reported as evidence
-only, never as the verdict.  The branching certifier dispatches on the
-trunk length: a single inequality when the branching vertex is the root,
-trunk-product equalities plus one terminal inequality for a finite trunk,
-an equivalent root-measure formulation, and the windowed variant of the
-equalities for an infinite trunk.
+Given weights alone, only Lambert's test of the power norms of the window
+the weights define refutes: with nonzero classical weights it is one Hankel
+test at the root; quadrature fits are evidence, never the verdict.  With
+branch measures, the branching certifier dispatches on the trunk length: a
+single inequality when the branching vertex is the root, trunk-product
+equalities plus one terminal inequality for a finite trunk, an equivalent
+root-measure formulation, and the windowed variant of the equalities for an
+infinite trunk.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .tree import (
     UNILATERAL,
     int_if_integral,
     make_family,
+    truncated_tree,
     vertex_sort_key,
     vertex_to_key,
 )
@@ -92,18 +92,6 @@ class ModelCertificate(Record):
         }
 
 
-def _refuted(family: str, stieltjes: dict, detail: dict, witness: dict) -> ModelCertificate:
-    """A refuted verdict, which materializes no system."""
-    return ModelCertificate(
-        status=REFUTED,
-        family=family,
-        stieltjes=stieltjes,
-        system_certificate=None,
-        detail=detail,
-        witness=witness,
-    )
-
-
 def _fit(values, tol: float):
     """Quadrature of ``values`` (None when refuted) and the verdict it ran."""
     try:
@@ -132,6 +120,47 @@ def _evidence(values, tol: float):
     return fit.verdict, fit.measure, None
 
 
+def _swept(shift, rows: dict, tol: float) -> tuple:
+    """Lambert's test of ``shift`` (:func:`lambert_sweep`), where ``rows`` maps
+    vertices to their power norms up to a positive factor, fitted first as
+    evidence (:func:`_evidence`) for their verdicts.  Returns the verdicts, the
+    fits, and the first failed vertex (branch before trunk) with its row."""
+    evidence = {u: _evidence(values, tol) for u, values in rows.items()}
+    verdicts, _ = lambert_sweep(shift, tol, known={u: e[0] for u, e in evidence.items()})
+    order = sorted(verdicts, key=lambda u: isinstance(u, int))
+    failed = next((u for u in order if not verdicts[u].consistent), None)
+    if failed is None:
+        return verdicts, evidence, None, None
+    return verdicts, evidence, failed, list(rows.get(failed) or shift.power_norms(math.inf)[failed])
+
+
+def _classical(family: str, shift, rows: dict, detail: dict, tol: float) -> ModelCertificate:
+    """The verdict of a classical window from :func:`_swept`: ``rows`` holds the
+    root's norms, or nothing on a zero weight, where a pass stays conditional.
+    The half line names a vertex u by itself, the line by its left shift -u."""
+    verdicts, evidence, failed, row = _swept(shift, rows, tol)
+    half_line = family == UNILATERAL
+    stieltjes = {str(u if half_line else -u): v for u, v in verdicts.items()}
+    if not rows:
+        detail = {"note": "zero weight: per-vertex necessary conditions only"}
+        if failed is not None:
+            detail["sequence"] = row
+    if failed is not None:
+        where = {"vertex": str(failed)} if half_line else {"shift": -failed}
+        witness = hankel_witness(verdicts[failed], **where)
+        return ModelCertificate(REFUTED, family, stieltjes, None, detail, witness)
+    if not rows:
+        return ModelCertificate(CONDITIONAL, family, stieltjes, None, detail, None)
+    _, base, missing = next(iter(evidence.values()))
+    if base is None:
+        detail["note"] = missing
+    else:
+        detail["representing_measure"] = base.as_dict()
+        if half_line:
+            detail["eps_root"] = base.mass_at_zero
+    return ModelCertificate(CERTIFIED, family, stieltjes, None, detail, None)
+
+
 def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a unilateral classical shift from its weight list.
 
@@ -147,23 +176,10 @@ def certify_unilateral(weights: Sequence[complex], tol: float = 1e-9) -> ModelCe
     if len(weights) < 3:
         raise ValueError("need at least three weights")
     shift = WeightedShift(make_family(UNILATERAL, len(weights)), dict(enumerate(weights, 1)))
+    if 0 in weights:
+        return _classical(UNILATERAL, shift, {}, {}, tol)
     values = product_moments(weights)
-    zero = 0 in weights
-    head, base, missing = (None, None, None) if zero else _evidence(values, tol)
-    verdicts, failed = lambert_sweep(shift, tol, known={0: head})
-    stieltjes = {vertex_to_key(k): v for k, v in verdicts.items()}
-    note = "zero weight: per-vertex necessary conditions only"
-    detail = {"note": note} if zero else {"sequence": list(values)}
-    if failed is not None:
-        witness = hankel_witness(verdicts[failed], vertex=vertex_to_key(failed))
-        return _refuted(UNILATERAL, stieltjes, detail, witness)
-    if zero:
-        return ModelCertificate(CONDITIONAL, UNILATERAL, stieltjes, None, detail, None)
-    if base is None:
-        detail["note"] = missing
-    else:
-        detail.update(representing_measure=base.as_dict(), eps_root=base.mass_at_zero)
-    return ModelCertificate(CERTIFIED, UNILATERAL, stieltjes, None, detail, None)
+    return _classical(UNILATERAL, shift, {0: values}, {"sequence": list(values)}, tol)
 
 
 class TwoSidedSequence(Record):
@@ -199,17 +215,22 @@ class TwoSidedSequence(Record):
         return {"k_min": self.k_min, "t": list(self.values)}
 
 
-def two_sided_from_weights(weights: Mapping[int, complex]) -> TwoSidedSequence:
-    """Two-sided running products of squared weights: value 1 at index 0,
-    forward products above, inverse backward products below."""
+def _window_bounds(weights: Mapping) -> tuple:
+    """The first and last index, lo <= 0 < hi, of a bilateral weight window."""
     keys = sorted(int(k) for k in weights)
     if not keys:
         raise ValueError("no weights")
     if keys != list(range(keys[0], keys[-1] + 1)):
         raise ValueError("bilateral weights must cover a contiguous index window")
-    lo, hi = keys[0], keys[-1]
-    if lo > 0 or hi < 1:
+    if keys[0] > 0 or keys[-1] < 1:
         raise ValueError("the window must contain the weights into 0 and 1")
+    return keys[0], keys[-1]
+
+
+def two_sided_from_weights(weights: Mapping[int, complex]) -> TwoSidedSequence:
+    """Two-sided running products of squared weights: value 1 at index 0,
+    forward products above, inverse backward products below."""
+    lo, hi = _window_bounds(weights)
     forward = product_moments([weights[n] for n in range(1, hi + 1)])
     backward = product_moments([weights[n] for n in range(0, lo - 1, -1)])
     below = tuple(1.0 / b for b in reversed(backward[1:]))
@@ -219,32 +240,20 @@ def two_sided_from_weights(weights: Mapping[int, complex]) -> TwoSidedSequence:
 def certify_bilateral(weights: Mapping[int, complex], tol: float = 1e-9) -> ModelCertificate:
     """Certify a bilateral classical shift over a contiguous weight window.
 
-    The deepest left-shift of the two-sided product sequence (the power norms
-    of the window root) must pass the Hankel test; each shallower one is a
-    suffix, whose Hankel blocks are principal submatrices of its blocks.  A
-    pass certifies the whole window; the quadrature fit of the deepest shift
-    is reported as evidence when it reproduces every value.  Zero weights are
-    rejected (backward products need inverses).
+    The power norms of the window lo - 1 .. hi are Hankel-tested at its root
+    and past every zero weight (:func:`_classical`).  With nonzero weights the
+    root's norms are the deepest left shift of the two-sided product sequence
+    up to a factor; each shallower shift is a suffix, whose Hankel blocks are
+    principal submatrices of its blocks, so a pass certifies the whole window.
     """
     weights = {int(k): complex(w) for k, w in weights.items()}
-    zero = [k for k, w in sorted(weights.items()) if w == 0]
-    if zero:
-        raise ValueError(
-            f"bilateral certification needs nonzero weights, got zero at {zero}"
-        )
+    lo, hi = _window_bounds(weights)
+    shift = WeightedShift(make_family(BILATERAL_WINDOW, hi, back=1 - lo), weights)
+    if 0 in weights.values():
+        return _classical(BILATERAL_WINDOW, shift, {}, {}, tol)
     seq = two_sided_from_weights(weights)
-    root = seq.k_min
-    verdict, base, missing = _evidence(seq.values, tol)  # the deepest left-shift
-    verdicts = {str(-root): verdict}
     detail = {"two_sided": seq.as_dict()}
-    if not verdict.consistent:
-        witness = hankel_witness(verdict, shift=-root)
-        return _refuted(BILATERAL_WINDOW, verdicts, detail, witness)
-    if base is None:
-        detail["note"] = missing
-    else:
-        detail["representing_measure"] = base.as_dict()
-    return ModelCertificate(CERTIFIED, BILATERAL_WINDOW, verdicts, None, detail, None)
+    return _classical(BILATERAL_WINDOW, shift, {seq.k_min: seq.values}, detail, tol)
 
 
 class BranchData(Record):
@@ -625,45 +634,53 @@ def certify_t_eta_kappa(
 ) -> ModelCertificate:
     """Certify a shift on the one-branching-vertex tree from branch data.
 
-    Without branch measures, each branch's power norms are Hankel-tested at
-    its head and past every zero weight (a failure refutes), and quadrature
-    rebuilds the measures, leaving the verdict conditional as ``conditional``
-    does: one representing measure among possibly many.  A branch with no
-    representing measure (see :func:`_evidence`) makes it ``conditional``
-    with no system and a note naming the branch.  Otherwise the
-    branch-measure hypothesis is verified first (or the branch weights are
-    derived from the measures when absent).  The condition set then
-    depends on the trunk: the root inequality for a rooted branching vertex,
-    the trunk equalities (or, when a root measure is supplied, the
-    root-measure form) for a finite trunk, and the windowed equalities for
-    an infinite trunk.  On a pass the explicit certificate system is built
-    and cross-certified.
+    Without branch measures, only Lambert's test of the window the weights
+    define (trunk, branching vertex, each branch to its last weight) refutes
+    (:func:`_swept`).  The branch measures fitted to the head norms, and the
+    conditions and system judged on them (to depth at most the shortest
+    branch plus one), are evidence: the verdict is ``conditional``, with no
+    system and a note naming a failed condition or a branch with no
+    representing measure (:func:`_evidence`).  Given measures, the branch
+    hypothesis is verified first (or the weights are derived from the
+    measures), and a failed condition refutes.  The condition set depends
+    on the trunk: the root inequality for a rooted branching vertex, the
+    trunk equalities (or, when a root measure is supplied, the root-measure
+    form) for a finite trunk, and the windowed equalities for an infinite
+    trunk.  On a pass the explicit certificate system is built and
+    cross-certified.
     """
     kappa = data.kappa
-    if 0 in data.entry_weights + data.trunk_weights:
-        raise ValueError("the branching certifier requires nonzero weights")
+    fitted = data.branch_measures is None
+    stieltjes, detail = {}, {}
     if kappa == math.inf:
         depth = data.trunk_window
-    if data.branch_measures is None:
-        measures = []
+    if fitted:
+        weights, parent = {}, {}
+        for ell, w in enumerate(data.trunk_weights):
+            weights[-ell], parent[-ell] = w, -ell - 1
         for i, ws in enumerate(data.branch_weights, start=1):
-            # branch i as a path shift: its vertex k is the tree's (i, k + 1)
-            path = WeightedShift(make_family(UNILATERAL, len(ws)), dict(enumerate(ws, 1)))
-            head, base, missing = _evidence(product_moments(ws), tol)
-            verdicts, failed = lambert_sweep(path, tol, known={0: head})
-            if failed is not None:
-                key = vertex_to_key((i, failed + 1))
-                detail = {"sequence": list(product_moments(ws[failed:]))}
-                witness = hankel_witness(verdicts[failed], vertex=key)
-                return _refuted(T_ETA_KAPPA, {key: verdicts[failed]}, detail, witness)
+            for j, w in enumerate((data.entry_weights[i - 1], *ws), start=1):
+                weights[(i, j)], parent[(i, j)] = w, (i, j - 1) if j > 1 else 0
+        window = WeightedShift(truncated_tree({*parent, *parent.values()}, parent), weights)
+        heads = {(i, 1): product_moments(ws) for i, ws in enumerate(data.branch_weights, start=1)}
+        verdicts, evidence, failed, row = _swept(window, heads, tol)
+        if failed is not None:
+            key, verdict = vertex_to_key(failed), verdicts[failed]
+            witness, detail = hankel_witness(verdict, vertex=key), {"sequence": row}
+            return ModelCertificate(REFUTED, T_ETA_KAPPA, {key: verdict}, None, detail, witness)
+        stieltjes = {vertex_to_key(u): v for u, v in verdicts.items()}
+        for (i, _), (_, base, missing) in evidence.items():
             if base is None:
-                stieltjes = {vertex_to_key((i, k + 1)): v for k, v in verdicts.items()}
                 detail = {"note": f"branch {i}: {missing}"}
                 return ModelCertificate(CONDITIONAL, T_ETA_KAPPA, stieltjes, None, detail, None)
-            measures.append(base)
-        data = data.replace(branch_measures=tuple(measures))
+        data = data.replace(branch_measures=tuple(e[1] for e in evidence.values()))
         conditional = True
-    detail: dict = {}
+        shortest = min(map(len, data.branch_weights))
+        if kappa != math.inf and depth > shortest + 1:
+            depth = shortest + 1
+            detail["window_note"] = f"system checked to depth {depth}, the shortest branch plus one"
+    elif 0 in data.entry_weights + data.trunk_weights:
+        raise ValueError("the branching certifier requires nonzero weights")
     if data.branch_weights:
         hypothesis = verify_branch_moments(data, tol=tol)
         detail["branch_moment_check"] = hypothesis
@@ -682,40 +699,35 @@ def certify_t_eta_kappa(
     if not cond["ok"]:
         bad = next((c for c in cond.get("checks", ()) if not c["ok"]), {})
         if kappa == 0:
-            witness = {
-                "check": "entry-inverse-sum",
-                "vertex": "0",
-                "value": cond["sum"],
-                "reason": f"entry-weighted inverse moment sum {cond['sum']} > 1",
-            }
+            value = cond["sum"]
+            witness = {"check": "entry-inverse-sum", "vertex": "0", "value": value,
+                       "reason": f"entry-weighted inverse moment sum {value} > 1"}
         elif "item" in bad:
-            witness = {
-                "check": "root-measure-form",
-                "vertex": vertex_to_key(-kappa),
-                "item": bad["item"],
-                "value": bad.get("value"),
-                "reason": f"root-measure condition {bad['item']} fails",
-            }
+            witness = {"check": "root-measure-form", "vertex": vertex_to_key(-kappa),
+                       "item": bad["item"], "value": bad.get("value"),
+                       "reason": f"root-measure condition {bad['item']} fails"}
         else:
-            witness = {
-                "check": "trunk-conditions",
-                "vertex": vertex_to_key(-bad["level"]),
-                "level": bad["level"],
-                "value": bad["value"],
-                "reason": (
-                    f"trunk condition at level {bad['level']} gives "
-                    f"{bad['value']} (target {bad['target']})"
-                ),
-            }
-        return _refuted(T_ETA_KAPPA, {}, detail, witness)
+            level, value = bad["level"], bad["value"]
+            witness = {"check": "trunk-conditions", "vertex": vertex_to_key(-level),
+                       "level": level, "value": value,
+                       "reason": f"trunk condition at level {level} gives {value} "
+                       f"(target {bad['target']})"}
+        if fitted:
+            detail["note"] = f"{witness['reason']} on the fitted branch measures: evidence only"
+            return ModelCertificate(CONDITIONAL, T_ETA_KAPPA, stieltjes, None, detail, None)
+        return ModelCertificate(REFUTED, T_ETA_KAPPA, {}, None, detail, witness)
     if kappa == math.inf:
         detail["window_note"] = (
             f"infinite trunk checked on a window of {data.trunk_window} levels"
         )
     system, shift = branching_tree_system(data, depth, tol=tol)
     certificate = certify_subnormal(shift, system, horizon=depth, tol=tol)
-    status = certificate.status
-    if status == CERTIFIED and conditional:
+    status, witness = certificate.status, certificate.witness
+    if fitted and witness is not None:
+        where = f"{witness['check']} at {witness['vertex']}"
+        detail["note"] = f"the system of the fitted branch measures fails {where}: evidence only"
+        status, witness = CONDITIONAL, None
+    elif status == CERTIFIED and conditional:
         status = CONDITIONAL
     detail["eps"] = {
         vertex_to_key(v): system.eps_at(v)
@@ -725,10 +737,10 @@ def certify_t_eta_kappa(
     return ModelCertificate(
         status=status,
         family=T_ETA_KAPPA,
-        stieltjes={},
+        stieltjes=stieltjes,
         system_certificate=certificate,
         detail=detail,
-        witness=certificate.witness,
+        witness=witness,
     )
 
 
@@ -769,9 +781,11 @@ def extract_branch_data(
     check the condition set the trunk length calls for.
 
     Sequences are required at the trunk vertices, the branching vertex, and
-    the first vertex of each branch.  Branch measures come from quadrature;
-    all verdicts are conditional on the determinacy diagnostic of the
-    branching vertex's shifted sequence (the quasi-analytic route).
+    the first vertex of each branch.  Only the sweep of the shift's window
+    refutes (:func:`_swept`; its row and witness in ``conditions``).  Branch
+    measures come from quadrature, so the conditions are evidence, and all
+    verdicts are conditional on the determinacy diagnostic of the branching
+    vertex's shifted sequence (the quasi-analytic route).
     """
     tree = shift.tree
     if tree.family != T_ETA_KAPPA:
@@ -828,9 +842,7 @@ def extract_branch_data(
         branch_weights=branch_weights,
         trunk_weights=trunk_weights,
     )
-    conditions: dict = {}
-    moment_check = verify_branch_moments(data, tol=max(tol, 1e-8))
-    conditions["branch_moment_check"] = moment_check
+    conditions = {"branch_moment_check": verify_branch_moments(data, tol=max(tol, 1e-8))}
     if kappa == 0:
         conditions["condition"] = root_inequality(data, tol=tol)
     elif kappa == math.inf:
@@ -843,19 +855,15 @@ def extract_branch_data(
             data, nu, tol=max(tol, 1e-8)
         )
     diagnostic = carleman_diagnostic(supplied[0][1:])
-    all_ok = conditions["condition"]["ok"] and moment_check["ok"]
-    if "root_measure_form" in conditions:
-        all_ok = all_ok and conditions["root_measure_form"]["ok"]
-    status = CONDITIONAL if all_ok else REFUTED
-    notes.append(
-        "verdict conditional on determinacy; diagnostic label: "
-        + diagnostic.label
-    )
-    if status == REFUTED:
-        notes.append(
-            "refutation is itself conditional: quadrature picked one "
-            "representing measure among possibly many"
-        )
+    verdicts, _, failed, row = _swept(shift, {}, tol)
+    if failed is not None:
+        witness = hankel_witness(verdicts[failed], vertex=vertex_to_key(failed))
+        conditions["lambert_sweep"] = {"ok": False, "sequence": row, "witness": witness}
+    else:
+        notes.append("verdict conditional on determinacy; diagnostic label: " + diagnostic.label)
+        if not all(c["ok"] for c in conditions.values()):
+            notes.append("a condition fails on the fitted measures: evidence, not a refutation")
+    status = CONDITIONAL if failed is None else REFUTED
     return BranchExtraction(
         data=data,
         status=status,

@@ -131,14 +131,15 @@ class AtomicMeasure(Record):
 
     def moment(self, n: int) -> float:
         """Integral of s^n; for negative n the value is inf as soon as a
-        positive mass sits at zero (1/0 = inf convention).  Raises
+        positive mass sits at zero (1/0 = inf convention), else the sum of the
+        masses of the reweighting step (:func:`_reweighted`).  Raises
         ``ValueError`` when the moment overflows."""
         if n < 0 and self.mass_at_zero > 0.0:
             return math.inf
         try:
-            if n == 0:
-                return self.total_mass
-            return math.fsum(w * x**n for x, w in self.atoms if x > 0.0 or n > 0)
+            if n < 0:
+                return math.fsum([m for _, m in _reweighted(1.0, self.atoms, n)[0]])
+            return self.total_mass if n == 0 else math.fsum(w * x**n for x, w in self.atoms)
         except OverflowError:
             raise _moment_overflow(self.atoms, n) from None
 

@@ -7,6 +7,12 @@ refuted partner: the second weight set to 0.999 times the first.  A
 subnormal shift is hyponormal, so its weights cannot decrease, and the
 order-2 Hankel block of the partner's power norms already fails; its
 witness must re-check in exact arithmetic.
+
+The branching cases are shifts on the one-branching-vertex trees given by
+weights alone, whose branches carry a Gamma density; the paper's trunk
+rows hold for them exactly, so no weights-only verdict may refute them,
+and each partner, its entry weights raised by 7%, must be refuted by the
+power norms of its window.
 """
 
 from __future__ import annotations
@@ -22,8 +28,11 @@ import pytest
 
 from treeshift import (
     CERTIFIED,
+    CONDITIONAL,
     REFUTED,
+    branch_data_from_json,
     certify_bilateral,
+    certify_t_eta_kappa,
     certify_unilateral,
     product_moments,
     two_sided_from_weights,
@@ -65,13 +74,54 @@ def bilateral_weights(length):
     return {k: math.sqrt(k + 4) for k in range(-2, length - 2)}
 
 
-def exact_form(values, witness):
-    """x^T H x in Fractions, for the witness vector x and the Hankel block H
-    of ``values`` that the witness names."""
+# x^a e^(-x) dx / Gamma(a + 1) on every branch: branch weights sqrt(k + a),
+# t(n) = Gamma(a + 1 + n) / Gamma(a + 1), and the integral of s^-j is
+# Gamma(a + 1 - j) / Gamma(a + 1), finite for j <= a
+GAMMA_A = 3
+BRANCH_CASES = [(kappa, count) for kappa in (0, 1, 2) for count in (7, 8, 15, 16)]
+
+
+def _inverse_moment(j):
+    return Fraction(math.factorial(GAMMA_A - j), math.factorial(GAMMA_A))
+
+
+def branching_document(kappa, count, lift=1.0):
+    """Two branches of ``count`` weights over the Gamma density; |entry
+    weight|^2 solved from the level-0 row (Σ|λ|^2 ∫s^-1 = 1), each interior
+    trunk weight from its row (P_ℓ Σ|λ|^2 ∫s^-(ℓ+1) = 1) and the last trunk
+    weight 1, so the terminal row is at most one; ``lift`` then scales
+    every |entry weight|^2."""
+    entry_sq = 1 / (2 * _inverse_moment(1))
+    trunk, product = [], 1
+    for level in range(1, kappa):
+        target = 1 / (2 * entry_sq * _inverse_moment(level + 1))
+        trunk.append(math.sqrt(target / product))
+        product = target
+    branch = [math.sqrt(k + GAMMA_A) for k in range(1, count + 1)]
+    return {
+        "eta": 2,
+        "kappa": kappa,
+        "entry_weights": [math.sqrt(lift * float(entry_sq))] * 2,
+        "trunk_weights": trunk + [1.0] * (kappa > 0),
+        "branch_weights": [branch, branch],
+    }
+
+
+def certify_branching(kappa, count, lift=1.0):
+    """The library form of ``certify --family t-eta-kappa`` at its default
+    horizon: depth min(8, count + 1)."""
+    data = branch_data_from_json(branching_document(kappa, count, lift))
+    return certify_t_eta_kappa(data, depth=min(8, count + 1)).as_dict()
+
+
+def exact_form(values, witness, tol=0.0):
+    """x^T (H + tol * diag(H)) x in Fractions, for the witness vector x and
+    the Hankel block H of ``values`` that the witness names."""
     offset = 0 if witness["block"] == "hankel" else 1
     t = [Fraction(v) for v in values]
     x = [Fraction(a) for a in witness["vector"]]
-    return sum(a * b * t[i + j + offset] for i, a in enumerate(x) for j, b in enumerate(x))
+    form = sum(a * b * t[i + j + offset] for i, a in enumerate(x) for j, b in enumerate(x))
+    return form + Fraction(tol) * sum(a * a * t[2 * i + offset] for i, a in enumerate(x))
 
 
 @pytest.mark.parametrize("family, length", UNILATERAL_CASES)
@@ -108,6 +158,68 @@ def test_bilateral_corpus_partner_is_refuted_with_an_exact_witness(length):
     assert report["status"] == REFUTED and witness["check"] == "hankel"
     assert witness["shift"] == 3  # the window root, vertex -3
     assert exact_form(two_sided_from_weights(weights).values, witness) < 0
+
+
+def test_the_branching_documents_are_the_solved_rows():
+    # with the inverse moments 1/3, 1/6 and 1/6: |entry weight|^2 = 1.5 sets
+    # level 0 to 1; at kappa = 2 the trunk weight sqrt(2) sets level 1 to 1
+    # and the last trunk weight 1 sets level 2 to 1; at kappa = 1 it sets
+    # level 1 to 1/2
+    for kappa in (0, 1, 2):
+        doc = branching_document(kappa, 7)
+        assert doc["entry_weights"] == [math.sqrt(1.5)] * 2
+        assert doc["trunk_weights"] == [math.sqrt(2.0)] * (kappa == 2) + [1.0] * (kappa > 0)
+
+
+@pytest.mark.parametrize("kappa, count", BRANCH_CASES)
+def test_branching_corpus_is_not_refuted(kappa, count):
+    # the fits of finitely many head norms under-estimate the inverse
+    # moments, so the rows may fail on them: evidence, never a refutation
+    report = certify_branching(kappa, count)
+    assert report["status"] == CONDITIONAL and report["witness"] is None, report["witness"]
+    assert sorted(report["stieltjes"]) == [str(-kappa), "1,1", "2,1"]
+    assert {v["status"] for v in report["stieltjes"].values()} == {"consistent-up-to-order-N"}
+    assert (report["system_certificate"] is None) == ("note" in report["detail"])
+
+
+@pytest.mark.parametrize("kappa, count", BRANCH_CASES)
+def test_branching_corpus_partner_is_refuted_at_the_root(kappa, count):
+    report = certify_branching(kappa, count, lift=1.07)
+    witness = report["witness"]
+    assert report["status"] == REFUTED and witness["check"] == "hankel"
+    assert witness["vertex"] == str(-kappa)
+
+
+def _weights_only_refutations():
+    """Every kind of weights-only Hankel refutation: the branching partners,
+    a bilateral window with a zero weight, a half line past a zero weight,
+    and a branch that fails at its head and one vertex past a zero weight."""
+    cases = {
+        f"branching-{kappa}-{count}": (lambda k=kappa, c=count: certify_branching(k, c, 1.07))
+        for kappa, count in BRANCH_CASES
+    }
+    cases["bilateral-zero"] = lambda: certify_bilateral({-1: 1, 0: 0, 1: 1, 2: 1}).as_dict()
+    cases["unilateral-zero"] = lambda: certify_unilateral([1, 0, 1, 1]).as_dict()
+    for name, head in (("branch-head", []), ("branch-past-zero", [0.0])):
+        doc = {
+            "eta": 2,
+            "kappa": 0,
+            "entry_weights": [0.5, 0.5],
+            "branch_weights": [head + [1.0, 0.1, 5.0, 0.1, 5.0], [1.0, 1.0, 1.0]],
+        }
+        cases[name] = lambda d=doc: certify_t_eta_kappa(branch_data_from_json(d)).as_dict()
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_weights_only_refutations()))
+def test_weights_only_witnesses_re_check_against_the_reported_row(case):
+    # the report alone suffices: its witness vector makes the form of the
+    # Hankel block of detail.sequence negative in exact arithmetic, with the
+    # test's tolerance on the diagonal
+    report = _weights_only_refutations()[case]()
+    witness = report["witness"]
+    assert report["status"] == REFUTED and witness["check"] == "hankel"
+    assert exact_form(report["detail"]["sequence"], witness, tol=1e-9) < 0
 
 
 @pytest.mark.parametrize("family, length", [("log-normal", 39), ("n+1", 99)])

@@ -459,7 +459,64 @@ def test_certify_a_branch_without_a_representing_measure_exits_conditional(tmp_p
     assert report["status"] == "conditional" and report["exit_code"] == 2
     assert report["system_certificate"] is None and report["witness"] is None
     assert report["detail"]["note"].startswith("branch 2: no representing measure")
-    assert list(report["stieltjes"]) == ["2,1"]
+    assert list(report["stieltjes"]) == ["-2", "1,1", "2,1"]
+
+
+def _bilateral_document(tmp_path, values):
+    entries = [{"v": v, "re": w} for v, w in zip(range(-1, len(values) - 1), values)]
+    return write(tmp_path, "w.json", {"weights": entries})
+
+
+@pytest.mark.parametrize(
+    "values, code, status",
+    [([1.0, 0.0, 1.0, 1.0], 1, "refuted"), ([0.0, 1.0, 1.0, 1.0], 2, "conditional")],
+    ids=["refuted", "conditional"],
+)
+def test_certify_bilateral_zero_weights_get_a_verdict(tmp_path, capsys, values, code, status):
+    # weights over -1..2: a zero weight is a verdict of the power norms, not
+    # an input error
+    path = _bilateral_document(tmp_path, values)
+    got, out = run_cli(["certify", "--family", "bilateral", "--weights", path], capsys)
+    report = json.loads(out)
+    assert (got, report["status"]) == (code, status)
+    if status == "refuted":
+        assert report["witness"]["check"] == "hankel" and report["witness"]["shift"] == 2
+        assert report["detail"]["sequence"] == [1.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_certify_branch_weights_with_a_zero_entry_weight_exits_conditional(tmp_path, capsys):
+    doc = {
+        "eta": 2,
+        "kappa": 1,
+        "entry_weights": [0.0, 1.0],
+        "trunk_weights": [1.0],
+        "branch_weights": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    code, out = run_cli(["certify", "--family", "t-eta-kappa", "--input", path], capsys)
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "conditional" and report["witness"] is None
+
+
+def test_certify_branch_weights_shorter_than_the_horizon_clamp_the_depth(tmp_path, capsys):
+    # three weights per branch: the cross-certified window has depth 4, not
+    # the default 8, and the report says so
+    doc = {
+        "eta": 2,
+        "kappa": 1,
+        "entry_weights": [math.sqrt(0.5)] * 2,
+        "trunk_weights": [1.0],
+        "branch_weights": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    code, out = run_cli(["certify", "--family", "t-eta-kappa", "--input", path], capsys)
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "conditional"
+    assert report["detail"]["window_note"] == (
+        "system checked to depth 4, the shortest branch plus one"
+    )
+    assert report["system_certificate"]["status"] == "certified-up-to-horizon"
+    assert sorted(report["stieltjes"]) == ["-1", "1,1", "2,1"]
 
 
 def test_certify_bilateral_refuses_a_vertex_listed_twice(tmp_path, capsys):
@@ -1022,6 +1079,27 @@ def test_checker_matches_jsonschema_on_edge_cases(schema, doc):
 def test_schema_with_an_unsupported_keyword_is_refused(schema):
     with pytest.raises(ValueError, match="unsupported schema"):
         Schema(schema)
+
+
+@pytest.mark.parametrize(
+    "atoms, code",
+    [([(1e-310, 1e-320), (1.0, 1.0)], 0), ([(1e-310, 1e-10), (1.0, 1.0 - 1e-10)], 1)],
+    ids=["extends", "refuted"],
+)
+def test_backward_extend_where_the_reciprocal_overflows(tmp_path, capsys, atoms, code):
+    # 1 / 1e-310 overflows, but w / x does not: the integral of 1/s is
+    # 1 + 1e-10 (an extension with theta = 2) or about 1e300 (none)
+    doc = {"atoms": [{"x": x, "w": w} for x, w in atoms]}
+    measure = write(tmp_path, "m.json", doc)
+    got, out = run_cli(["backward-extend", "--measure", measure, "--theta", "2"], capsys)
+    report = json.loads(out)
+    assert got == code
+    if code == 1:
+        assert report["status"] == "refuted"
+        assert report["witness"]["check"] == "inverse-moment-threshold"
+        assert report["witness"]["required"] == pytest.approx(1e300)
+    else:
+        assert report["moments"][:3] == [2.0, 1.0, 1.0]  # theta, then the moments of mu
 
 
 def test_overflowing_moments_are_input_errors(tmp_path, capsys):

@@ -186,6 +186,10 @@ def _library_reports():
         "teta-eta3-depth48": certify_t_eta_kappa(branch_data(3, 2, 48), depth=48),
         "bilateral": certify_bilateral(bilateral_weights()),
         "bilateral-refuted": certify_bilateral(bilateral_weights(moved=1)),
+        "bilateral-zero-refuted": certify_bilateral({**bilateral_weights(), 1: 0.0}),
+        "teta-weights-kappa1": certify_t_eta_kappa(
+            branch_data(2, 1, 5).replace(branch_measures=None), depth=5
+        ),
     }
 
 
@@ -203,6 +207,8 @@ GOLDEN = {
     "teta-eta3-depth48": "55fa7e0920703887faaab8da4891f666eb753884880e28fb75143144cb04a556",
     "bilateral": "058fd67650054f8ef75c4b4a96e16797940ab61dbfb29f3d69dfa37a45a099ef",
     "bilateral-refuted": "dcd40f029a073ade884516432164bd65bda0adfe78fb9f0de884b3e63e7c9390",
+    "bilateral-zero-refuted": "91c85b306e4c513d583d67fb969729925d4a2039088d3e3b55eb2a5fddad5977",
+    "teta-weights-kappa1": "c4298863bb04c7e2b769f82938e9e0d182386a14029492ed1511314063ab0ff3",
     "cli-check-consistency": "df081d50a4b7a002ab4ed3a5d1543cb3b3e6dd558925a015090bb1145862a2f4",
     "cli-check-consistency-text": "a0660e0839fdb8d90c2f0750e1b266e45f1f69e7ad462fc567585e577feaaa9f",
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",

@@ -1,5 +1,7 @@
 import functools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -555,6 +557,26 @@ def test_check_stieltjes_refuses_non_finite_moments_and_bad_tolerances():
 
 
 # -- backward extension ----------------------------------------------------------
+
+
+def test_inverse_moments_where_the_reciprocal_overflows():
+    # 1 / 1e-310 overflows, w / x does not: the mass is rounded once from its
+    # exact value; where every x**-n is finite the sum has the old bits
+    mu = AtomicMeasure(((1e-310, 1e-320), (1.0, 1.0)))
+    assert mu.moment(-1) == math.fsum([float(Fraction(1e-320) / Fraction(1e-310)), 1.0])
+    assert backward_extend(mu, 2.0).total_mass == 2.0
+    with pytest.raises(NoBackwardExtensionError):
+        backward_extend(AtomicMeasure(((1e-310, 1e-10), (1.0, 1.0 - 1e-10))), 2.0)
+    # a mass past the largest float still raises, naming the atom
+    message = r"moment of order -1 overflows: x\*\*-1 at the atom x = 1e-310"
+    with pytest.raises(ValueError, match=message):
+        AtomicMeasure(((1e-310, 1.0),)).moment(-1)
+    rng = random.Random(2801)
+    for _ in range(200):
+        atoms = tuple((rng.uniform(1e-3, 10.0), rng.uniform(0.1, 1.0)) for _ in range(3))
+        mu = AtomicMeasure(atoms)
+        for n in (1, 2, 5):
+            assert mu.moment(-n) == math.fsum(w * x**-n for x, w in mu.atoms)
 
 
 def test_backward_extend_examples():
