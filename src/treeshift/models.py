@@ -120,18 +120,22 @@ def _evidence(values, tol: float):
     return fit.verdict, fit.measure, None
 
 
-def _swept(shift, rows: dict, tol: float) -> tuple:
+def _swept(shift, rows: dict, tol: float, norms=None) -> tuple:
     """Lambert's test of ``shift`` (:func:`lambert_sweep`), where ``rows`` maps
     vertices to their power norms up to a positive factor, fitted first as
-    evidence (:func:`_evidence`) for their verdicts.  Returns the verdicts, the
-    fits, and the first failed vertex (branch before trunk) with its row."""
+    evidence (:func:`_evidence`) for their verdicts, and ``norms`` is the
+    shift's ``power_norms(inf)`` table when the caller holds it.  Returns the
+    verdicts, the fits, and the first failed vertex (branch before trunk)
+    with its row."""
     evidence = {u: _evidence(values, tol) for u, values in rows.items()}
-    verdicts, _ = lambert_sweep(shift, tol, known={u: e[0] for u, e in evidence.items()})
+    known = {u: e[0] for u, e in evidence.items()}
+    verdicts, _ = lambert_sweep(shift, tol, known=known, norms=norms)
     order = sorted(verdicts, key=lambda u: isinstance(u, int))
     failed = next((u for u in order if not verdicts[u].consistent), None)
     if failed is None:
         return verdicts, evidence, None, None
-    return verdicts, evidence, failed, list(rows.get(failed) or shift.power_norms(math.inf)[failed])
+    row = rows.get(failed) or (shift.power_norms(math.inf) if norms is None else norms)[failed]
+    return verdicts, evidence, failed, list(row)
 
 
 def _classical(family: str, shift, rows: dict, detail: dict, tol: float) -> ModelCertificate:
@@ -676,7 +680,7 @@ def certify_t_eta_kappa(
         data = data.replace(branch_measures=tuple(e[1] for e in evidence.values()))
         conditional = True
         shortest = min(map(len, data.branch_weights))
-        if kappa != math.inf and depth > shortest + 1:
+        if depth > shortest + 1:
             depth = shortest + 1
             detail["window_note"] = f"system checked to depth {depth}, the shortest branch plus one"
     elif 0 in data.entry_weights + data.trunk_weights:
@@ -717,9 +721,11 @@ def certify_t_eta_kappa(
             return ModelCertificate(CONDITIONAL, T_ETA_KAPPA, stieltjes, None, detail, None)
         return ModelCertificate(REFUTED, T_ETA_KAPPA, {}, None, detail, witness)
     if kappa == math.inf:
-        detail["window_note"] = (
-            f"infinite trunk checked on a window of {data.trunk_window} levels"
+        detail.setdefault(
+            "window_note", f"infinite trunk checked on a window of {data.trunk_window} levels"
         )
+        if depth < data.trunk_window:  # the system's trunk window is its depth
+            data = data.replace(trunk_weights=data.trunk_weights[:depth])
     system, shift = branching_tree_system(data, depth, tol=tol)
     certificate = certify_subnormal(shift, system, horizon=depth, tol=tol)
     status, witness = certificate.status, certificate.witness
@@ -815,7 +821,9 @@ def extract_branch_data(
                 f"sequence at {v!r} fails the Hankel test", verdict, vertex=v
             )
     notes = []
-    table = shift.power_norms(max(len(values) for values in supplied.values()) - 1)
+    # one table serves the check and the sweep: a finite horizon's rows are
+    # prefixes of the infinite horizon's
+    table = shift.power_norms(math.inf)
     for v, values in supplied.items():
         norms = table[v][: len(values)]
         row = first_failing_row(values, norms, tol)
@@ -855,7 +863,7 @@ def extract_branch_data(
             data, nu, tol=max(tol, 1e-8)
         )
     diagnostic = carleman_diagnostic(supplied[0][1:])
-    verdicts, _, failed, row = _swept(shift, {}, tol)
+    verdicts, _, failed, row = _swept(shift, {}, tol, norms=table)
     if failed is not None:
         witness = hankel_witness(verdicts[failed], vertex=vertex_to_key(failed))
         conditions["lambert_sweep"] = {"ok": False, "sequence": row, "witness": witness}

@@ -878,18 +878,15 @@ def _solve(rows):
     return out
 
 
-def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10):
-    """Solve the moment equations for the atoms in extended precision.
+def _decimal_newton(nodes, masses, values, digits: int = 50, iterations: int = 10):
+    """Solve the moment equations for the atoms by Newton's method in
+    extended precision: the fallback of :func:`_newton_polish`.
 
-    The moment map is badly conditioned: in double precision a residual at
-    machine level still leaves the atoms off by orders of magnitude more.
-    A Newton iteration carried out with ``digits`` working digits, seeded by
-    the eigen-decomposition estimate, recovers the atoms of the given
-    moments essentially exactly; the only remaining error is the rounding
-    of the moments themselves.  Iteration stops early at a step below
-    10^(8 - digits), or at a Jacobian J singular to within ||J||_1 * 2^-178:
-    the rule of the 179-bit ``lu_solve`` that the tests run as this
-    polish's oracle.
+    Each step forms the Jacobian and the residual with ``digits`` working
+    digits and solves for the step by :func:`_solve`.  Iteration stops
+    early at a step below 10^(8 - digits), or at a Jacobian J singular to
+    within ||J||_1 * 2^-178: the rule of the 179-bit ``lu_solve`` that the
+    tests run as this polish's oracle.
     """
     from decimal import Decimal, localcontext
 
@@ -917,13 +914,122 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
         return [float(v) for v in x], [float(v) for v in w]
 
 
+def _seed_lu(nodes, masses):
+    """LU factors, by partial pivoting, of the Jacobian J of the moment map
+    at the float seed (row n: x_i^n, then n w_i x_i^(n-1)), in float64: the
+    rows with the multipliers below the diagonal, and the row order.  None
+    where a column's largest entry is not finite, or a pivot falls below
+    2^-26 of that entry or below ||J||_1 * 2^-150, well above the
+    ||J||_1 * 2^-178 at which :func:`_solve` calls J singular."""
+    r = len(nodes)
+    size = 2 * r
+    rows = []
+    low, high = [0.0] * r, [1.0] * r  # x^(n-1), x^n
+    for n in range(size):
+        rows.append(high + [n * a * b for a, b in zip(masses, low)])
+        low, high = high, list(map(operator.mul, high, nodes))
+    columns = [list(map(abs, column)) for column in zip(*rows)]
+    floor = max(map(sum, columns)) * 2.0**-150
+    floors = [max(floor, max(column) * 2.0**-26) for column in columns]
+    if not all(0.0 < f < math.inf for f in floors):
+        return None
+    order = list(range(size))
+    for j in range(size):
+        column = [abs(row[j]) for row in rows[j:]]
+        largest = max(column)
+        if not largest >= floors[j]:
+            return None
+        p = j + column.index(largest)
+        rows[j], rows[p] = rows[p], rows[j]
+        order[j], order[p] = order[p], order[j]
+        top = rows[j]
+        pivot, tail = top[j], top[j + 1 :]
+        for row in rows[j + 1 :]:
+            f = row[j] = row[j] / pivot
+            row[j + 1 :] = [a - f * b for a, b in zip(row[j + 1 :], tail)]
+    return rows, order
+
+
+def _lu_solve(rows, order, rhs):
+    """Solve with the factors of :func:`_seed_lu`, in float64."""
+    y = [rhs[k] for k in order]
+    for i, row in enumerate(rows):
+        y[i] -= sum(map(operator.mul, row[:i], y[:i]))
+    for i in reversed(range(len(rows))):
+        row = rows[i]
+        y[i] = (y[i] - sum(map(operator.mul, row[i + 1 :], y[i + 1 :]))) / row[i]
+    return y
+
+
+def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10):
+    """Solve the moment equations for the atoms in extended precision.
+
+    The moment map is badly conditioned: in double precision a residual at
+    machine level still leaves the atoms off by orders of magnitude more.
+    Seeded by the eigen-decomposition estimate, already accurate to about
+    1e-13, a chord iteration recovers the atoms of the given moments
+    essentially exactly; the only remaining error is the rounding of the
+    moments themselves.  It is mixed-precision iterative refinement (Moler,
+    J. ACM 14, 1967): the Jacobian is factored once, at the seed, in
+    float64 (:func:`_seed_lu`); each step forms the residual
+    m_n - sum_i w_i x_i^n with ``digits`` working digits, solves for the
+    step with those factors, and adds it with ``digits`` digits.  Iteration
+    stops at a step below 10^(8 - digits).
+
+    The decimal Newton iteration (:func:`_decimal_newton`) runs from the
+    seed instead wherever the chord cannot vouch for its result: a small
+    pivot (see :func:`_seed_lu`), a step that is not finite or does not
+    shrink by 2^-20 against the one before, no stop within ``iterations``
+    steps, a stop at the first step on a nonzero residual (where
+    10^(8 - digits) is not small against the atoms), or a ``decimal``
+    signal.  Both iterations stop within about 10^(8 - digits) of the same
+    root, so they return the same floats.
+    """
+    from decimal import Decimal, localcontext
+
+    factors = _seed_lu(nodes, masses)
+    if factors is None:
+        return _decimal_newton(nodes, masses, values, digits, iterations)
+    r = len(nodes)
+    with localcontext() as ctx:
+        ctx.prec = digits + 3
+        x = [Decimal(float(v)) for v in nodes]
+        w = [Decimal(float(v)) for v in masses]
+        m = [Decimal(float(v)) for v in values[: 2 * r]]
+        stop = Decimal(10) ** (8 - digits)
+        bound = math.inf  # the largest step allowed next
+        try:
+            for k in range(iterations):
+                residual, terms = [m[0] - sum(w)], w  # terms: w_i x_i^n
+                for n in range(1, 2 * r):
+                    terms = list(map(operator.mul, terms, x))
+                    residual.append(m[n] - sum(terms))
+                step = _lu_solve(*factors, list(map(float, residual)))
+                size = max(map(abs, step))
+                if not (all(map(math.isfinite, step)) and size <= bound):
+                    break
+                w = [a + Decimal(b) for a, b in zip(w, step)]
+                x = [a + Decimal(b) for a, b in zip(x, step[r:])]
+                if size < stop:
+                    if k == 0 and any(residual):
+                        break
+                    return [float(v) for v in x], [float(v) for v in w]
+                bound = size * 2.0**-20
+        except ArithmeticError:
+            pass
+    return _decimal_newton(nodes, masses, values, digits, iterations)
+
+
 def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     """Reconstruct an atomic measure from the leading 2k moments.
 
     The recurrence coefficients feed a symmetric tridiagonal (Jacobi) matrix
     whose eigenvalues are the atom positions and whose first eigenvector
-    components give the masses; a Newton pass against the moment equations
-    then polishes both.  A k-atom measure matches the first 2k moments.
+    components give the masses; a chord iteration against the moment
+    equations, on one float LU of their Jacobian with residuals in
+    ``decimal`` (full Newton steps in ``decimal`` where the chord cannot
+    vouch for its result, :func:`_newton_polish`), then polishes both.  A
+    k-atom measure matches the first 2k moments.
     Refuted input raises :class:`RefutedSequenceError`, and a negative node
     :class:`QuadratureError`; a numerically singular Hankel yields fewer
     atoms, reported via ``rank``.

@@ -519,6 +519,26 @@ def test_certify_branch_weights_shorter_than_the_horizon_clamp_the_depth(tmp_pat
     assert sorted(report["stieltjes"]) == ["-1", "1,1", "2,1"]
 
 
+def test_certify_infinite_trunk_branch_weights_shorter_than_the_trunk(tmp_path, capsys):
+    # five trunk weights, three per branch: a verdict on the depth-4 system,
+    # not an input error
+    doc = {
+        "eta": 2,
+        "kappa": "inf",
+        "entry_weights": [math.sqrt(0.5)] * 2,
+        "trunk_weights": [1.0] * 5,
+        "branch_weights": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+    }
+    path = write(tmp_path, "branch.json", doc)
+    code, out = run_cli(["certify", "--family", "t-eta-kappa", "--input", path], capsys)
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "conditional"
+    assert report["detail"]["window_note"] == (
+        "system checked to depth 4, the shortest branch plus one"
+    )
+    assert report["system_certificate"]["status"] == "certified-up-to-horizon"
+
+
 def test_certify_bilateral_refuses_a_vertex_listed_twice(tmp_path, capsys):
     entries = [{"v": 0, "re": 1.0}, {"v": 0, "re": 5.0}, {"v": 1, "re": 1.0}, {"v": 2, "re": 1.0}]
     weights = write(tmp_path, "w.json", {"weights": entries})
@@ -847,7 +867,7 @@ def test_package_import_loads_neither_numpy_nor_jsonschema():
 # arithmetic of the Hankel test needs, and the standard modules that no
 # subcommand may load (see tests/test_package.py's AVOIDED)
 HEAVY_MODULES = ("treeshift.moments", "treeshift.consistency", "treeshift.models",
-                 "treeshift.truncation", "fractions", "dataclasses", "inspect")
+                 "treeshift.truncation", "fractions", "decimal", "dataclasses", "inspect")
 
 
 def _heavy_modules_after_main(argv):
@@ -872,15 +892,17 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, unilateral_inp
         (["validate-tree", "--tree", tree], 0, []),
         (["certify", "--family", "unilateral", "--weights", str(broken)], 3, []),
         (["check-stieltjes", "--t", "[1,2,5,14,42]"], 0, ["moments"]),
-        (["check-stieltjes", "--t", "[1,1,0,0]"], 1, ["moments", "fractions"]),
+        # fractions imports decimal
+        (["check-stieltjes", "--t", "[1,1,0,0]"], 1, ["moments", "fractions", "decimal"]),
         (["backward-extend", "--measure", measure, "--theta", "2.0"], 0, ["moments"]),
         (["check-consistency", "--tree", tree, "--weights", weights, "--system", system],
          0, ["moments", "consistency"]),
         (general + ["--system", system], 0, ["moments", "consistency"]),
         (["truncate", "--tree", tree, "--weights", weights, "--system", system,
           "--window", "2"], 0, ["moments", "consistency", "truncation"]),
+        # quadrature's polish runs in decimal
         (["certify", "--family", "unilateral", "--weights", weights],
-         0, ["moments", "consistency", "models"]),
+         0, ["moments", "consistency", "models", "decimal"]),
     ]
     for argv, exit_code, loaded in cases:
         assert _heavy_modules_after_main(argv) == [exit_code, loaded], argv

@@ -1001,6 +1001,25 @@ def test_weights_only_branching_with_a_zero_entry_weight_gets_a_verdict():
         certify_t_eta_kappa(data, depth=4)
 
 
+def test_weights_only_infinite_trunk_with_short_branches_clamps_the_system():
+    # three weights per branch under five trunk weights: the evidence system
+    # is cut to depth 4, the shortest branch plus one, on the first four trunk
+    # weights, as a finite trunk's is; the sweep tests the whole window
+    doc = {
+        "eta": 2,
+        "kappa": "inf",
+        "entry_weights": [math.sqrt(0.5)] * 2,
+        "trunk_weights": [1.0] * 5,
+        "branch_weights": [[1.0, 1.0, 1.0]] * 2,
+    }
+    cert = certify_t_eta_kappa(branch_data_from_json(doc))
+    assert cert.status == CONDITIONAL and cert.witness is None
+    assert cert.detail["window_note"] == "system checked to depth 4, the shortest branch plus one"
+    assert cert.system_certificate.status == CERTIFIED
+    assert cert.system_certificate.horizon == 4
+    assert sorted(cert.stieltjes) == ["-5", "1,1", "2,1"]
+
+
 def test_extract_rejects_refuted_sequences():
     shift = branching_shift()
     seqs = {

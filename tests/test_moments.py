@@ -904,6 +904,96 @@ def test_polishes_part_only_on_an_atom_of_negligible_mass(monkeypatch, values):
         else:
             assert x == pytest.approx(y, rel=1e-14) and w == pytest.approx(v, rel=1e-14)
 
+
+def _polish_key(nodes, masses, values, *_):
+    return tuple(nodes), tuple(masses), tuple(values)
+
+
+def test_chord_polish_gives_the_decimal_newton_outcome(monkeypatch):
+    # 1-8 atoms, 2r to 2r + 8 moments: the surplus makes rank-deficient fits,
+    # on which the float LU is singular or the chord stalls and falls back
+    rng = np.random.default_rng(29)
+    cases = []
+    for i in range(5000):
+        r = int(rng.integers(1, 9))
+        lo, hi = [(0.15, 10.0), (1e-3, 1e3), (0.0, 50.0)][i % 3]
+        atoms = zip(rng.uniform(lo, hi, size=r).tolist(), rng.dirichlet(np.ones(r)).tolist())
+        cases.append(AtomicMeasure(tuple(atoms)).moments(2 * r - 1 + int(rng.integers(0, 9))))
+    newton, fell_back = moments._decimal_newton, {}
+
+    def recorded(*args):
+        fell_back[_polish_key(*args)] = result = newton(*args)
+        return result
+
+    monkeypatch.setattr(moments, "_decimal_newton", recorded)
+    ours = [_quadrature_outcome(values) for values in cases]
+    chord = []
+
+    def oracle(*args):
+        # where the chord fell back, the polish returned the decimal Newton's
+        # result for these very arguments: reuse it rather than run it twice
+        if (key := _polish_key(*args)) in fell_back:
+            return fell_back[key]
+        chord.append(key)
+        return newton(*args)
+
+    monkeypatch.setattr(moments, "_newton_polish", oracle)
+    assert [_quadrature_outcome(values) for values in cases] == ours
+    assert len(fell_back) > 1000 and len(chord) > 1000
+
+
+def test_chord_polish_falls_back_where_floats_run_out(monkeypatch):
+    # measures scaled by 1e-320 to 1e300, on positions scaled by 1e-60 to
+    # 1e60: where the masses are tiny, the Jacobian's columns differ so much
+    # in scale that the decimal Newton calls it singular and keeps the seed,
+    # and the chord must fall back rather than polish
+    rng = np.random.default_rng(1029)
+    cases = []
+    for _ in range(1200):
+        r = int(rng.integers(1, 5))
+        positions = rng.uniform(0.15, 10.0, r) * 10.0 ** rng.uniform(-60, 60)
+        masses = rng.dirichlet(np.ones(r)) * 10.0 ** rng.uniform(-320, 300)
+        atoms = tuple(zip(positions.tolist(), masses.tolist()))
+        try:
+            cases.append(AtomicMeasure(atoms).moments(2 * r - 1 + int(rng.integers(0, 3))))
+        except ValueError:  # a moment overflows
+            pass
+    ours = [_quadrature_outcome(values) for values in cases]
+    monkeypatch.setattr(moments, "_newton_polish", moments._decimal_newton)
+    assert [_quadrature_outcome(values) for values in cases] == ours
+
+
+@pytest.mark.parametrize(
+    "atoms, falls_back",
+    [
+        # two atoms 2^-16 apart: the Jacobian is singular to about 2^-32, below
+        # the float LU's pivot floor
+        (((1.0, 0.5), (1.0 + 2.0**-16, 0.5)), True),
+        (((1.0, 0.5), (2.0, 0.5)), False),
+    ],
+    ids=["close-atoms", "apart"],
+)
+def test_the_polish_returns_what_the_decimal_newton_does(monkeypatch, atoms, falls_back):
+    values = AtomicMeasure(atoms).moments(3)
+    seed_lu, newton, factors, calls = moments._seed_lu, moments._decimal_newton, [], []
+
+    def recorded_lu(*args):
+        factors.append(seed_lu(*args))
+        return factors[-1]
+
+    def recorded_newton(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(moments, "_seed_lu", recorded_lu)
+    monkeypatch.setattr(moments, "_decimal_newton", recorded_newton)
+    ours = quadrature_from_moments(values)
+    assert (factors == [None]) == falls_back and len(calls) == falls_back
+    monkeypatch.setattr(moments, "_newton_polish", newton)
+    theirs = quadrature_from_moments(values)
+    assert (ours.rank, ours.measure.atoms) == (theirs.rank, theirs.measure.atoms) == (2, atoms)
+
+
 # -- determinacy diagnostic ----------------------------------------------------------
 
 
