@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from itertools import islice, repeat
 
 from .report import CONSISTENT, REFUTED, Record, set_field
 
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
+
+_position = operator.itemgetter(0)
 
 
 class RefutedSequenceError(ValueError):
@@ -120,9 +123,16 @@ class AtomicMeasure(Record):
             return self.atoms[0][1]
         return 0.0
 
+    def _upto(self, cutoff: float) -> tuple:
+        """The atoms at or below ``cutoff`` (none for a NaN): a prefix of the
+        atoms, whose positions strictly increase."""
+        if cutoff != cutoff:
+            return ()
+        return self.atoms[: bisect_right(self.atoms, cutoff, key=_position)]
+
     def mass_upto(self, cutoff: float) -> float:
         """Mass of the closed window [0, cutoff]."""
-        return math.fsum(w for x, w in self.atoms if x <= cutoff)
+        return math.fsum([w for _, w in self._upto(cutoff)])
 
     def max_position(self) -> float:
         return self.atoms[-1][0] if self.atoms else 0.0
@@ -171,7 +181,7 @@ class AtomicMeasure(Record):
 
     def restricted(self, cutoff: float) -> "AtomicMeasure":
         """Restriction to the closed window [0, cutoff] (not renormalized)."""
-        return AtomicMeasure(tuple((x, w) for x, w in self.atoms if x <= cutoff))
+        return AtomicMeasure._of_canonical(self._upto(cutoff))
 
     def as_dict(self) -> dict:
         return {"atoms": [{"x": x, "w": w} for x, w in self.atoms]}

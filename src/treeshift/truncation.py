@@ -75,44 +75,70 @@ def _kappa(mu: AtomicMeasure) -> int:
     return max(1, math.ceil(first))
 
 
-def truncate(system: MeasureSystem, shift: WeightedShift, i: int) -> TruncationEntry:
-    """Build the window-i member of the truncation family."""
-    if i < 1:
-        raise ValueError("window height must be a positive integer")
+def _window_height(i):
+    """``i`` when it is an integer >= 1 (an integral float included); any
+    other height raises ``ValueError`` naming it."""
+    try:
+        ok = i >= 1 and i == int(i)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"window height {i!r} is not an integer >= 1")
+    return i
+
+
+def _window_weights(system: MeasureSystem, shift: WeightedShift, i: int) -> tuple:
+    """The window masses m_v = mu_v([0, i]) by vertex and the truncated
+    weights w_v * sqrt(m_v / m_parent(v)), zero where the parent window is
+    empty; the weights are None when the window swallows every support, where
+    the truncation is the identity.  The height ``i`` must be an integer
+    >= 1."""
+    _window_height(i)
     tree = shift.tree
-    mass = {v: system.measure(v).mass_upto(i) for v in tree.sorted_vertices}
-    kappas = {v: _kappa(system.measure(v)) for v in tree.sorted_vertices}
-    if all(system.measure(v).max_position() <= i for v in tree.sorted_vertices):
-        # the window swallows every support: the truncation is the identity
-        return TruncationEntry(
-            index=i,
-            shift=shift,
-            system=system,
-            original_shift=shift,
-            original_system=system,
-            kappas=kappas,
-            window_mass=mass,
-        )
-    new_weights = {}
+    mass = {}
+    swallowed = True
+    for v in tree.sorted_vertices:
+        mu = system.measure(v)
+        mass[v] = mu.mass_upto(i)
+        swallowed = swallowed and mu.max_position() <= i
+    if swallowed:
+        return mass, None
+    weights = {}
     for v in sorted(tree.non_root_vertices, key=vertex_sort_key):
         parent_mass = mass[tree.parent[v]]
         if parent_mass > 0.0:
-            new_weights[v] = shift.weight(v) * math.sqrt(mass[v] / parent_mass)
+            weights[v] = shift.weight(v) * math.sqrt(mass[v] / parent_mass)
         else:
-            new_weights[v] = complex(0.0)
-    new_mu = {}
-    new_eps = {}
-    for v in tree.sorted_vertices:
+            weights[v] = complex(0.0)
+    return mass, weights
+
+
+def truncate(system: MeasureSystem, shift: WeightedShift, i: int) -> TruncationEntry:
+    """Build the window-i member of the truncation family from
+    :func:`_window_weights`; the height must be an integer >= 1."""
+    mass, weights = _window_weights(system, shift, i)
+    kappas, new_mu, new_eps = {}, {}, {}
+    for v in shift.tree.sorted_vertices:
+        mu = system.measure(v)
+        kappas[v] = _kappa(mu)
+        if weights is None:
+            continue
         if mass[v] > 0.0:
-            new_mu[v] = system.measure(v).restricted(i).divided(mass[v])
+            new_mu[v] = mu.restricted(i).divided(mass[v])
             new_eps[v] = system.eps_at(v) / mass[v]
         else:
             new_mu[v] = AtomicMeasure.delta(0.0)
             new_eps[v] = 1.0
+    if weights is None:
+        # the window swallows every support: the truncation is the identity
+        truncated_shift, truncated_system = shift, system
+    else:
+        truncated_shift = WeightedShift(shift.tree, weights)
+        truncated_system = MeasureSystem(mu=new_mu, eps=new_eps)
     return TruncationEntry(
         index=i,
-        shift=WeightedShift(tree, new_weights),
-        system=MeasureSystem(mu=new_mu, eps=new_eps),
+        shift=truncated_shift,
+        system=truncated_system,
         original_shift=shift,
         original_system=system,
         kappas=kappas,
@@ -180,10 +206,11 @@ class TruncationReport(Record):
 def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> TruncationReport:
     """Check the truncated identity at every vertex, confirm all supports sit
     inside the window (hence the truncated shift is bounded with squared norm
-    at most the window height), and run the bounded-case Hankel test on the
-    truncated power norms up to order 8 (a window may have no frontier below
-    a vertex) through :func:`lambert_sweep`, so ``stieltjes_failures`` lists
-    the failing tested vertices only."""
+    at most the window height i; the norm bound is held to i * (1 + tol),
+    relative, as its rounding is), and run the bounded-case Hankel test on
+    the truncated power norms up to order 8 (a window may have no frontier
+    below a vertex) through :func:`lambert_sweep`, so ``stieltjes_failures``
+    lists the failing tested vertices only."""
     tree = entry.shift.tree
     reports = identity_reports(entry.system, entry.shift, tol=tol)
     ok = all(r.ok for r in reports)
@@ -193,7 +220,7 @@ def verify_truncated_consistency(entry: TruncationEntry, tol: float = 1e-9) -> T
     )
     supports_ok = max_support <= entry.index
     bound = entry.shift.norm_bound().value
-    norm_bound_ok = bound <= entry.index + tol
+    norm_bound_ok = bound <= entry.index * (1.0 + tol)
     stieltjes, failed = lambert_sweep(entry.shift, tol, horizon=8)
     return TruncationReport(
         index=entry.index,
@@ -285,16 +312,18 @@ def convergence_report(
     inner product with the original power, and the squared residual of the
     difference (three-term expansion).  Both norms are the ``fsum`` of the
     squared moduli of the coefficients that the inner product reads, so
-    the residual is exactly zero once the window swallows every support."""
-    heights = sorted(set(int(i) for i in i_list))
-    if any(i < 1 for i in heights):
-        raise ValueError("window heights must be positive")
+    the residual is exactly zero once the window swallows every support.
+    Each row reads the truncated weights of :func:`_window_weights` alone;
+    every height must be an integer >= 1."""
+    heights = sorted(set(int(_window_height(i)) for i in i_list))
     coeffs = shift.power_coefficients(u, n)
     original = math.fsum(_mod_sq_list(coeffs.values()))
     rows = []
     for i in heights:
-        entry = truncate(system, shift, i)
-        tcoeffs = entry.shift.power_coefficients(u, n)
+        _, weights = _window_weights(system, shift, i)
+        tcoeffs = coeffs if weights is None else (
+            WeightedShift(shift.tree, weights).power_coefficients(u, n)
+        )
         trunc_norm = math.fsum(_mod_sq_list(tcoeffs.values()))
         cross = _fsum_complex(
             coeffs[w] * tcoeffs[w].conjugate()

@@ -164,6 +164,23 @@ def test_truncate_survives_a_subnormal_window_mass(tmp_path, capsys):
     assert entry["system"]["measures"]["1"] == {"atoms": [{"x": 0.5, "w": 1.0}]}
 
 
+def test_truncate_compares_the_norm_bound_with_the_window_relatively(tmp_path, capsys):
+    # the depth-2 half line with weights sqrt(3e7) and d_3e7 at every vertex:
+    # certified, and its window of height 3e7 is the identity, whose norm
+    # bound reads 30000000.000000004, one ulp of the height above it
+    w = math.sqrt(3e7)
+    tree = write(tmp_path, "tree.json", {"family": "unilateral", "params": {"depth": 2}})
+    weights = write(tmp_path, "weights.json", {"weights": [w, w]})
+    measures = {str(k): {"atoms": [{"x": 3e7, "w": 1.0}]} for k in range(3)}
+    system = write(tmp_path, "system.json", {"measures": measures, "eps": {}})
+    docs = ["--tree", tree, "--weights", weights, "--system", system]
+    assert run_cli(["certify", "--family", "general", *docs], capsys)[0] == 0
+    code, out = run_cli(["truncate", *docs, "--window", "30000000"], capsys)
+    report = json.loads(out)
+    assert report["verification"]["norm_bound"] > 3e7
+    assert code == 0 and report["status"] == "ok" and report["witness"] is None
+
+
 def test_truncate_refutes_a_tampered_system_at_its_vertex(unilateral_inputs, tmp_path, capsys):
     tree, weights, _ = unilateral_inputs
     measures = {str(k): {"atoms": [{"x": 1.0, "w": 1.0}]} for k in range(5)}

@@ -27,10 +27,13 @@ from treeshift import (
     certify_bilateral,
     certify_subnormal,
     certify_t_eta_kappa,
+    convergence_report,
     make_family,
     root_measure_equivalence_check,
     superpose,
+    truncate,
     truncated_tree,
+    verify_truncated_consistency,
 )
 from treeshift.cli import main
 from treeshift.models import branching_tree_system, construct_root_measure
@@ -154,6 +157,57 @@ def branch_data(eta, kappa, depth, entry_budget=1.0, terminal=0.8):
     )
 
 
+def truncation_pair(seed=23):
+    """A binary window of depth 2, closed bottom-up as in :func:`bary_pair`.
+    Leaves 3 to 6 hold an atom exactly at the window heights 2, 1, 3 and 4
+    and two random atoms in [1.5, 12]; leaf 3 also holds 1e-320 at 0.5, so
+    the window [0, 1] carries a subnormal mass there and a normal one at its
+    parent."""
+    rng = random.Random(seed)
+    count = 7
+    tree = truncated_tree(range(count), {v: (v - 1) // 2 for v in range(1, count)})
+    mu, eps, weights = {}, {}, {}
+    for u in reversed(range(count)):
+        kids = tree.children(u)
+        if not kids:
+            atoms = [(float((2, 1, 3, 4)[u - 3]), rng.uniform(0.2, 1.0))]
+            atoms += [(rng.uniform(1.5, 12.0), rng.uniform(0.2, 1.0)) for _ in range(2)]
+            if u == 3:
+                atoms.append((0.5, 1e-320))
+            total = math.fsum(w for _, w in atoms)
+            mu[u] = AtomicMeasure(tuple((x, w / total) for x, w in atoms))
+            eps[u] = 0.0
+            continue
+        budget = 0.7 if u == 0 else 1.0
+        shares = [rng.uniform(0.5, 1.5) for _ in kids]
+        total = math.fsum(shares)
+        terms = []
+        for v, share in zip(kids, shares):
+            c = budget * share / total / mu[v].moment(-1)
+            weights[v] = math.sqrt(c) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            terms.append((c, mu[v]))
+        eps[u] = 1.0 - budget if u == 0 else 0.0
+        mu[u] = superpose(terms, -1, eps[u])
+    return WeightedShift(tree, weights), MeasureSystem(mu=mu, eps=eps)
+
+
+TRUNCATION_WINDOWS = (1, 2, 3, 4, 8, 16)
+
+
+def truncation_family():
+    """Each window's entry and verification, then the convergence table of
+    the root at power 2 over the same windows."""
+    shift, system = truncation_pair()
+    parts = {}
+    for i in TRUNCATION_WINDOWS:
+        entry = truncate(system, shift, i)
+        parts[f"window-{i}"] = {
+            "entry": entry, "verification": verify_truncated_consistency(entry),
+        }
+    parts["convergence"] = convergence_report(system, shift, 0, 2, TRUNCATION_WINDOWS)
+    return parts
+
+
 def _with_root_measure(data):
     nu, _ = construct_root_measure(data)
     return data.replace(nu=nu)
@@ -190,6 +244,7 @@ def _library_reports():
         "teta-weights-kappa1": certify_t_eta_kappa(
             branch_data(2, 1, 5).replace(branch_measures=None), depth=5
         ),
+        "truncation-family": truncation_family(),
     }
 
 
@@ -214,6 +269,9 @@ GOLDEN = {
     "cli-check-consistency-depth-2": "d81a566dcd5ec3967060a871ce265c49af4cd0c4c1d8724bd2b9612518123ff8",
     "cli-certify-sequences": "27e3b16986512998736e3a89486e9468fd8146e839fd8d6ec029ef1391772ae7",
     "cli-truncate-path": "6b047b6c4599cf88a30374186a46a0b1d3f072649f7992b875c998c5742f0276",
+    "truncation-family": "20a99e298e125bd7687d0d6a626213a8529c574c7f751c7f743dfb34976c1f38",
+    "cli-converge": "4b332ac6d5a2182207795084caf1508792572132071f0990592e34ba689fc7fd",
+    "cli-converge-text": "7da18608284bf98710acb3646259ea4df03a5f0f9881bec9c7bfd9afe50d4bea",
 }
 
 
@@ -292,6 +350,31 @@ def test_truncate_report_digest(tmp_path, capsys):
     }
     digest = _cli_digest(tmp_path, capsys, ["truncate", "--window", "6"], docs)
     assert digest == GOLDEN["cli-truncate-path"]
+
+
+def _truncation_documents():
+    shift, system = truncation_pair()
+    tree = shift.tree
+    return {
+        "tree": {
+            "vertices": list(tree.sorted_vertices),
+            "edges": [[tree.parent[v], v] for v in tree.non_root_vertices],
+        },
+        "weights": {
+            "weights": [{"v": v, "re": w.real, "im": w.imag} for v, w in shift.weights.items()]
+        },
+        "system": system.as_dict(),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_converge_report_digest(tmp_path, capsys, fmt):
+    """The root's power-2 table of :func:`truncation_pair` over the windows
+    1, 2, 3, 4, 8 and 16."""
+    windows = ",".join(map(str, TRUNCATION_WINDOWS))
+    args = ["converge", "--vertex", "0", "--power", "2", "--i-list", windows, "--format", fmt]
+    digest = _cli_digest(tmp_path, capsys, args, _truncation_documents())
+    assert digest == GOLDEN["cli-converge" if fmt == "json" else "cli-converge-text"]
 
 
 if __name__ == "__main__":

@@ -324,6 +324,65 @@ def test_a_negative_zero_position_reads_zero():
         assert [repr(v) for v in mu.moments(20)] == [repr(v) for v in _moments_one_by_one(mu, 20)]
 
 
+def _routed_measures(seed=3030):
+    """Seeded measures from every route that builds one: the constructor
+    (with an atom at zero), superpose (a deficit, a power and a scale),
+    divided (by a reciprocal and, past the largest float, mass by mass),
+    plus, parent_from_children and a quadrature fit."""
+    from treeshift import WeightedShift, make_family, parent_from_children
+
+    rng = random.Random(seed)
+
+    def atoms(k, lo=0.15, hi=10.0):
+        return tuple((rng.uniform(lo, hi), rng.uniform(0.05, 1.0)) for _ in range(k))
+
+    out = []
+    for _ in range(40):
+        mu = AtomicMeasure(atoms(rng.randint(1, 5)))
+        nu = AtomicMeasure(((0.0, rng.uniform(0.1, 1.0)), *atoms(rng.randint(1, 3))))
+        c = rng.uniform(0.3, 1.0) / mu.moment(-1)
+        shift = WeightedShift(make_family("unilateral", 1), {1: math.sqrt(c)})
+        out += [
+            mu,
+            nu,
+            superpose(((rng.uniform(0.1, 3.0), mu), (rng.uniform(0.1, 3.0), nu)), 1, 0.25),
+            superpose(((rng.uniform(0.1, 3.0), mu),), -1),
+            mu.scaled(rng.uniform(0.1, 3.0)),
+            mu.divided(rng.uniform(0.1, 3.0)),
+            mu.scaled(1e-4).divided(1e-310),
+            mu.plus(nu),
+            parent_from_children(shift, 0, {1: mu})[0],
+            quadrature_from_moments(mu.moments(2 * len(mu.atoms) - 1)).measure,
+        ]
+    assert 1.0 / 1e-310 == math.inf
+    return out
+
+
+def _cutoffs(mu):
+    """Each atom's position and its neighbours one ulp away, zero of both
+    signs, a height below the first atom, inf and NaN."""
+    cuts = [0.0, -0.0, -1.0, math.inf, math.nan]
+    if mu.atoms:
+        cuts.append(mu.atoms[0][0] / 2.0)
+    for x, _ in mu.atoms:
+        cuts += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return cuts
+
+
+def test_window_prefix_equals_the_filtered_atoms_bit_for_bit():
+    # restricted and mass_upto read the prefix of the canonical atoms at or
+    # below the cutoff; the constructor over the filtered atoms and the fsum
+    # of their masses must give the same bits at every cutoff
+    checked = 0
+    for mu in _routed_measures():
+        for c in _cutoffs(mu):
+            kept = tuple((x, w) for x, w in mu.atoms if x <= c)
+            assert repr(mu.restricted(c).atoms) == repr(AtomicMeasure(kept).atoms), (mu, c)
+            assert repr(mu.mass_upto(c)) == repr(math.fsum(w for _, w in kept)), (mu, c)
+            checked += bool(kept) and len(kept) < len(mu.atoms)
+    assert checked > 1000
+
+
 def test_moments_of_examples():
     d0 = AtomicMeasure.delta(0.0)
     assert d0.moments(4) == (1.0, 0.0, 0.0, 0.0, 0.0)

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from treeshift import (
     AtomicMeasure,
     MeasureSystem,
+    TruncationEntry,
     WeightedShift,
     check_stieltjes,
     convergence_report,
@@ -15,6 +18,9 @@ from treeshift import (
     truncated_path_weight,
     verify_truncated_consistency,
 )
+from treeshift import truncation
+from treeshift.shift import _fsum_complex, _mod_sq_list
+from treeshift.tree import vertex_sort_key
 
 from conftest import every_vertex_failures, random_chain_tree, random_consistent_system
 
@@ -271,3 +277,121 @@ def test_truncations_of_consistent_systems_pass_the_lambert_sweep():
             assert every_vertex_failures(entry.shift, 8) == []
             tested += len(report.stieltjes)
     assert tested > 0
+
+
+def half_line_at(x, depth=2):
+    """The depth-``depth`` half line with weights sqrt(x) and the unit mass at
+    x at every vertex: a consistent system whose norm bound is x up to
+    rounding."""
+    tree = make_family("unilateral", depth)
+    shift = WeightedShift(tree, {n: math.sqrt(x) for n in range(1, depth + 1)})
+    mu = {n: AtomicMeasure.delta(x) for n in range(depth + 1)}
+    return shift, MeasureSystem(mu=mu, eps={n: 0.0 for n in mu})
+
+
+def test_the_norm_bound_is_checked_relative_to_the_window_height():
+    # at heights of 2**23 and up one ulp of the height exceeds 1e-9, so an
+    # absolute tolerance refuted these identity windows on rounding alone
+    shift, system = half_line_at(3e7)
+    report = verify_truncated_consistency(truncate(system, shift, 30000000))
+    assert report.norm_bound == 30000000.000000004
+    assert report.norm_bound_ok and report.ok and report.witness is None
+    rng = random.Random(30)
+    for i in sorted(rng.randint(2**23, 124_000_000) for _ in range(100)):
+        shift, system = half_line_at(float(i))
+        report = verify_truncated_consistency(truncate(system, shift, i))
+        assert report.ok, (i, report.norm_bound)
+
+
+def test_a_norm_bound_past_the_relative_tolerance_stays_refuted():
+    shift, system = half_line_at(4.0)
+    entry = truncate(system, shift, 4)
+    for factor, within in ((1.0 + 5e-10, True), (1.0 + 2e-9, False)):
+        weights = {v: math.sqrt(4.0 * factor) for v in shift.weights}
+        tampered = TruncationEntry(
+            index=4,
+            shift=WeightedShift(shift.tree, weights),
+            system=entry.system,
+            original_shift=shift,
+            original_system=system,
+            kappas=entry.kappas,
+            window_mass=entry.window_mass,
+        )
+        report = verify_truncated_consistency(tampered)
+        assert report.norm_bound_ok is within and report.supports_ok
+        if not within:
+            assert not report.ok and report.witness is not None
+
+
+@pytest.mark.parametrize("height", [2.5, 0.5, 0, -1, 0.0, math.nan, math.inf, "3", None, 1j])
+def test_window_heights_are_integers_from_one(height):
+    shift, system = mixed_pair_system()
+    message = re.escape(f"window height {height!r} is not an integer >= 1")
+    with pytest.raises(ValueError, match=message):
+        truncate(system, shift, height)
+    with pytest.raises(ValueError, match="is not an integer >= 1"):
+        convergence_report(system, shift, 0, 2, [2, height])
+
+
+def test_integral_heights_behave_as_integers():
+    shift, system = mixed_pair_system(positions=(1.0, 3.0))
+    entry, floated = truncate(system, shift, 2), truncate(system, shift, 2.0)
+    assert floated.index == 2.0 and floated.window_mass == entry.window_mass
+    assert floated.shift.weights == entry.shift.weights
+    assert convergence_report(system, shift, 0, 2, [2.0, 2, 3.0]) == convergence_report(
+        system, shift, 0, 2, [2, 3]
+    )
+
+
+def test_window_weights_are_the_entry_weights(rng):
+    for _ in range(10):
+        shift, system = random_consistent_system(rng, max_vertices=25)
+        for i in (1, 2, 4, 16):
+            mass, weights = truncation._window_weights(system, shift, i)
+            entry = truncate(system, shift, i)
+            assert mass == entry.window_mass
+            if weights is None:
+                assert entry.shift is shift and entry.system is system
+            else:
+                assert list(weights.items()) == list(entry.shift.weights.items())
+            # supports end below 10: the window of height 16 swallows them all
+            assert weights is None or i < 16
+
+
+def _rows_through_truncate(system, shift, u, n, heights):
+    """The convergence rows as ``truncate`` builds them: each window's whole
+    entry, then its shift's power coefficients."""
+    coeffs = shift.power_coefficients(u, n)
+    original = math.fsum(_mod_sq_list(coeffs.values()))
+    rows = []
+    for i in heights:
+        tcoeffs = truncate(system, shift, i).shift.power_coefficients(u, n)
+        trunc_norm = math.fsum(_mod_sq_list(tcoeffs.values()))
+        cross = _fsum_complex(
+            coeffs[w] * tcoeffs[w].conjugate() for w in sorted(coeffs, key=vertex_sort_key)
+        )
+        rows.append((i, trunc_norm, cross, original + trunc_norm - 2.0 * cross.real))
+    return original, rows
+
+
+def test_convergence_rows_equal_the_truncate_route(rng, monkeypatch):
+    heights = (1, 2, 3, 5, 8, 16)
+    cases = []
+    for _ in range(12):
+        shift, system = random_consistent_system(rng, max_vertices=30)
+        tree = shift.tree
+        for u in sorted(tree.sorted_vertices, key=vertex_sort_key)[:4]:
+            for n in range(int(min(3, tree.available_depth(u))) + 1):
+                cases.append((system, shift, u, n, _rows_through_truncate(
+                    system, shift, u, n, heights
+                )))
+    # the report reads the window weights alone and never builds an entry
+    monkeypatch.setattr(truncation, "truncate", None)
+    for system, shift, u, n, (original, rows) in cases:
+        table = convergence_report(system, shift, u, n, heights)
+        got = [
+            (r.index, r.truncated_norm_sq, r.cross_inner, r.residual_sq) for r in table.rows
+        ]
+        assert repr(table.original_norm_sq) == repr(original)
+        assert repr(got) == repr(rows), (u, n)
+    assert len(cases) > 50
