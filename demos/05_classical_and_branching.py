@@ -92,8 +92,6 @@ sequences = {
     (1, 1): shift.moment_values((1, 1), 5),
     (2, 1): shift.moment_values((2, 1), 5),
 }
-extraction = extract_branch_data(shift, sequences)
-print(f"status: {extraction.status}")
-print(f"recovered branch measures: "
-      f"{[m.atoms for m in extraction.data.branch_measures]}")
-print(f"determinacy diagnostic: {extraction.diagnostic.label}")
+certificate = extract_branch_data(shift, sequences)
+print(f"status: {certificate.status}")
+print(f"condition holds on the fitted branch measures: {certificate.detail['condition']['ok']}")

@@ -30,7 +30,6 @@ _EXPORTS = {
     ),
     "models": (
         "BranchData",
-        "BranchExtraction",
         "ModelCertificate",
         "TwoSidedSequence",
         "branch_data_from_json",

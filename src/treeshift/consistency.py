@@ -316,7 +316,7 @@ def hankel_witness(verdict, **where) -> dict:
     }
 
 
-def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None, norms=None) -> tuple:
+def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None) -> tuple:
     """Lambert's test: Hankel verdicts, in vertex order, of the power norms
     t_u(0..top(u)), top(u) = ``tree.clamp_order(u, horizon)``, and the first
     that fails (or None); an infinite horizon raises ``ValueError`` where no
@@ -324,9 +324,8 @@ def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None, norms=
     weight enters u from a parent p with no other child and top(p) > top(u),
     as u's blocks are then scaled principal submatrices of p's.  ``known`` maps vertices
     to verdicts already run on their norms; the rows of the others are read
-    from one :meth:`~treeshift.shift.WeightedShift.power_norms` table:
-    ``norms`` when the caller holds it, else built only when some tested
-    vertex has no known verdict."""
+    from one :meth:`~treeshift.shift.WeightedShift.power_norms` table, built
+    only when some tested vertex has no known verdict."""
     tree = shift.tree
     top = tree.clamp_orders(horizon)
     known = known or {}
@@ -337,8 +336,7 @@ def lambert_sweep(shift, tol: float = 1e-9, horizon=math.inf, known=None, norms=
             and shift.weights[u] != 0 and top[p] > n
         )
     ]
-    if norms is None and not all(known.get(u) for u in tested):
-        norms = shift.power_norms(horizon)
+    norms = None if all(known.get(u) for u in tested) else shift.power_norms(horizon)
     verdicts = {u: known.get(u) or check_stieltjes(norms[u], tol=tol) for u in tested}
     return verdicts, next((u for u, v in verdicts.items() if not v.consistent), None)
 

@@ -31,13 +31,10 @@ from .consistency import (
 )
 from .moments import (
     AtomicMeasure,
-    DeterminacyDiagnostic,
     QuadratureError,
     RefutedSequenceError,
     _exact_mass,
     as_values,
-    carleman_diagnostic,
-    check_stieltjes,
     measure_from_json,
     quadrature_from_moments,
     superpose,
@@ -92,15 +89,6 @@ class ModelCertificate(Record):
         }
 
 
-def _fit(values, tol: float):
-    """Quadrature of ``values`` (None when refuted) and the verdict it ran."""
-    try:
-        fit = quadrature_from_moments(values, tol=tol)
-    except RefutedSequenceError as err:
-        return None, err.verdict
-    return fit, fit.verdict
-
-
 def _evidence(values, tol: float):
     """The Hankel verdict of ``values``, read from their quadrature fit, with
     the fitted measure when its moments reproduce every value within ``tol``
@@ -120,21 +108,20 @@ def _evidence(values, tol: float):
     return fit.verdict, fit.measure, None
 
 
-def _swept(shift, rows: dict, tol: float, norms=None) -> tuple:
+def _swept(shift, rows: dict, tol: float) -> tuple:
     """Lambert's test of ``shift`` (:func:`lambert_sweep`), where ``rows`` maps
     vertices to their power norms up to a positive factor, fitted first as
-    evidence (:func:`_evidence`) for their verdicts, and ``norms`` is the
-    shift's ``power_norms(inf)`` table when the caller holds it.  Returns the
-    verdicts, the fits, and the first failed vertex (branch before trunk)
-    with its row."""
+    evidence (:func:`_evidence`) for their verdicts.  Returns the verdicts,
+    the fits, and the first failed vertex (branch before trunk) with its
+    row."""
     evidence = {u: _evidence(values, tol) for u, values in rows.items()}
     known = {u: e[0] for u, e in evidence.items()}
-    verdicts, _ = lambert_sweep(shift, tol, known=known, norms=norms)
+    verdicts, _ = lambert_sweep(shift, tol, known=known)
     order = sorted(verdicts, key=lambda u: isinstance(u, int))
     failed = next((u for u in order if not verdicts[u].consistent), None)
     if failed is None:
         return verdicts, evidence, None, None
-    row = rows.get(failed) or (shift.power_norms(math.inf) if norms is None else norms)[failed]
+    row = rows.get(failed) or shift.power_norms(math.inf)[failed]
     return verdicts, evidence, failed, list(row)
 
 
@@ -750,82 +737,23 @@ def certify_t_eta_kappa(
     )
 
 
-class BranchExtraction(Record):
-    """Branch data recovered from per-vertex moment sequences, with the
-    condition verdicts and the determinacy diagnostic that qualifies them."""
-
-    __slots__ = ("data", "status", "conditions", "diagnostic", "sequence_checks", "notes")
-
-    def __init__(
-        self, data: BranchData, status: str, conditions: dict, diagnostic: DeterminacyDiagnostic,
-        sequence_checks: dict, notes: tuple,
-    ):
-        set_field(self, "data", data)
-        set_field(self, "status", status)
-        set_field(self, "conditions", conditions)
-        set_field(self, "diagnostic", diagnostic)
-        set_field(self, "sequence_checks", sequence_checks)
-        set_field(self, "notes", notes)
-
-    def as_dict(self) -> dict:
-        return {
-            "data": self.data.as_dict(),
-            "status": self.status,
-            "conditions": self.conditions,
-            "diagnostic": self.diagnostic.as_dict(),
-            "sequence_checks": {
-                k: v.as_dict() for k, v in sorted(self.sequence_checks.items())
-            },
-            "notes": list(self.notes),
-        }
-
-
 def extract_branch_data(
     shift: WeightedShift, sequences: Mapping, tol: float = 1e-9
-) -> BranchExtraction:
-    """Recover branch measures from moment sequences on a branching tree and
-    check the condition set the trunk length calls for.
-
-    Sequences are required at the trunk vertices, the branching vertex, and
-    the first vertex of each branch.  Only the sweep of the shift's window
-    refutes (:func:`_swept`; its row and witness in ``conditions``).  Branch
-    measures come from quadrature, so the conditions are evidence, and all
-    verdicts are conditional on the determinacy diagnostic of the branching
-    vertex's shifted sequence (the quasi-analytic route).
+) -> ModelCertificate:
+    """The weights-only :func:`certify_t_eta_kappa` of a shift on a
+    one-branching-vertex window, to its depth, once every supplied sequence
+    names a vertex of the window, agrees with its power norms within ``tol``
+    on their common orders, and has no value past them: the sequences add
+    nothing the weights do not decide.
     """
     tree = shift.tree
     if tree.family != T_ETA_KAPPA:
         raise ValueError("extraction works on the one-branching-vertex family")
-    eta = tree.params["eta"]
-    kappa = tree.params["kappa"]
-    trunk_len = tree.params["depth"] if kappa == math.inf else kappa
-    heads = [(i, 1) for i in range(1, eta + 1)]
-    required = [-ell for ell in range(trunk_len + 1)] + heads
-    # quadrature rebuilds the branch measures and, on a finite trunk, the
-    # root measure; it runs the Hankel test of those sequences itself
-    fitted = set(heads) | ({-kappa} if 0 < kappa < math.inf else set())
-    checks = {}
-    supplied = {}
-    fits = {}
-    for v in required:
-        if v not in sequences:
-            raise ValueError(f"no moment sequence supplied for vertex {v!r}")
-        supplied[v] = values = as_values(sequences[v])
-        if v in fitted and len(values) >= 3:
-            fits[v], verdict = _fit(values, tol)
-        else:
-            verdict = check_stieltjes(values, tol=tol)
-        checks[vertex_to_key(v)] = verdict
-        if not verdict.consistent:
-            raise RefutedSequenceError(
-                f"sequence at {v!r} fails the Hankel test", verdict, vertex=v
-            )
-    notes = []
-    # one table serves the check and the sweep: a finite horizon's rows are
-    # prefixes of the infinite horizon's
     table = shift.power_norms(math.inf)
-    for v, values in supplied.items():
-        norms = table[v][: len(values)]
+    for v, seq in sequences.items():
+        if v not in table:
+            raise ValueError(f"vertex {v!r} is not in the window")
+        values, norms = as_values(seq), table[v]
         row = first_failing_row(values, norms, tol)
         if row is not None:
             n = row[0]
@@ -833,50 +761,22 @@ def extract_branch_data(
                 f"sequence at {v!r} disagrees with the shift at order {n}: "
                 f"{values[n]} vs {norms[n]}"
             )
-    measures = [fits[v].measure for v in heads]
-    trunk_weights = tuple(
-        shift.weight(-ell) for ell in range(trunk_len)
-    )
-    branch_depth = tree.params["depth"]
-    branch_weights = tuple(
-        tuple(shift.weight((i, j)) for j in range(2, branch_depth + 1))
-        for i in range(1, eta + 1)
-    )
+        if len(values) > len(norms):
+            raise ValueError(
+                f"sequence at {v!r} runs past the window's {len(norms)} power norms"
+            )
+    eta, kappa, depth = tree.params["eta"], tree.params["kappa"], tree.params["depth"]
+    branches = range(1, eta + 1)
     data = BranchData(
         eta=eta,
         kappa=kappa,
-        branch_measures=tuple(measures),
-        entry_weights=tuple(shift.weight((i, 1)) for i in range(1, eta + 1)),
-        branch_weights=branch_weights,
-        trunk_weights=trunk_weights,
+        branch_measures=None,
+        entry_weights=tuple(shift.weight((i, 1)) for i in branches),
+        branch_weights=tuple(
+            tuple(shift.weight((i, j)) for j in range(2, depth + 1)) for i in branches
+        ),
+        trunk_weights=tuple(
+            shift.weight(-ell) for ell in range(depth if kappa == math.inf else kappa)
+        ),
     )
-    conditions = {"branch_moment_check": verify_branch_moments(data, tol=max(tol, 1e-8))}
-    if kappa == 0:
-        conditions["condition"] = root_inequality(data, tol=tol)
-    elif kappa == math.inf:
-        conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        notes.append("infinite trunk: equalities checked up to the window")
-    else:
-        conditions["condition"] = trunk_conditions(data, tol=max(tol, 1e-8))
-        nu = fits[-kappa].measure
-        conditions["root_measure_form"] = root_measure_conditions(
-            data, nu, tol=max(tol, 1e-8)
-        )
-    diagnostic = carleman_diagnostic(supplied[0][1:])
-    verdicts, _, failed, row = _swept(shift, {}, tol, norms=table)
-    if failed is not None:
-        witness = hankel_witness(verdicts[failed], vertex=vertex_to_key(failed))
-        conditions["lambert_sweep"] = {"ok": False, "sequence": row, "witness": witness}
-    else:
-        notes.append("verdict conditional on determinacy; diagnostic label: " + diagnostic.label)
-        if not all(c["ok"] for c in conditions.values()):
-            notes.append("a condition fails on the fitted measures: evidence, not a refutation")
-    status = CONDITIONAL if failed is None else REFUTED
-    return BranchExtraction(
-        data=data,
-        status=status,
-        conditions=conditions,
-        diagnostic=diagnostic,
-        sequence_checks=checks,
-        notes=tuple(notes),
-    )
+    return certify_t_eta_kappa(data, depth=depth, tol=tol)

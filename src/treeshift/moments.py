@@ -172,7 +172,9 @@ class AtomicMeasure(Record):
         return AtomicMeasure._of_canonical(_merged([[(x, w / d) for x, w in self.atoms]], 0.0))
 
     def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure._of_canonical(_canonical([*self.atoms, *other.atoms]))
+        """The measure sum, merged as :func:`superpose` merges; a mass that is
+        not finite raises ``ValueError``."""
+        return AtomicMeasure._of_canonical(_merged([self.atoms, other.atoms], 0.0))
 
     def times_power(self, p: int) -> "AtomicMeasure":
         """Reweight by s^p.  Positive p annihilates any atom at zero; negative

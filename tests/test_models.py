@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from treeshift import (
     CERTIFIED,
     CONDITIONAL,
     REFUTED,
-    RefutedSequenceError,
     WeightedShift,
     branch_data_from_json,
     certify_bilateral,
@@ -38,6 +38,8 @@ from treeshift.models import (
 from treeshift.moments import scaled_inverse_integral, superpose
 
 from conftest import NEGATIVE_NODE_BRANCH, stratified_atoms
+from test_classical_corpus import BRANCH_CASES, branching_document
+from test_package import BENCH, _bench_module
 
 
 # -- unilateral -----------------------------------------------------------------
@@ -812,24 +814,30 @@ def branching_shift(eta=2, kappa=0, depth=6):
     return WeightedShift(tree, weights)
 
 
+def _first_branch_moments(cert):
+    """The first moment of each fitted branch measure, by branch."""
+    rows = cert.detail["branch_moment_check"]["rows"]
+    return {r["branch"]: r["moment"] for r in rows if r["n"] == 1}
+
+
 def test_extract_branch_data_recovers_measures():
+    # the fits of the shift's own head norms are the point masses at 1 and 2
     shift = branching_shift()
     seqs = {
         0: shift.moment_values(0, 6),
         (1, 1): shift.moment_values((1, 1), 5),
         (2, 1): shift.moment_values((2, 1), 5),
     }
-    ext = extract_branch_data(shift, seqs)
-    assert ext.status == CONDITIONAL
-    assert ext.conditions["condition"]["ok"]
-    m1, m2 = ext.data.branch_measures
-    assert m1.atoms[0][0] == pytest.approx(1.0, rel=1e-9)
-    assert m2.atoms[0][0] == pytest.approx(2.0, rel=1e-9)
-    assert ext.diagnostic.label == "divergence-trend"
+    cert = extract_branch_data(shift, seqs)
+    assert cert.status == CONDITIONAL
+    assert cert.detail["condition"]["ok"]
+    first = _first_branch_moments(cert)
+    assert first[1] == pytest.approx(1.0, rel=1e-9)
+    assert first[2] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_extract_fast_growth_stays_conditional():
-    # branch products growing like (2n)!^2 push the diagnostic to convergence
+    # branch products growing like (2n)!^2
     depth = 8
     tree = make_family("t-eta-kappa", depth, eta=2, kappa=0)
     seq = [float(math.factorial(2 * n)) ** 2 for n in range(depth + 1)]
@@ -844,10 +852,7 @@ def test_extract_fast_growth_stays_conditional():
         (1, 1): shift.moment_values((1, 1), depth - 1),
         (2, 1): shift.moment_values((2, 1), depth - 1),
     }
-    ext = extract_branch_data(shift, seqs)
-    assert ext.status == CONDITIONAL
-    assert ext.diagnostic.label == "convergence-trend"
-    assert any("conditional" in n for n in ext.notes)
+    assert extract_branch_data(shift, seqs).status == CONDITIONAL
 
 
 def _weights_only(*branch_weights):
@@ -948,15 +953,13 @@ def test_extract_is_refuted_by_the_power_norms_of_its_window_alone():
         weights[(1, j)], weights[(2, j)] = w, 1.0
     shift = WeightedShift(tree, weights)
     table = shift.power_norms(3)
-    ext = extract_branch_data(shift, {v: table[v] for v in (0, (1, 1), (2, 1))})
-    assert ext.status == REFUTED
-    sweep = ext.conditions["lambert_sweep"]
-    witness = sweep["witness"]
+    cert = extract_branch_data(shift, {v: table[v] for v in (0, (1, 1), (2, 1))})
+    assert cert.status == REFUTED
+    witness = cert.witness
     assert witness["check"] == "hankel" and witness["vertex"] == "1,2"
-    assert sweep["sequence"] == list(shift.power_norms(math.inf)[(1, 2)])
-    form, with_tol = _exact_forms(sweep["sequence"], witness)
+    assert cert.detail["sequence"] == list(shift.power_norms(math.inf)[(1, 2)])
+    form, with_tol = _exact_forms(cert.detail["sequence"], witness)
     assert with_tol < 0 and float(form) == witness["quadratic_form"]
-    assert not any("conditional" in n for n in ext.notes)
 
 
 def test_a_condition_that_fails_on_the_fitted_measures_is_evidence_only():
@@ -1021,17 +1024,35 @@ def test_weights_only_infinite_trunk_with_short_branches_clamps_the_system():
 
 
 def test_extract_rejects_refuted_sequences():
+    # a sequence that fails the Hankel test is not the shift's power norms
     shift = branching_shift()
     seqs = {
         0: shift.moment_values(0, 6),
         (1, 1): (1.0, 1.0, 0.0, 0.0),
         (2, 1): shift.moment_values((2, 1), 5),
     }
-    with pytest.raises(RefutedSequenceError):
+    with pytest.raises(ValueError, match=re.escape("at (1, 1) disagrees with the shift at order 2")):
         extract_branch_data(shift, seqs)
 
 
-def test_extract_finite_trunk_checks_root_measure_form():
+def test_extract_rejects_values_past_the_window():
+    # the head's row at depth 6 has six power norms; a seventh value, even
+    # the right one, judges the supplied numbers and not the shift
+    shift = branching_shift()
+    head = branching_shift(depth=7).moment_values((1, 1), 6)
+    assert head[:6] == shift.power_norms(math.inf)[(1, 1)]
+    with pytest.raises(ValueError, match=re.escape("at (1, 1) runs past the window's 6 power norms")):
+        extract_branch_data(shift, {(1, 1): head})
+
+
+@pytest.mark.parametrize("vertex", [(3, 1), (1, 7), -1, 1])
+def test_extract_rejects_a_vertex_outside_the_window(vertex):
+    shift = branching_shift()
+    with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not in the window")):
+        extract_branch_data(shift, {vertex: (1.0, 1.0, 1.0)})
+
+
+def test_extract_finite_trunk_checks_the_trunk_rows():
     # entry weights solved against point masses at 1 and 4 so the
     # branching-vertex equality holds, with slack at the terminal level
     depth = 6
@@ -1047,13 +1068,14 @@ def test_extract_finite_trunk_checks_root_measure_form():
         (1, 1): shift.moment_values((1, 1), 5),
         (2, 1): shift.moment_values((2, 1), 5),
     }
-    ext = extract_branch_data(shift, seqs)
-    assert ext.status == CONDITIONAL
-    assert ext.conditions["condition"]["ok"]
-    assert ext.conditions["root_measure_form"]["ok"]
-    m1, m2 = ext.data.branch_measures
-    assert m1.atoms[0][0] == pytest.approx(1.0, rel=1e-9)
-    assert m2.atoms[0][0] == pytest.approx(4.0, rel=1e-9)
+    cert = extract_branch_data(shift, seqs)
+    assert cert.status == CONDITIONAL
+    condition = cert.detail["condition"]
+    assert condition["ok"] and condition["trunk"] == "finite"
+    assert [c["level"] for c in condition["checks"]] == [0, 1]
+    first = _first_branch_moments(cert)
+    assert first[1] == pytest.approx(1.0, rel=1e-9)
+    assert first[2] == pytest.approx(4.0, rel=1e-9)
 
 
 def test_extract_infinite_trunk_checks_the_window():
@@ -1065,12 +1087,12 @@ def test_extract_infinite_trunk_checks_the_window():
     weights[(1, 1)] = weights[(2, 1)] = math.sqrt(0.5)
     shift = WeightedShift(tree, weights)
     table = shift.power_norms(4)
-    ext = extract_branch_data(shift, {v: table[v] for v in tree.sorted_vertices})
-    assert ext.status == CONDITIONAL
-    condition = ext.conditions["condition"]
+    cert = extract_branch_data(shift, {v: table[v] for v in tree.sorted_vertices})
+    assert cert.status == CONDITIONAL
+    condition = cert.detail["condition"]
     assert condition["ok"] and condition["trunk"] == "windowed"
     assert [c["level"] for c in condition["checks"]] == [0, 1, 2]
-    assert ext.notes[0] == "infinite trunk: equalities checked up to the window"
+    assert cert.detail["window_note"] == "infinite trunk checked on a window of 3 levels"
 
 
 def _subnormal_window_extraction(head_values):
@@ -1091,26 +1113,23 @@ def _subnormal_window_extraction(head_values):
 
 
 def test_extract_a_subnormal_window_from_eight_head_values_is_conditional():
-    ext = _subnormal_window_extraction(8)
-    assert ext.status == CONDITIONAL and ext.conditions["condition"]["ok"]
+    cert = _subnormal_window_extraction(8)
+    assert cert.status == CONDITIONAL and cert.detail["condition"]["ok"]
 
 
 @pytest.mark.parametrize("head_values", [6, 7])
 def test_extract_a_subnormal_window_from_short_head_sequences_is_not_refuted(head_values):
-    # the three-atom fit of the head values misses the seven branch products,
-    # which is evidence about the fit, not a refutation: the window's power
-    # norms pass the Hankel test
-    ext = _subnormal_window_extraction(head_values)
-    assert ext.conditions["condition"]["ok"]
-    assert ext.status != REFUTED, ext.conditions["branch_moment_check"]["max_rel_err"]
-    assert not ext.conditions["branch_moment_check"]["ok"]
-    assert "evidence, not a refutation" in ext.notes[-1]
+    # only the window's weights are judged, so a shorter prefix of the head
+    # norms gives the same certificate
+    cert = _subnormal_window_extraction(head_values)
+    assert cert.status == CONDITIONAL
+    assert cert.as_dict() == _subnormal_window_extraction(8).as_dict()
 
 
 def _count_hankel_tests(monkeypatch):
-    """Record the sequence of every Hankel test, whether the certifier runs
-    it or quadrature does."""
-    from treeshift import models, moments
+    """Record the sequence of every Hankel test, whether the sweep runs it or
+    quadrature does."""
+    from treeshift import consistency, moments
 
     seen = []
     test = moments.check_stieltjes
@@ -1120,14 +1139,14 @@ def _count_hankel_tests(monkeypatch):
         return test(seq, tol=tol)
 
     monkeypatch.setattr(moments, "check_stieltjes", counted)
-    monkeypatch.setattr(models, "check_stieltjes", counted)
+    monkeypatch.setattr(consistency, "check_stieltjes", counted)
     return seen
 
 
 def test_each_sequence_is_hankel_tested_once(monkeypatch):
     # quadrature's own test is the verdict of the sequence it fits: the
     # deepest left shift of a bilateral window (the only shift tested), and
-    # the branch heads and the root -kappa of an extraction
+    # the branch heads of an extraction, whose sweep tests only the root -kappa
     seen = _count_hankel_tests(monkeypatch)
     cert = certify_bilateral({k: math.sqrt(2) for k in range(-3, 5)})
     assert cert.status == CERTIFIED and sorted(cert.stieltjes) == ["4"]
@@ -1140,7 +1159,7 @@ def test_each_sequence_is_hankel_tested_once(monkeypatch):
     shift = WeightedShift(tree, weights)
     seqs = {v: shift.moment_values(v, 5) for v in (-1, 0, (1, 1), (2, 1))}
     assert extract_branch_data(shift, seqs).status == CONDITIONAL
-    assert len(seen) == len(set(seen)) == 4
+    assert len(seen) == len(set(seen)) == 3
 
 
 def test_extract_rejects_a_sequence_against_an_overflowing_norm():
@@ -1153,3 +1172,59 @@ def test_extract_rejects_a_sequence_against_an_overflowing_norm():
     seqs = {v: [1.0, 1.0, 1.0, 1.0] for v in (0, (1, 1), (2, 1))}
     with pytest.raises(ValueError, match="sequence at 0 disagrees with the shift at order 1"):
         extract_branch_data(shift, seqs)
+
+
+def _document_shift(doc, depth):
+    """The shift on the T_(eta,kappa) window of ``depth`` that a weights-only
+    branch document describes."""
+    tree = make_family("t-eta-kappa", depth, eta=doc["eta"], kappa=doc["kappa"])
+    weights = {-ell: w for ell, w in enumerate(doc.get("trunk_weights", []))}
+    for i, (entry, ws) in enumerate(zip(doc["entry_weights"], doc["branch_weights"]), start=1):
+        for j, w in enumerate((entry, *ws), start=1):
+            weights[(i, j)] = w
+    return WeightedShift(tree, weights)
+
+
+@pytest.mark.parametrize("lift", [1.0, 1.07], ids=["genuine", "partner"])
+@pytest.mark.parametrize("kappa, count", BRANCH_CASES)
+def test_extract_is_the_weights_only_certifier_on_the_corpus(kappa, count, lift):
+    doc = branching_document(kappa, count, lift)
+    shift = _document_shift(doc, count + 1)
+    cert = extract_branch_data(shift, {0: shift.power_norms(math.inf)[0]})
+    expected = certify_t_eta_kappa(branch_data_from_json(doc), depth=count + 1)
+    assert cert.as_dict() == expected.as_dict()
+    assert cert.status == (CONDITIONAL if lift == 1.0 else REFUTED)
+
+
+@pytest.mark.parametrize("seed", [1, 6173])
+def test_extract_is_the_weights_only_certifier_on_the_benchmark(seed, monkeypatch):
+    # the first cycle's extract operation: a rooted branching vertex whose
+    # sequences are the shift's own power norms
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling gen
+    workloads = _bench_module("workloads")
+    (x,) = [o["inputs"] for o in workloads.cycle_ops("construct-from-moments", seed, 0)
+            if o["kind"] == "extract"]
+    depth = x["depth"]
+    doc = {
+        "eta": 2,
+        "kappa": 0,
+        "entry_weights": x["entry"],
+        "branch_weights": [[x["weights"][(i, j)] for j in range(2, depth + 1)] for i in (1, 2)],
+    }
+    shift = _document_shift(doc, depth)
+    assert shift.weights == WeightedShift(shift.tree, x["weights"]).weights
+    cert = extract_branch_data(shift, x["sequences"])
+    expected = certify_t_eta_kappa(branch_data_from_json(doc), depth=depth)
+    assert cert.as_dict() == expected.as_dict()
+    assert cert.status == CONDITIONAL
+
+
+def test_extract_notes_a_branch_without_a_representing_measure():
+    # the fit of branch 2's head norms has a negative node: evidence, so a
+    # note on a conditional certificate, not an error
+    shift = _document_shift(NEGATIVE_NODE_BRANCH, 9)
+    cert = extract_branch_data(shift, {})
+    assert cert.status == CONDITIONAL and cert.witness is None
+    assert cert.detail["note"].startswith(
+        "branch 2: no representing measure: negative quadrature node -0.31"
+    )

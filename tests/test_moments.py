@@ -124,6 +124,32 @@ def test_superpose_equals_the_left_fold_exactly(terms, power, deficit):
     assert AtomicMeasure(got.atoms).atoms == got.atoms  # canonical
 
 
+def test_plus_refuses_a_mass_that_overflows():
+    big = AtomicMeasure.delta(1.0, 1e308)
+    with pytest.raises(ValueError, match="superposed mass at x = 1.0 is not finite: inf"):
+        big.plus(big)
+    # merged positions overflow too, whatever their order
+    near = AtomicMeasure.delta(1.0 + 0.6 * MERGE_TOL, 1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        near.plus(big)
+
+
+# masses up to 1.4e307: twelve of them at one position still sum finitely
+_wide_measures = st.lists(
+    st.tuples(
+        st.sampled_from(_POSITIONS),
+        st.one_of(_masses, st.floats(min_value=1e-300, max_value=1.4e307)),
+    ),
+    max_size=6,
+).map(lambda atoms: AtomicMeasure(tuple(atoms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=_wide_measures, nu=_wide_measures)
+def test_plus_keeps_the_bits_of_the_canonical_route(mu, nu):
+    assert mu.plus(nu).atoms == moments._canonical([*mu.atoms, *nu.atoms])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     mu=_measures,

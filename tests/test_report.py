@@ -50,7 +50,7 @@ def test_each_record_has_its_constructor_parameters_as_fields():
     # equality, hashing and repr read the fields, so they must be exactly
     # what the constructor takes, in its order
     classes = Record.__subclasses__()
-    assert len(classes) == 22
+    assert len(classes) == 21
     for cls in classes:
         code = cls.__init__.__code__
         assert cls._fields == code.co_varnames[1 : code.co_argcount], cls.__name__
