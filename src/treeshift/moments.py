@@ -513,6 +513,33 @@ def _unit(x) -> list:
     return [math.ldexp(v, shift) for v in x]
 
 
+def _positive_pivot(block: list, scale: list, tol: float):
+    """The smallest pivot of the float LDL^T of D^-1/2 H D^-1/2 + tol * I
+    for H = ``block`` with D^-1/2 = diag(``scale``), or None at the first
+    pivot that is not positive.
+
+    One pass: each entry is formed where the factorization reaches it, in
+    the arithmetic in which :func:`_decide_block` forms it for :func:`_ldl`
+    ((s_i h_ij) s_j below the diagonal, 1 + tol on it), and each pivot and
+    multiplier as :func:`_ldl` forms it, so where this returns a pivot the
+    two routes agree bit for bit.
+    """
+    m = len(block)
+    rows = [[] for _ in range(m)]  # row i of L, left of the diagonal
+    pivots = []
+    one = 1.0 + tol
+    for k, sk in enumerate(scale):
+        scaled = list(map(operator.mul, rows[k], pivots))  # L_kj * d_j
+        pivot = one - sum(map(operator.mul, rows[k], scaled))
+        if not pivot > 0:
+            return None
+        pivots.append(pivot)
+        for i in range(k + 1, m):
+            row = rows[i]
+            row.append((scale[i] * block[i][k] * sk - sum(map(operator.mul, row, scaled))) / pivot)
+    return min(pivots)
+
+
 def _decide_block(block: list, tol: float):
     """Decide whether H + tol * diag(H) is positive semidefinite for the
     Hankel block H = ``block``.
@@ -526,15 +553,19 @@ def _decide_block(block: list, tol: float):
     pass, and at the first failing pivot the witness D^-1/2 L^-T e_k is
     confirmed exactly.  A zero pivot, or a witness that is not finite or not
     confirmed, hands the block to an exact LDL^T of H + tol * diag(H) in
-    Fractions, which decides it.
+    Fractions, which decides it.  A block with a positive diagonal is first
+    factored by :func:`_positive_pivot`, which passes it where every pivot
+    is positive; any other block takes the route above from its start.
     """
     m = len(block)
     diag = [block[i][i] for i in range(m)]
+    scale = [1.0 / math.sqrt(h) if h > 0 else 1.0 for h in diag]
+    if min(diag) > 0 and (low := _positive_pivot(block, scale, tol)) is not None:
+        return low, None, None
     negative = next((i for i, h in enumerate(diag) if h < 0), None)
     if negative is not None:
         x = [float(i == negative) for i in range(m)]
         return -(1.0 + tol), x, _confirmed_form(block, x, tol)
-    scale = [1.0 / math.sqrt(h) if h > 0 else 1.0 for h in diag]
     a = []  # the lower triangle, which is all that _ldl reads
     for i, si in enumerate(scale):
         row = [si * h * sj for h, sj in zip(block[i][:i], scale)]
@@ -568,6 +599,13 @@ def _decide_block(block: list, tol: float):
     return low, None, None
 
 
+def _require_finite(values) -> None:
+    """Raise ``ValueError`` naming the first moment that is not finite."""
+    for n, t in enumerate(values):
+        if not math.isfinite(t):
+            raise ValueError(f"moment t_{n} = {t} is not finite")
+
+
 def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
     """Test a finite prefix for consistency with a halfline moment problem.
 
@@ -582,9 +620,7 @@ def check_stieltjes(seq, tol: float = 1e-9) -> StieltjesVerdict:
     order = len(values) - 1
     if order < 2:
         raise ValueError("the Hankel test needs t_0..t_N with N >= 2")
-    for n, t in enumerate(values):
-        if not math.isfinite(t):
-            raise ValueError(f"moment t_{n} = {t} is not finite")
+    _require_finite(values)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"the Hankel tolerance must be nonnegative and finite, got {tol}")
     blocks = {}
@@ -983,53 +1019,83 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     essentially exactly; the only remaining error is the rounding of the
     moments themselves.  It is mixed-precision iterative refinement (Moler,
     J. ACM 14, 1967): the Jacobian is factored once, at the seed, in
-    float64 (:func:`_seed_lu`); each step forms the residual
-    m_n - sum_i w_i x_i^n with ``digits`` working digits, solves for the
-    step with those factors, and adds it with ``digits`` digits.  Iteration
-    stops at a step below 10^(8 - digits).
+    float64 (:func:`_seed_lu`); the masses, nodes and moments are held
+    exactly, as integers over one power of two, so each step forms the
+    residual m_n - sum_i w_i x_i^n exactly, rounds it once to a float,
+    solves for the step with those factors and adds it exactly.  Iteration
+    stops at a step below 10^(8 - digits), or, from the second step on,
+    once the floats have settled: once every coordinate v has
+    float(v - s) = float(v + s) for the step size s just taken.  Each later
+    step that passes the contraction test below is at most 2^-20 of the
+    one before, so together they move v by less than s, and the iteration
+    could not change the floats it returns.
 
     The decimal Newton iteration (:func:`_decimal_newton`) runs from the
     seed instead wherever the chord cannot vouch for its result: a small
-    pivot (see :func:`_seed_lu`), a step that is not finite or does not
-    shrink by 2^-20 against the one before, no stop within ``iterations``
-    steps, a stop at the first step on a nonzero residual (where
-    10^(8 - digits) is not small against the atoms), or a ``decimal``
-    signal.  Both iterations stop within about 10^(8 - digits) of the same
-    root, so they return the same floats.
+    pivot (see :func:`_seed_lu`), a value that is not finite, a residual
+    past the largest float, a step that is not finite or does not shrink by
+    2^-20 against the one before, no stop within ``iterations`` steps, or a
+    stop at the first step on a nonzero residual (where 10^(8 - digits) is
+    not small against the atoms).  Both iterations stop far closer to the
+    same root than float64 resolves, so they return the same floats.
     """
-    from decimal import Decimal, localcontext
-
     factors = _seed_lu(nodes, masses)
-    if factors is None:
-        return _decimal_newton(nodes, masses, values, digits, iterations)
     r = len(nodes)
-    with localcontext() as ctx:
-        ctx.prec = digits + 3
-        x = [Decimal(float(v)) for v in nodes]
-        w = [Decimal(float(v)) for v in masses]
-        m = [Decimal(float(v)) for v in values[: 2 * r]]
-        stop = Decimal(10) ** (8 - digits)
-        bound = math.inf  # the largest step allowed next
-        try:
-            for k in range(iterations):
-                residual, terms = [m[0] - sum(w)], w  # terms: w_i x_i^n
-                for n in range(1, 2 * r):
-                    terms = list(map(operator.mul, terms, x))
-                    residual.append(m[n] - sum(terms))
-                step = _lu_solve(*factors, list(map(float, residual)))
-                size = max(map(abs, step))
-                if not (all(map(math.isfinite, step)) and size <= bound):
+    start = [float(v) for v in (*masses, *nodes, *values[: 2 * r])]
+    if factors is None or not all(map(math.isfinite, start)):
+        return _decimal_newton(nodes, masses, values, digits, iterations)
+    # the masses w, then the nodes x, then the moments m, as integers over 2^e
+    ratios = [v.as_integer_ratio() for v in start]
+    e = _exponent(ratios)
+    exact = _numerators(ratios, e)
+    stop = (10 ** max(8 - digits, 0), 10 ** max(digits - 8, 0))  # 10^(8 - digits)
+    bound = math.inf  # the largest step allowed next
+    try:
+        for k in range(iterations):
+            residual, terms = [], exact[:r]  # terms: w_i x_i^n, over 2^(e (n + 1))
+            for n in range(2 * r):
+                if n:
+                    terms = list(map(operator.mul, terms, exact[r : 2 * r]))
+                residual.append((exact[2 * r + n] << e * n) - sum(terms))
+            step = _lu_solve(*factors, [v / (1 << e * n) for n, v in enumerate(residual, 1)])
+            size = max(map(abs, step))
+            if not (all(map(math.isfinite, step)) and size <= bound):
+                break
+            ratios = [v.as_integer_ratio() for v in step]
+            if (shift := _exponent(ratios) - e) > 0:
+                exact = [v << shift for v in exact]
+                e += shift
+            exact[: 2 * r] = map(operator.add, exact[: 2 * r], _numerators(ratios, e))
+            s = _numerators([size.as_integer_ratio()], e)[0]  # size, over 2^e
+            one = 1 << e
+            if s * stop[1] < stop[0] * one:
+                if k == 0 and any(residual):
                     break
-                w = [a + Decimal(b) for a, b in zip(w, step)]
-                x = [a + Decimal(b) for a, b in zip(x, step[r:])]
-                if size < stop:
-                    if k == 0 and any(residual):
-                        break
-                    return [float(v) for v in x], [float(v) for v in w]
-                bound = size * 2.0**-20
-        except ArithmeticError:
-            pass
+                return _rounded(exact, r, one)
+            if k and all((v - s) / one == (v + s) / one for v in exact[: 2 * r]):
+                return _rounded(exact, r, one)  # settled
+            bound = size * 2.0**-20
+    except OverflowError:  # a residual, or a coordinate, past the largest float
+        pass
     return _decimal_newton(nodes, masses, values, digits, iterations)
+
+
+def _rounded(exact: list, r: int, one: int):
+    """The nodes and the masses of the chord's exact state over ``one``,
+    each rounded once to a float."""
+    return [v / one for v in exact[r : 2 * r]], [v / one for v in exact[:r]]
+
+
+def _exponent(ratios) -> int:
+    """The e of the largest denominator 2^e among the (numerator,
+    power-of-two denominator) pairs ``ratios``."""
+    return max(d for _, d in ratios).bit_length() - 1
+
+
+def _numerators(ratios, e: int) -> list:
+    """The numerators of ``ratios`` over the common denominator 2^e, for an
+    e at least :func:`_exponent` of them."""
+    return [n << e - d.bit_length() + 1 for n, d in ratios]
 
 
 def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
@@ -1038,11 +1104,12 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
     The recurrence coefficients feed a symmetric tridiagonal (Jacobi) matrix
     whose eigenvalues are the atom positions and whose first eigenvector
     components give the masses; a chord iteration against the moment
-    equations, on one float LU of their Jacobian with residuals in
-    ``decimal`` (full Newton steps in ``decimal`` where the chord cannot
-    vouch for its result, :func:`_newton_polish`), then polishes both.  A
-    k-atom measure matches the first 2k moments.
-    Refuted input raises :class:`RefutedSequenceError`, and a negative node
+    equations, on one float LU of their Jacobian with exact residuals
+    (full Newton steps in ``decimal`` where the chord cannot vouch for its
+    result, :func:`_newton_polish`), then polishes both.  A k-atom measure
+    matches the first 2k moments.
+    A moment that is not finite raises ``ValueError``, refuted input
+    :class:`RefutedSequenceError`, and a negative node
     :class:`QuadratureError`; a numerically singular Hankel yields fewer
     atoms, reported via ``rank``.
     """
@@ -1056,10 +1123,12 @@ def quadrature_from_moments(seq, tol: float = 1e-9) -> QuadratureResult:
             raise RefutedSequenceError(
                 "cannot reconstruct a measure from a refuted sequence", verdict
             )
-    elif values[0] <= 0.0 or values[1] < 0.0:
-        raise RefutedSequenceError(
-            f"two-moment prefix ({values[0]}, {values[1]}) admits no measure", None
-        )
+    else:
+        _require_finite(values)
+        if values[0] <= 0.0 or values[1] < 0.0:
+            raise RefutedSequenceError(
+                f"two-moment prefix ({values[0]}, {values[1]}) admits no measure", None
+            )
     k = len(values) // 2
     alphas, betas = _recurrence_from_moments(values, k)
     rank = len(alphas)

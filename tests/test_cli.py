@@ -917,9 +917,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, unilateral_inp
         (general + ["--system", system], 0, ["moments", "consistency"]),
         (["truncate", "--tree", tree, "--weights", weights, "--system", system,
           "--window", "2"], 0, ["moments", "consistency", "truncation"]),
-        # quadrature's polish runs in decimal
+        # quadrature's chord polish is exact integer arithmetic: decimal
+        # loads only where its Newton fallback runs
         (["certify", "--family", "unilateral", "--weights", weights],
-         0, ["moments", "consistency", "models", "decimal"]),
+         0, ["moments", "consistency", "models"]),
     ]
     for argv, exit_code, loaded in cases:
         assert _heavy_modules_after_main(argv) == [exit_code, loaded], argv
@@ -1250,8 +1251,8 @@ def test_a_branch_whose_scaled_entry_weight_underflows_certifies(tmp_path, capsy
 
 
 def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
-    # a branch weight of 1e160 gives the branch moments (1, inf): the quadrature
-    # polish stops at the infinity and the measure refuses the atom
+    # a branch weight of 1e160 gives the branch moments (1, inf), which
+    # quadrature refuses up front
     doc = {
         "eta": 2,
         "kappa": 0,
@@ -1262,7 +1263,7 @@ def test_overflowing_branch_moments_are_input_errors(tmp_path, capsys):
     code = main(["certify", "--family", "t-eta-kappa", "--input", path])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == "input error: atom position inf is not finite\n"
+    assert captured.err == "input error: moment t_1 = inf is not finite\n"
 
 def test_non_finite_inline_moments_are_input_errors(capsys):
     code = main(["check-stieltjes", "--t", "[1, NaN, 1, 1, 1]"])

@@ -877,6 +877,15 @@ def test_exact_power_norms_of_a_subnormal_shift_are_not_refuted(family, depth):
     assert cert.status != REFUTED, cert.witness
 
 
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+def test_a_frontier_prefix_that_is_not_finite_is_an_input_error(values):
+    # [nan, 1] at the frontier used to give an empty measure there, and a
+    # false refutation (sequence-moment) at the root
+    shift = WeightedShift(make_family("unilateral", 1), {1: 1.0})
+    with pytest.raises(ValueError, match="moment t_[01] = (nan|inf) is not finite"):
+        certify_subnormal(shift, sequences={0: [1, 1, 1], 1: values})
+
+
 def test_a_sequence_that_fails_the_hankel_test_is_refuted_at_its_vertex():
     shift = WeightedShift(make_family("unilateral", 3), {k: 1.0 for k in range(1, 4)})
     sequences = {0: (1, 1, 1, 1), 1: (1, 1, 1, 1), 2: (1, 1, 1, 1), 3: (1, 2, 1, 5)}

@@ -1,11 +1,13 @@
 import functools
 import math
 import random
+import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
@@ -630,6 +632,80 @@ def test_boundary_blocks_are_decided_in_exact_arithmetic(monkeypatch, t, status,
         assert v.min_pivot_hankel < 0
 
 
+def _verdict_bits(v):
+    """Every field of a Hankel verdict, with each float as its bits."""
+    bits = functools.partial(struct.pack, "<d")
+    return (
+        v.status, v.order, bits(v.min_pivot_hankel), bits(v.min_pivot_shifted),
+        v.witness_block, tuple(map(bits, v.witness_vector)), bits(v.witness_value),
+    )
+
+
+def _ldl_route_verdict(t, tol):
+    """check_stieltjes with every block on the float _ldl route, as before the
+    one-pass factorization existed."""
+    with mock.patch.object(moments, "_positive_pivot", lambda *args: None):
+        return check_stieltjes(t, tol=tol)
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 2.0**-1040, 2.0**-1022, 1.0, -1.0, 1e300, -1e300]
+
+
+@st.composite
+def hankel_inputs(draw):
+    """t_0..t_N for N = 2..24: moments of 1 to 13 atoms, scaled into the
+    subnormals or towards 1e300, with a few entries perhaps replaced by
+    edge values (zero and negative diagonals among them)."""
+    order = draw(st.integers(2, 24))
+    k = draw(st.integers(1, 13))
+    atoms = draw(
+        st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.01, 1.0)), min_size=k, max_size=k)
+    )
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-300, 1e-310, 1e250]))
+    t = [v * scale for v in AtomicMeasure(tuple(atoms)).moments(order)]
+    for _ in range(draw(st.integers(0, 2))):
+        t[draw(st.integers(0, order))] = draw(st.sampled_from(_EDGE_VALUES))
+    assume(all(map(math.isfinite, t)))
+    return t
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=hankel_inputs(), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@example(t=[1.0, 3.0, 9.0, 27.0, 81.0], tol=0.0)
+@example(t=[1.0, 0.0, 0.0, 0.0, 0.0], tol=1e-9)
+@example(t=[1e300, 1e300, 1e300, -1e300, 1e300], tol=1e-3)
+@example(t=[5e-324, -0.0, 5e-324, 0.0, 5e-324, 0.0, 5e-324], tol=1e-9)
+@example(t=[2.0, 1.0, -1.0, 1.0, 2.0], tol=0.0)
+def test_the_one_pass_hankel_route_keeps_every_bit(t, tol):
+    assert _verdict_bits(check_stieltjes(t, tol=tol)) == _verdict_bits(_ldl_route_verdict(t, tol))
+
+
+def test_the_one_pass_route_decides_most_genuine_blocks():
+    # genuine moments of 1 to 13 atoms, N = 2..24: every block that the one-pass
+    # route passes gets the verdict of the _ldl route, and the two routes
+    # meet on blocks of every size from 1 to 13
+    rng = random.Random(3201)
+    passed, sizes = 0, set()
+    factor = moments._positive_pivot
+
+    def recorded(block, scale, tol):
+        low = factor(block, scale, tol)
+        if low is not None:
+            sizes.add(len(block))
+        return low
+
+    for _ in range(600):
+        k = rng.randint(1, 13)
+        mu = AtomicMeasure(tuple((rng.uniform(0.1, 4.0), rng.uniform(0.05, 1.0)) for _ in range(k)))
+        t = mu.moments(rng.randint(2, 24))
+        tol = rng.choice([0.0, 1e-9, 1e-3])
+        with mock.patch.object(moments, "_positive_pivot", recorded):
+            ours = check_stieltjes(t, tol=tol)
+        assert _verdict_bits(ours) == _verdict_bits(_ldl_route_verdict(t, tol))
+        passed += ours.consistent
+    assert passed > 400 and sizes == set(range(1, 14))
+
+
 def test_check_stieltjes_refuses_non_finite_moments_and_bad_tolerances():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
@@ -909,15 +985,20 @@ def test_decimal_polish_agrees_with_the_mpmath_oracle(monkeypatch):
 
 
 
-@pytest.mark.parametrize("values", [[1.0, math.inf], [1.0, math.nan]])
-def test_non_finite_moments_stop_the_polish_as_with_the_oracle(monkeypatch, values):
-    # Inf - Inf, or ordering a NaN, signals in decimal; the polish stops there
-    # as it stopped where lu_solve failed, and the measure refuses the atom
-    ours = _quadrature_outcome(values)
-    assert ours == (ValueError, f"atom position {values[1]} is not finite")
-    oracle = functools.partial(_mpmath_polish, singular=[])
-    monkeypatch.setattr(moments, "_newton_polish", oracle)
-    assert _quadrature_outcome(values) == ours
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([math.nan, 1.0], "t_0 = nan"),
+        ([1.0, math.nan], "t_1 = nan"),
+        ([math.inf, 1.0], "t_0 = inf"),
+        ([1.0, math.inf], "t_1 = inf"),
+    ],
+)
+def test_a_two_moment_prefix_that_is_not_finite_is_refused(values, bad):
+    # refused up front, as the Hankel test refuses longer prefixes: [nan, 1]
+    # gave an empty measure of rank 1, and the others an atom that the
+    # measure refused
+    assert _quadrature_outcome(values) == (ValueError, f"moment {bad} is not finite")
 
 
 # ||A||_1 * 2^-178 for A = [[1, 3], [a, -b]] with a, b far below 1
@@ -1077,6 +1158,31 @@ def test_the_polish_returns_what_the_decimal_newton_does(monkeypatch, atoms, fal
     monkeypatch.setattr(moments, "_newton_polish", newton)
     theirs = quadrature_from_moments(values)
     assert (ours.rank, ours.measure.atoms) == (theirs.rank, theirs.measure.atoms) == (2, atoms)
+
+
+def test_the_chord_stops_within_two_steps_once_its_floats_settle(monkeypatch):
+    # exactly determined fits of 1 to 4 well-separated atoms: the seed is good
+    # to about 1e-13 and each exact-residual step gains as much again, so the
+    # second step already leaves every float where the chord would end
+    rng = np.random.default_rng(3202)
+    solve, newton, steps, fell_back = moments._lu_solve, moments._decimal_newton, [], []
+
+    def counted(*args):
+        steps[-1] += 1
+        return solve(*args)
+
+    def recorded(*args):
+        fell_back.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(moments, "_lu_solve", counted)
+    monkeypatch.setattr(moments, "_decimal_newton", recorded)
+    for _ in range(300):
+        mu = stratified_atoms(rng, int(rng.integers(1, 5)))
+        steps.append(0)
+        quadrature_from_moments(mu.moments(2 * len(mu.atoms) - 1))
+    assert fell_back == [] and min(steps) == 2
+    assert sum(n <= 2 for n in steps) >= 0.95 * len(steps)
 
 
 # -- determinacy diagnostic ----------------------------------------------------------
