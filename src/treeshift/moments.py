@@ -23,6 +23,9 @@ from .report import CONSISTENT, REFUTED, Record, set_field
 
 MERGE_TOL = 1e-12
 RANK_TOL = 1e-12
+_POLISH_DIGITS = 50  # the decimal Newton's working digits
+_POLISH_STEPS = 10  # the most steps either polish takes
+_CHORD_STOP = 10 ** (_POLISH_DIGITS - 8)  # a step s with s * this < 1 is below 10^(8 - digits)
 
 _position = operator.itemgetter(0)
 
@@ -428,43 +431,55 @@ def _hankel(values, size: int, offset: int) -> list:
     return [list(values[i + offset : i + offset + size]) for i in range(size)]
 
 
-def _ldl(a: list):
-    """Factor the symmetric matrix ``a`` (rows of floats or of Fractions) as
-    L diag(pivots) L^T, stopping where it shows that ``a`` is not positive
-    semidefinite.
-
-    Returns the pivots found and either None or a vector x meant to give
-    x^T a x < 0: at a negative (or NaN) pivot d_k, x = L^-T e_k, whose form
-    is d_k; at a zero pivot whose column does not vanish, a combination of
-    e_k and the first index j with a nonzero entry c in that column, mapped
-    back the same way, whose form is -(|S_jj| + |c|) for the Schur complement
-    S.  In float arithmetic the vector is a candidate that the caller
+def _ldl(block: list, scale: list, diagonal: list):
+    """Factor A = L diag(pivots) L^T in one pass, where a_ii = ``diagonal[i]``
+    and a_ik = (s_i h_ik) s_k below the diagonal, for H = ``block`` and
+    s = ``scale`` (floats, or Fractions with unit scale), forming each entry
+    where the factorization reaches it.  Stops where A shows that it is not
+    positive semidefinite and returns the pivots found with a vector x meant
+    to give x^T A x < 0 (:func:`_witness`), else with None; a zero pivot over
+    a zero column passes.  In floats x is a candidate that the caller
     confirms; in rational arithmetic it is exact.
     """
-    m = len(a)
+    m = len(block)
     rows = [[] for _ in range(m)]  # row i of L, left of the diagonal
     pivots = []
-    for k in range(m):
+    for k, sk in enumerate(scale):
         scaled = list(map(operator.mul, rows[k], pivots))  # L_kj * d_j
-        column = [a[i][k] - sum(map(operator.mul, rows[i], scaled)) for i in range(k, m)]
-        pivot = column[0]
+        pivot = diagonal[k] - sum(map(operator.mul, rows[k], scaled))
         pivots.append(pivot)
-        if pivot > 0 or not any(column):  # a positive pivot, or a zero row
+        if pivot > 0:
             for i in range(k + 1, m):
-                rows[i].append(column[i - k] / pivot if pivot else 0)
+                row = rows[i]
+                row.append((scale[i] * block[i][k] * sk - sum(map(operator.mul, row, scaled))) / pivot)
             continue
-        x = [0] * m
-        x[k] = 1
-        if pivot == 0:
-            j = next(j for j in range(k + 1, m) if column[j - k])
-            c = column[j - k]
-            scaled = list(map(operator.mul, rows[j], pivots))
-            s = a[j][j] - sum(map(operator.mul, rows[j], scaled))  # S_jj
-            x[k], x[j] = -(s + abs(s) + abs(c)) / (2 * c), 1
-        for i in reversed(range(k)):
-            x[i] = 0 - sum(rows[r][i] * x[r] for r in range(i + 1, m) if x[r])  # no -0.0
-        return pivots, x
+        column = []  # a comprehension would make the locals above cells (Python < 3.12)
+        for i in range(k + 1, m):
+            column.append(scale[i] * block[i][k] * sk - sum(map(operator.mul, rows[i], scaled)))
+        if pivot or any(column):
+            return pivots, _witness(rows, pivots, diagonal, column)
+        for row in rows[k + 1 :]:  # a zero row
+            row.append(0)
     return pivots, None
+
+
+def _witness(rows: list, pivots: list, diagonal: list, column: list) -> list:
+    """The x of :func:`_ldl` at its last pivot d_k, from the rows of L formed
+    so far and the entries ``column`` below d_k: x = L^-T e_k, whose form is
+    d_k, at a negative (or NaN) pivot; at a zero pivot, e_k combined with the
+    first j whose entry c in the column is nonzero, mapped back the same way,
+    whose form is -(|S_jj| + |c|) for the Schur complement S."""
+    m, k = len(rows), len(pivots) - 1
+    x = [0] * m
+    x[k] = 1
+    if pivots[k] == 0:
+        j, c = next((j, c) for j, c in enumerate(column, k + 1) if c)
+        scaled = list(map(operator.mul, rows[j], pivots))
+        s = diagonal[j] - sum(map(operator.mul, rows[j], scaled))  # S_jj
+        x[k], x[j] = -(s + abs(s) + abs(c)) / (2 * c), 1
+    for i in reversed(range(k)):
+        x[i] = 0 - sum(rows[r][i] * x[r] for r in range(i + 1, m) if x[r])  # no -0.0
+    return x
 
 
 def _confirmed_form(block: list, x, tol: float):
@@ -513,33 +528,6 @@ def _unit(x) -> list:
     return [math.ldexp(v, shift) for v in x]
 
 
-def _positive_pivot(block: list, scale: list, tol: float):
-    """The smallest pivot of the float LDL^T of D^-1/2 H D^-1/2 + tol * I
-    for H = ``block`` with D^-1/2 = diag(``scale``), or None at the first
-    pivot that is not positive.
-
-    One pass: each entry is formed where the factorization reaches it, in
-    the arithmetic in which :func:`_decide_block` forms it for :func:`_ldl`
-    ((s_i h_ij) s_j below the diagonal, 1 + tol on it), and each pivot and
-    multiplier as :func:`_ldl` forms it, so where this returns a pivot the
-    two routes agree bit for bit.
-    """
-    m = len(block)
-    rows = [[] for _ in range(m)]  # row i of L, left of the diagonal
-    pivots = []
-    one = 1.0 + tol
-    for k, sk in enumerate(scale):
-        scaled = list(map(operator.mul, rows[k], pivots))  # L_kj * d_j
-        pivot = one - sum(map(operator.mul, rows[k], scaled))
-        if not pivot > 0:
-            return None
-        pivots.append(pivot)
-        for i in range(k + 1, m):
-            row = rows[i]
-            row.append((scale[i] * block[i][k] * sk - sum(map(operator.mul, row, scaled))) / pivot)
-    return min(pivots)
-
-
 def _decide_block(block: list, tol: float):
     """Decide whether H + tol * diag(H) is positive semidefinite for the
     Hankel block H = ``block``.
@@ -548,45 +536,36 @@ def _decide_block(block: list, tol: float):
     witness x, scaled by a power of two to a largest entry in [1, 2), whose
     form against H + tol * diag(H) is negative in exact arithmetic, with
     x^T H x (else None, None).  A negative diagonal entry h_ii refutes with
-    x = e_i.  Otherwise a float LDL^T of D^-1/2 H D^-1/2 + tol * I decides
-    (D = diag(H), with unit scale on zero diagonal entries): positive pivots
-    pass, and at the first failing pivot the witness D^-1/2 L^-T e_k is
-    confirmed exactly.  A zero pivot, or a witness that is not finite or not
-    confirmed, hands the block to an exact LDL^T of H + tol * diag(H) in
-    Fractions, which decides it.  A block with a positive diagonal is first
-    factored by :func:`_positive_pivot`, which passes it where every pivot
-    is positive; any other block takes the route above from its start.
+    x = e_i.  Otherwise one float pass of :func:`_ldl` on D^-1/2 H D^-1/2 +
+    tol * I (D = diag(H); unit scale and a zero diagonal where h_ii = 0)
+    decides: positive pivots pass, and at the first failing pivot the witness
+    D^-1/2 L^-T e_k is confirmed exactly.  A zero pivot, or a witness that is
+    not finite or not confirmed, hands the block to :func:`_ldl` on
+    H + tol * diag(H) in Fractions, which decides it.
     """
     m = len(block)
-    diag = [block[i][i] for i in range(m)]
-    scale = [1.0 / math.sqrt(h) if h > 0 else 1.0 for h in diag]
-    if min(diag) > 0 and (low := _positive_pivot(block, scale, tol)) is not None:
-        return low, None, None
-    negative = next((i for i, h in enumerate(diag) if h < 0), None)
-    if negative is not None:
+    diag = [row[i] for i, row in enumerate(block)]
+    if min(diag) < 0:
+        negative = next(i for i, h in enumerate(diag) if h < 0)
         x = [float(i == negative) for i in range(m)]
         return -(1.0 + tol), x, _confirmed_form(block, x, tol)
-    a = []  # the lower triangle, which is all that _ldl reads
-    for i, si in enumerate(scale):
-        row = [si * h * sj for h, sj in zip(block[i][:i], scale)]
-        row.append(1.0 + tol if diag[i] > 0 else 0.0)
-        a.append(row)
-    pivots, z = _ldl(a)
-    if z is None and min(pivots) > 0:
-        return min(pivots), None, None
+    scale = [1.0 / math.sqrt(h) if h > 0 else 1.0 for h in diag]
+    pivots, z = _ldl(block, scale, [1.0 + tol if h > 0 else 0.0 for h in diag])
+    low = min(pivots)
+    if z is None and low > 0:
+        return low, None, None
     if z is not None:
         x = [si * zi for si, zi in zip(scale, z)]
         if all(map(math.isfinite, x)):
             x = _unit(x)
             form = _confirmed_form(block, x, tol)
             if form is not None:
-                return min(pivots), x, form
+                return low, x, form
     from fractions import Fraction
 
-    exact = [[Fraction(h) for h in row] for row in block]
-    for i in range(m):
-        exact[i][i] *= 1 + Fraction(tol)
-    pivots, z = _ldl(exact)
+    one = 1 + Fraction(tol)
+    exact = [list(map(Fraction, row[:i])) for i, row in enumerate(block)]  # all _ldl reads
+    pivots, z = _ldl(exact, [1] * m, [Fraction(h) * one for h in diag])
     low = _as_float(min(p / Fraction(h) if h > 0 else p for p, h in zip(pivots, diag)))
     if z is not None:
         top = max(map(abs, z))  # divide by a power of two near it, so no entry overflows
@@ -926,13 +905,14 @@ def _solve(rows):
     return out
 
 
-def _decimal_newton(nodes, masses, values, digits: int = 50, iterations: int = 10):
+def _decimal_newton(nodes, masses, values):
     """Solve the moment equations for the atoms by Newton's method in
     extended precision: the fallback of :func:`_newton_polish`.
 
-    Each step forms the Jacobian and the residual with ``digits`` working
-    digits and solves for the step by :func:`_solve`.  Iteration stops
-    early at a step below 10^(8 - digits), or at a Jacobian J singular to
+    Each step forms the Jacobian and the residual with ``_POLISH_DIGITS``
+    working digits and solves for the step by :func:`_solve`.  Iteration
+    stops after ``_POLISH_STEPS`` steps, or early at a step below
+    10^(8 - _POLISH_DIGITS), or at a Jacobian J singular to
     within ||J||_1 * 2^-178: the rule of the 179-bit ``lu_solve`` that the
     tests run as this polish's oracle.
     """
@@ -940,12 +920,13 @@ def _decimal_newton(nodes, masses, values, digits: int = 50, iterations: int = 1
 
     r = len(nodes)
     with localcontext() as ctx:
-        ctx.prec = digits + 3
+        ctx.prec = _POLISH_DIGITS + 3
+        small = Decimal(10) ** (8 - _POLISH_DIGITS)
         x = [Decimal(float(v)) for v in nodes]
         w = [Decimal(float(v)) for v in masses]
         m = [Decimal(float(v)) for v in values[: 2 * r]]
         try:  # a singular Jacobian, or a NaN or infinity met on the way, ends it
-            for _ in range(iterations):
+            for _ in range(_POLISH_STEPS):
                 rows = []
                 low, high = [Decimal(0)] * r, [Decimal(1)] * r  # x^(n-1), x^n
                 for n in range(2 * r):
@@ -955,7 +936,7 @@ def _decimal_newton(nodes, masses, values, digits: int = 50, iterations: int = 1
                 step = _solve(rows)
                 w = [a + b for a, b in zip(w, step)]
                 x = [a + b for a, b in zip(x, step[r:])]
-                if max(abs(v) for v in step) < Decimal(10) ** (8 - digits):
+                if max(abs(v) for v in step) < small:
                     break
         except ArithmeticError:
             pass
@@ -1009,7 +990,7 @@ def _lu_solve(rows, order, rhs):
     return y
 
 
-def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10):
+def _newton_polish(nodes, masses, values):
     """Solve the moment equations for the atoms in extended precision.
 
     The moment map is badly conditioned: in double precision a residual at
@@ -1023,7 +1004,7 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     exactly, as integers over one power of two, so each step forms the
     residual m_n - sum_i w_i x_i^n exactly, rounds it once to a float,
     solves for the step with those factors and adds it exactly.  Iteration
-    stops at a step below 10^(8 - digits), or, from the second step on,
+    stops at a step below 10^(8 - _POLISH_DIGITS), or, from the second step on,
     once the floats have settled: once every coordinate v has
     float(v - s) = float(v + s) for the step size s just taken.  Each later
     step that passes the contraction test below is at most 2^-20 of the
@@ -1034,8 +1015,8 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     seed instead wherever the chord cannot vouch for its result: a small
     pivot (see :func:`_seed_lu`), a value that is not finite, a residual
     past the largest float, a step that is not finite or does not shrink by
-    2^-20 against the one before, no stop within ``iterations`` steps, or a
-    stop at the first step on a nonzero residual (where 10^(8 - digits) is
+    2^-20 against the one before, no stop within ``_POLISH_STEPS`` steps,
+    or a stop at the first step on a nonzero residual (where that stop is
     not small against the atoms).  Both iterations stop far closer to the
     same root than float64 resolves, so they return the same floats.
     """
@@ -1043,15 +1024,14 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
     r = len(nodes)
     start = [float(v) for v in (*masses, *nodes, *values[: 2 * r])]
     if factors is None or not all(map(math.isfinite, start)):
-        return _decimal_newton(nodes, masses, values, digits, iterations)
+        return _decimal_newton(nodes, masses, values)
     # the masses w, then the nodes x, then the moments m, as integers over 2^e
     ratios = [v.as_integer_ratio() for v in start]
     e = _exponent(ratios)
     exact = _numerators(ratios, e)
-    stop = (10 ** max(8 - digits, 0), 10 ** max(digits - 8, 0))  # 10^(8 - digits)
     bound = math.inf  # the largest step allowed next
     try:
-        for k in range(iterations):
+        for k in range(_POLISH_STEPS):
             residual, terms = [], exact[:r]  # terms: w_i x_i^n, over 2^(e (n + 1))
             for n in range(2 * r):
                 if n:
@@ -1068,7 +1048,7 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
             exact[: 2 * r] = map(operator.add, exact[: 2 * r], _numerators(ratios, e))
             s = _numerators([size.as_integer_ratio()], e)[0]  # size, over 2^e
             one = 1 << e
-            if s * stop[1] < stop[0] * one:
+            if s * _CHORD_STOP < one:  # s / 2^e below 10^(8 - _POLISH_DIGITS)
                 if k == 0 and any(residual):
                     break
                 return _rounded(exact, r, one)
@@ -1077,7 +1057,7 @@ def _newton_polish(nodes, masses, values, digits: int = 50, iterations: int = 10
             bound = size * 2.0**-20
     except OverflowError:  # a residual, or a coordinate, past the largest float
         pass
-    return _decimal_newton(nodes, masses, values, digits, iterations)
+    return _decimal_newton(nodes, masses, values)
 
 
 def _rounded(exact: list, r: int, one: int):
